@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -64,6 +65,17 @@ class RunSettings:
     threads: int = 1
     out: Optional[str] = None
     log_r: Optional[float] = None
+
+    def validate(self) -> None:
+        """Reject settings no experiment can run with."""
+        if self.primes < 2:
+            raise ConfigError(f"primes must be at least 2, got {self.primes}")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
+        if self.nu_max < 1:
+            raise ConfigError(f"nu_max must be at least 1, got {self.nu_max}")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass
@@ -153,31 +165,44 @@ def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
 
 
 def _build_twist(text: str) -> fam_mod.FixedTwist:
-    parts = str(text).split()
-    if parts[0] == "kronecker":
-        return fam_mod.kronecker_twist(int(parts[1]))
-    if parts[0] == "character":
-        return fam_mod.character_twist(int(parts[1]), int(parts[2]))
-    if parts[0] == "delta":
-        bound = int(parts[1]) if len(parts) > 1 else 2000
-        return fam_mod.delta_twist(bound)
-    raise ConfigError(f"unknown twist spec {text!r}")
+    kind, *rest = str(text).split() or [""]
+    args = [int(tok) for tok in rest]
+    if kind == "kronecker" and len(args) == 1:
+        return fam_mod.kronecker_twist(*args)
+    if kind == "character" and len(args) == 2:
+        return fam_mod.character_twist(*args)
+    if kind == "delta" and len(args) <= 1:
+        return fam_mod.delta_twist(*args)
+    raise ValueError(
+        f"bad twist spec {text!r}: expected 'kronecker D', "
+        "'character MODULUS INDEX' or 'delta [BOUND]'"
+    )
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """Parse an INI or JSON config.
+
+    Raises:
+        ConfigError: If the file is malformed or a value has the wrong type.
+    """
     text = Path(path).read_text()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return _config_from_dict(json.loads(text))
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
-    data: dict = {"run": dict(parser["run"]) if "run" in parser else {}}
-    data["families"] = []
-    for section in parser.sections():
-        if section.startswith("family"):
-            ident = section.split(None, 1)[1] if " " in section else section
-            opts = dict(parser[section])
-            data["families"].append({"id": ident, **opts})
-    return _config_from_dict(data)
+    try:
+        if path.endswith(".json") or text.lstrip().startswith("{"):
+            return _config_from_dict(json.loads(text))
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        data: dict = {"run": dict(parser["run"]) if "run" in parser else {}}
+        data["families"] = []
+        for section in parser.sections():
+            if section.startswith("family"):
+                ident = section.split(None, 1)[1] if " " in section else section
+                opts = dict(parser[section])
+                data["families"].append({"id": ident, **opts})
+        return _config_from_dict(data)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (ValueError, TypeError, AttributeError, configparser.Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _config_from_dict(data: dict) -> ExperimentConfig:
@@ -200,6 +225,7 @@ def _config_from_dict(data: dict) -> ExperimentConfig:
         decls.append(FamilyDecl(ident=ident, kind=kind, options=raw))
     if len({d.ident for d in decls}) != len(decls):
         raise ConfigError("duplicate family ids")
+    run.validate()
     return ExperimentConfig(run=run, declarations=decls)
 
 
@@ -396,9 +422,9 @@ def _parse_atom(tok: _Tokens) -> weil.WeilRep:
         base = weil.plus if value == "+" else weil.minus
         maker = lambda t: weil.WeilRep([base(t)])
     elif kind == "rational":
+        if "/" in value or int(value) < 1:
+            raise WeilParseError(f"invalid weight {value} at position {pos}")
         k = int(value)
-        if k < 1:
-            raise WeilParseError(f"invalid weight {k} at position {pos}")
         if k == 1:
             maker = lambda t: weil.WeilRep([weil.plus(t), weil.minus(t)])
         else:
@@ -407,8 +433,11 @@ def _parse_atom(tok: _Tokens) -> weil.WeilRep:
         raise WeilParseError(f"parse error at position {pos}: bad atom")
     if tok.peek()[0] == "comma":
         tok.next()
-        _, tval, _ = tok.next("rational")
-        twist = Fraction(tval)
+        _, tval, tpos = tok.next("rational")
+        try:
+            twist = Fraction(tval)
+        except ZeroDivisionError:
+            raise WeilParseError(f"zero denominator at position {tpos}") from None
     tok.next("rbrack")
     return maker(twist)
 
@@ -427,6 +456,8 @@ def _parse_factor(tok: _Tokens) -> weil.WeilRep:
     if kind == "sym":
         tok.next()
         m = int(value.split("^")[1])
+        if m < 1:
+            raise WeilParseError(f"{value} at position {pos}: power must be positive")
         tok.next("lparen")
         inner = _parse_expr(tok)
         tok.next("rparen")
@@ -605,12 +636,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> None:
-    if getattr(args, "primes", None):
-        config.run.primes = args.primes
-    if getattr(args, "sigma", None):
-        config.run.sigma = args.sigma
-    if getattr(args, "threads", None):
-        config.run.threads = args.threads
+    for name in ("primes", "sigma", "threads"):
+        value = getattr(args, name, None)
+        if value is not None:
+            setattr(config.run, name, value)
+    config.run.validate()
 
 
 def _dispatch(args) -> int:

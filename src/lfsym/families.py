@@ -3,8 +3,13 @@
 A family is a finite weighted collection of members, each serving
 power-sum coefficients b(p^nu) at every prime, a log-conductor, and a
 bad-prime predicate.  Statistics modules consume families through
-``prime_moments``, which returns family-aggregated coefficient sums at one
-prime; concrete families override it with vectorized implementations.
+``moment_table``, which stacks the family-aggregated coefficient sums of
+``prime_moments`` over every prime up to a cutoff; concrete families
+override ``prime_moments`` with vectorized implementations.  Degree-2
+families also serve ``trace_distribution``: the distinct normalized traces
+at p with their summed member weights, from which any coefficient sequence
+of the members (their own, or a symmetric power's) aggregates as one
+matrix-vector product.
 
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
 characters of fundamental discriminants, one-parameter elliptic-curve
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -33,10 +38,12 @@ from .arith import (
 )
 from .ecgeom import (
     EllipticFamilySpec,
+    _eval_poly_mod,
     ap_residue_table,
     conductor_proxy,
     invariants,
     rs_conductor_bounds,
+    trace_of_frobenius,
 )
 from .satake import (
     LocalCoefficients,
@@ -51,6 +58,7 @@ from .satake import (
 __all__ = [
     "Family",
     "PrimeMoments",
+    "MomentTable",
     "dirichlet_family",
     "quadratic_family",
     "elliptic_family",
@@ -84,14 +92,40 @@ class PrimeMoments:
     total_weight: float
     sums: np.ndarray
 
-    @property
-    def bad_weight(self) -> float:
-        return self.total_weight - self.good_weight
-
     def average(self, nu: int) -> complex:
         if self.good_weight == 0:
             raise ZeroDivisionError(f"no members are good at p = {self.p}")
         return complex(self.sums[nu - 1]) / self.good_weight
+
+
+@dataclass(frozen=True)
+class MomentTable:
+    """PrimeMoments at every prime up to a cutoff, stacked into arrays.
+
+    Row i describes primes[i]: good[i] and total[i] are its good and total
+    weights, and sums[i, nu-1] its good-member sum of multiplicity * b(p^nu)
+    (complex128).  Every prime-side statistic is a masked contraction of
+    these rows against test-function weights.
+    """
+
+    primes: np.ndarray
+    log_p: np.ndarray
+    good: np.ndarray
+    total: np.ndarray
+    sums: np.ndarray
+
+
+def _weighted_moments(
+    p: int, btab: np.ndarray, weights: np.ndarray, total: float
+) -> PrimeMoments:
+    """PrimeMoments of members whose coefficients are columns of btab.
+
+    btab[nu-1, k] is b(p^nu) of the k-th distinct local factor and
+    weights[k] the summed multiplicity of the good members that carry it.
+    """
+    return PrimeMoments(
+        p, float(weights.sum()), total, (btab @ weights).astype(np.complex128)
+    )
 
 
 class Family:
@@ -120,9 +154,6 @@ class Family:
 
     def bad_prime(self, member, p: int) -> bool:
         return False
-
-    def sign(self, member) -> Optional[int]:
-        return None
 
     # -- family-level derived data --------------------------------------------
 
@@ -154,6 +185,30 @@ class Family:
                 self.local_coefficients(m, p, nu_max).b, dtype=np.complex128
             )
         return PrimeMoments(p=p, good_weight=good, total_weight=total, sums=sums)
+
+    def moment_table(self, P: int, nu_max: int) -> MomentTable:
+        """One ``prime_moments`` call at every prime p <= P, stacked.
+
+        Raises:
+            ValueError: If some prime reports more good than total weight.
+        """
+        table = sieve_primes(max(P, 2))
+        keep = table.primes <= P
+        primes, log_p = table.primes[keep], table.log_p[keep]
+        moments = [self.prime_moments(int(p), nu_max) for p in primes]
+        good = np.array([m.good_weight for m in moments], dtype=float)
+        total = np.array([m.total_weight for m in moments], dtype=float)
+        over = np.flatnonzero(good > total)
+        if len(over):
+            i = over[0]
+            raise ValueError(
+                f"{self.family_id}: good weight {good[i]} exceeds total "
+                f"weight {total[i]} at p = {primes[i]}"
+            )
+        sums = np.array([m.sums for m in moments], dtype=np.complex128)
+        return MomentTable(
+            primes, log_p, good, total, sums.reshape(len(moments), nu_max)
+        )
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.family_id!r}>"
@@ -315,7 +370,8 @@ class EllipticFamily(Family):
     p | Delta(t) are bad; singular fibers (Delta(t) = 0) are skipped and
     recorded.
 
-    Semantically immutable; the per-prime caches are one-shot dict fills of
+    Semantically immutable; the memoized trace distributions (at most
+    2 isqrt(4p) + 1 entries per prime) are one-shot dict fills of
     deterministic values, so concurrent readers can at worst duplicate work.
     """
 
@@ -337,8 +393,7 @@ class EllipticFamily(Family):
         )
         self.degree = 2
         self._log_cond: dict[int, float] = {}
-        self._residue_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._moment_cache: dict[tuple[int, int], PrimeMoments] = {}
+        self._traces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def iter_members(self) -> Iterator[int]:
         return iter(self.members_list)
@@ -348,8 +403,8 @@ class EllipticFamily(Family):
 
     def hecke_eigenvalue(self, member: int, p: int) -> float:
         """Normalized trace a_t(p)/sqrt(p) from the character sum (p >= 5)."""
-        a = ap_residue_table(self.spec, p)[member % p]
-        return float(a) / math.sqrt(p)
+        spec = self.spec
+        return trace_of_frobenius(spec.A(member), spec.B(member), p) / math.sqrt(p)
 
     def local_coefficients(self, member, p, nu_max):
         if p in (2, 3):
@@ -367,51 +422,41 @@ class EllipticFamily(Family):
         return p in (2, 3) or self.spec.discriminant(member) % p == 0
 
     def residue_data(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a_r table, member weights on good residues) for p >= 5; cached."""
-        if p not in self._residue_cache:
-            a = ap_residue_table(self.spec, p)
-            r = np.arange(p, dtype=np.int64)
-            delta_mod = (
-                4 * _poly_mod_cubed(self.spec.a_coeffs, r, p)
-                + 27 * _poly_mod_sq(self.spec.b_coeffs, r, p)
-            ) % p
-            counts = np.bincount(self._members_arr % p, minlength=p).astype(float)
-            self._residue_cache[p] = (a, counts * (delta_mod != 0))
-        return self._residue_cache[p]
+        """(a_r table, member weights on good residues r mod p) for p >= 5."""
+        a = ap_residue_table(self.spec, p)
+        r = np.arange(p, dtype=np.int64)
+        A = _eval_poly_mod(self.spec.a_coeffs, r, p)
+        B = _eval_poly_mod(self.spec.b_coeffs, r, p)
+        delta_mod = (4 * (A * A % p * A % p) + 27 * (B * B % p)) % p
+        counts = np.bincount(self._members_arr % p, minlength=p).astype(float)
+        return a, counts * (delta_mod != 0)
+
+    def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct a_t(p)/sqrt(p), summed weights of the good members); memoized.
+
+        Empty at p = 2, 3, where every fiber is bad.
+
+        Raises:
+            ValueError: If a trace violates the Hasse bound a^2 <= 4p.
+        """
+        if p not in self._traces:
+            if p < 5:
+                self._traces[p] = (np.empty(0), np.empty(0))
+            else:
+                a, weights = self.residue_data(p)
+                if np.any(a * a > 4 * p):
+                    raise ValueError(f"{self.family_id}: trace beyond 2 sqrt({p})")
+                off = math.isqrt(4 * p)
+                hist = np.bincount(a + off, weights=weights, minlength=2 * off + 1)
+                held = np.flatnonzero(hist)
+                self._traces[p] = ((held - off) / math.sqrt(p), hist[held])
+        return self._traces[p]
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        key = (p, nu_max)
-        if key in self._moment_cache:
-            return self._moment_cache[key]
-        n = float(len(self.members_list))
-        if p in (2, 3):
-            out = PrimeMoments(p, 0.0, n, np.zeros(nu_max, np.complex128))
-        else:
-            a, weights = self.residue_data(p)
-            btab = hecke_b_array(a / math.sqrt(p), nu_max)
-            sums = btab @ weights
-            out = PrimeMoments(
-                p, float(weights.sum()), n, sums.astype(np.complex128)
-            )
-        self._moment_cache[key] = out
-        return out
-
-
-def _poly_mod_cubed(coeffs: Sequence[int], r: np.ndarray, p: int) -> np.ndarray:
-    v = _poly_mod(coeffs, r, p)
-    return (v * v % p) * v % p
-
-
-def _poly_mod_sq(coeffs: Sequence[int], r: np.ndarray, p: int) -> np.ndarray:
-    v = _poly_mod(coeffs, r, p)
-    return v * v % p
-
-
-def _poly_mod(coeffs: Sequence[int], r: np.ndarray, p: int) -> np.ndarray:
-    acc = np.zeros_like(r)
-    for c in reversed(coeffs):
-        acc = (acc * r + c % p) % p
-    return acc
+        values, weights = self.trace_distribution(p)
+        return _weighted_moments(
+            p, hecke_b_array(values, nu_max), weights, self.size()
+        )
 
 
 def elliptic_family(spec: EllipticFamilySpec) -> EllipticFamily:
@@ -485,6 +530,23 @@ class DeltaFamily(Family):
     def bad_prime(self, member, p: int) -> bool:
         return False
 
+    def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """The single normalized trace tau(p)/p^(11/2), with weight 1.
+
+        Raises:
+            ValueError: If the trace violates the Deligne bound |.| <= 2.
+        """
+        value = self.hecke_eigenvalue("delta", p)
+        if abs(value) > 2.0:
+            raise ValueError(f"tau({p}) beyond 2 p^(11/2)")
+        return np.array([value]), np.ones(1)
+
+    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
+        values, weights = self.trace_distribution(p)
+        return _weighted_moments(
+            p, hecke_b_array(values, nu_max), weights, self.size()
+        )
+
 
 def cusp_form_delta(coefficient_bound: int = 2000) -> DeltaFamily:
     return DeltaFamily(coefficient_bound)
@@ -500,7 +562,7 @@ class SymLiftFamily(Family):
     def __init__(self, base: Family, power: int):
         if base.degree != 2:
             raise ValueError("symmetric-power lift requires a degree-2 family")
-        if not hasattr(base, "hecke_eigenvalue"):
+        if not hasattr(base, "trace_distribution"):
             raise ValueError("base family does not expose Hecke eigenvalues")
         if power < 1:
             raise ValueError("power must be positive")
@@ -540,17 +602,9 @@ class SymLiftFamily(Family):
         return self.base.bad_prime(member, p)
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        base = self.base
-        if isinstance(base, EllipticFamily):
-            n = base.size()
-            if p in (2, 3):
-                return PrimeMoments(p, 0.0, n, np.zeros(nu_max, np.complex128))
-            a, weights = base.residue_data(p)
-            btab = sym_power_b_array(a / math.sqrt(p), self.power, nu_max)
-            return PrimeMoments(
-                p, float(weights.sum()), n, (btab @ weights).astype(np.complex128)
-            )
-        return super().prime_moments(p, nu_max)
+        values, weights = self.base.trace_distribution(p)
+        btab = sym_power_b_array(values, self.power, nu_max)
+        return _weighted_moments(p, btab, weights, self.base.size())
 
 
 def sym_lift(f: Family, M: int) -> Family:
@@ -697,31 +751,18 @@ class ConvolutionFamily(Family):
         f, g = member
         return self.left.bad_prime(f, p) or self.right.bad_prime(g, p)
 
-    def sign(self, member) -> Optional[int]:
-        f, g = member
-        sl, sr = self.left.sign(f), self.right.sign(g)
-        if sl is None or sr is None:
-            return None
-        return sl * sr
-
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
         ml = self.left.prime_moments(p, nu_max)
         mr = self.right.prime_moments(p, nu_max)
         sums = ml.sums * mr.sums
         good = ml.good_weight * mr.good_weight
         total = ml.total_weight * mr.total_weight
-        for f, g in self.excluded:
-            mu = self.left.multiplicity(f) * self.right.multiplicity(g)
+        for pair in self.excluded:
+            mu = self.multiplicity(pair)
             total -= mu
-            if self.left.bad_prime(f, p) or self.right.bad_prime(g, p):
+            if self.bad_prime(pair, p):
                 continue
-            bf = np.asarray(
-                self.left.local_coefficients(f, p, nu_max).b, dtype=np.complex128
-            )
-            bg = np.asarray(
-                self.right.local_coefficients(g, p, nu_max).b, dtype=np.complex128
-            )
-            sums = sums - mu * bf * bg
+            sums = sums - mu * self.local_coefficients(pair, p, nu_max).b
             good -= mu
         return PrimeMoments(p, good, total, sums)
 
@@ -797,6 +838,8 @@ def kronecker_twist(d: int) -> KroneckerTwist:
 
 def character_twist(modulus: int, index: int) -> CharacterTwist:
     chars = characters_mod(modulus)
+    if not 0 <= index < len(chars):
+        raise ValueError(f"character index must lie in 0..{len(chars) - 1}")
     return CharacterTwist(chars[index])
 
 

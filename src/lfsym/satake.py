@@ -91,12 +91,14 @@ def spectrum_from_trace(p: int, a_p: float) -> SatakeSpectrum:
     return SatakeSpectrum(p=p, alphas=np.array([alpha, 1 / alpha]))
 
 
-def hecke_a_values(a_p: float, n_max: int) -> np.ndarray:
+def hecke_a_values(a_p, n_max: int) -> np.ndarray:
     """Hecke eigenvalue sequence a(p^n), n = 0..n_max, from a(p) = a_p.
 
-    Uses a(p^{n+1}) = a_p * a(p^n) - a(p^{n-1}) with a(p^0) = 1.
+    Uses a(p^{n+1}) = a_p * a(p^n) - a(p^{n-1}) with a(p^0) = 1; rows
+    n = 0..n_max, columns follow a_p (a scalar gives a 1-d sequence).
     """
-    a = np.empty(n_max + 1)
+    a_p = np.asarray(a_p, dtype=float)
+    a = np.empty((n_max + 1,) + a_p.shape)
     a[0] = 1.0
     if n_max >= 1:
         a[1] = a_p
@@ -119,16 +121,15 @@ def hecke_b(a_p: float, nu_max: int, p: int = 2) -> LocalCoefficients:
     """
     if nu_max < 2:
         raise ValueError("nu_max must be at least 2")
-    b = np.empty(nu_max)
-    prev, cur = 2.0, float(a_p)
-    for nu in range(nu_max):
-        b[nu] = cur
-        prev, cur = cur, a_p * cur - prev
+    b = hecke_b_array(a_p, nu_max)
     return LocalCoefficients(p=p, degree=2, b=b, ramanujan=abs(a_p) <= 2.0)
 
 
 def hecke_b_array(a_p: np.ndarray, nu_max: int) -> np.ndarray:
-    """Vectorized hecke_b: rows nu = 1..nu_max, columns follow a_p."""
+    """Power sums b(p^nu) of the pairs {alpha, 1/alpha} with alpha + 1/alpha = a_p.
+
+    Rows nu = 1..nu_max, columns follow a_p.
+    """
     a_p = np.asarray(a_p, dtype=float)
     out = np.empty((nu_max,) + a_p.shape)
     prev = np.full(a_p.shape, 2.0)
@@ -178,70 +179,37 @@ def sym_power_spectrum(spec: SatakeSpectrum, M: int) -> SatakeSpectrum:
     return SatakeSpectrum(p=spec.p, alphas=alpha ** exps.astype(complex))
 
 
-def _sym_power_sum(trace: float, M: int) -> float:
-    """sum_{j=0}^{M} x^{M-2j} for the pair {x, 1/x} with x + 1/x = trace.
-
-    This is the Hecke a(p^M)-recursion run with parameter ``trace``; applied
-    with trace = b(p^nu) it yields the nu-th power sum of the symmetric-power
-    spectrum in exact real arithmetic.
-    """
-    prev, cur = 1.0, float(trace)
-    if M == 0:
-        return prev
-    for _ in range(M - 1):
-        prev, cur = cur, trace * cur - prev
-    return cur
-
-
 def sym_power_b(a_p: float, M: int, nu_max: int, p: int = 2) -> LocalCoefficients:
     """Coefficients of sym^M of a degree-2 self-dual factor with trace a_p.
 
-    B(p) = a(p^M); B(p^2) is the alternating sum
-    a(p^{2M}) - a(p^{2M-2}) + ... + (-1)^M a(p^0); entries for nu >= 3 are
-    power sums of the symmetric-power spectrum (evaluated by the real
-    recursion in _sym_power_sum, which agrees with the complex oracle).
+    See sym_power_b_array, which this evaluates at a single trace.
     """
     if M < 1:
         raise ValueError("M must be positive")
     if nu_max < 2:
         raise ValueError("nu_max must be at least 2")
-    a = hecke_a_values(a_p, 2 * M)
-    b = np.empty(nu_max)
-    b[0] = a[M]
-    signs = (-1.0) ** (M - np.arange(M + 1))
-    b[1] = float(np.dot(signs, a[0 : 2 * M + 1 : 2]))
-    if nu_max >= 3:
-        pair_sums = hecke_b(a_p, nu_max, p=p).b
-        for nu in range(3, nu_max + 1):
-            b[nu - 1] = _sym_power_sum(pair_sums[nu - 1], M)
+    b = sym_power_b_array(a_p, M, nu_max)
     return LocalCoefficients(p=p, degree=M + 1, b=b, ramanujan=abs(a_p) <= 2.0)
 
 
 def sym_power_b_array(a_p: np.ndarray, M: int, nu_max: int) -> np.ndarray:
-    """Vectorized sym_power_b: rows nu = 1..nu_max, columns follow a_p."""
+    """Power sums of the sym^M spectra of the traces a_p.
+
+    B(p) = a(p^M); B(p^2) is the alternating sum
+    a(p^{2M}) - a(p^{2M-2}) + ... + (-1)^M a(p^0).  For nu >= 3 the spectrum
+    {alpha^{M-2j}} raised to the nu-th power is the sym^M spectrum of the
+    pair with trace b(p^nu), so B(p^nu) is a(p^M) of that trace: the Hecke
+    recursion again, in exact real arithmetic.  Rows nu = 1..nu_max,
+    columns follow a_p.
+    """
     a_p = np.asarray(a_p, dtype=float)
-    n_a = max(2 * M, 1)
-    a = np.empty((n_a + 1,) + a_p.shape)
-    a[0] = 1.0
-    a[1] = a_p
-    for n in range(1, n_a):
-        a[n + 1] = a_p * a[n] - a[n - 1]
+    a = hecke_a_values(a_p, 2 * M)
     out = np.empty((nu_max,) + a_p.shape)
     out[0] = a[M]
     signs = (-1.0) ** (M - np.arange(M + 1))
     out[1] = np.tensordot(signs, a[0 : 2 * M + 1 : 2], axes=(0, 0))
     if nu_max >= 3:
-        pair = hecke_b_array(a_p, nu_max)
-        for nu in range(3, nu_max + 1):
-            t = pair[nu - 1]
-            prev = np.ones_like(t)
-            cur = t.copy()
-            if M == 0:
-                out[nu - 1] = prev
-                continue
-            for _ in range(M - 1):
-                prev, cur = cur, t * cur - prev
-            out[nu - 1] = cur
+        out[2:] = hecke_a_values(hecke_b_array(a_p, nu_max)[2:], M)[M]
     return out
 
 

@@ -6,13 +6,16 @@ structure: the first-moment sum over b(p) detects the family rank, and the
 second-moment sum over b(p^2) detects the symmetry constant: it is near +1
 for symplectic-type families, -1 for orthogonal, 0 for unitary.
 
-Bad primes are excluded member-by-member, and the excluded mass is reported
-so its negligibility can be checked rather than assumed.  The raw weighted
-sums follow the explicit-formula normalization exactly; the *estimates* of
-the rank and symmetry constant are self-calibrated: they divide by the same
-truncated prime-sum weight that multiplies the target, which removes the
-O(1/log R) truncation bias of the raw normalization (the dominant error at
-desk scale).
+Every statistic is a masked contraction of the family's moment table (see
+``Family.moment_table``) against phi_hat(nu log p / log R), evaluated once
+per harmonic nu over the table's primes.  Bad primes are excluded
+member-by-member, and the excluded mass is reported so its negligibility
+can be checked rather than assumed.  The raw weighted sums follow the
+explicit-formula normalization exactly; the *estimates* of the rank and
+symmetry constant are self-calibrated: they divide by the same truncated
+prime-sum weight that multiplies the target, which removes the O(1/log R)
+truncation bias of the raw normalization (the dominant error at desk
+scale).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import sieve_primes
-from .families import Family
+from .families import Family, MomentTable
 from .rmt import TestFunction
 
 __all__ = [
@@ -58,6 +61,55 @@ class PrimeSquareResult:
     bad_mass: float
 
 
+def _check_log_r(log_r: float) -> None:
+    if log_r <= 0:
+        raise ValueError("log R must be positive")
+
+
+def _weighted_table(
+    f: Family, phi: TestFunction, log_r: float, P: int, nu: int, nu_max: int
+) -> tuple[MomentTable, np.ndarray]:
+    """f's moment table through the last prime p <= P with a nonzero weight
+    w = phi_hat(nu log p / log R), and w on the table's primes."""
+    table = sieve_primes(max(_support_bound(phi.sigma, log_r, nu, P), 2))
+    w = np.asarray(phi.phi_hat(nu * table.log_p / log_r), dtype=float)
+    n = int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0
+    cutoff = int(table.primes[n - 1]) if n else 1
+    return f.moment_table(cutoff, nu_max), w[:n]
+
+
+def _first_moment(t: MomentTable, w1: np.ndarray, log_r: float) -> tuple[float, float]:
+    """The first-moment prime sum and its calibration weight total.
+
+    Both run over the primes with w1 != 0 where some member is good; the
+    weight total is sum (log p)/(p log R) w1.
+    """
+    live = (w1 != 0) & (t.good > 0)
+    p, lp, w = t.primes[live], t.log_p[live], w1[live]
+    avg = t.sums[live, 0].real / t.good[live]
+    acc = np.sum((lp / log_r) * w * avg / np.sqrt(p))
+    return -2.0 * float(acc), float(np.sum((lp / (p * log_r)) * w))
+
+
+def _second_moment(
+    t: MomentTable, w2: np.ndarray, log_r: float, phi: TestFunction
+) -> PrimeSquareResult:
+    """Second-moment sums over the primes with w2 != 0 where some member is good."""
+    live = (w2 != 0) & (t.good > 0)
+    p, lp, good, total = t.primes[live], t.log_p[live], t.good[live], t.total[live]
+    weight = (lp / (p * log_r)) * w2[live]
+    num = float(np.sum(weight * (t.sums[live, 1].real / good)))
+    den = float(np.sum(weight))
+    raw = -2.0 * num
+    return PrimeSquareResult(
+        raw_sum=raw,
+        c_estimate=num / den if den > 0 else float("nan"),
+        c_uncalibrated=-2.0 * raw / phi.phi0,
+        weight_total=den,
+        bad_mass=float(np.sum((total - good) / total / np.sqrt(p))),
+    )
+
+
 def prime_sum(f: Family, phi: TestFunction, log_r: float, P: int) -> float:
     """First-moment prime sum of the family.
 
@@ -65,22 +117,8 @@ def prime_sum(f: Family, phi: TestFunction, log_r: float, P: int) -> float:
     * avg_f b_f(p), the average running over members good at p.  For a
     family of rank r this estimates r * phi(0).
     """
-    if log_r <= 0:
-        raise ValueError("log R must be positive")
-    table = sieve_primes(max(_support_bound(phi.sigma, log_r, 1, P), 2))
-    acc = 0.0
-    for p, lp in zip(table.primes, table.log_p):
-        p = int(p)
-        u = lp / log_r
-        w = float(phi.phi_hat(u))
-        if w == 0.0:
-            continue
-        mom = f.prime_moments(p, 2)
-        if mom.good_weight == 0:
-            continue
-        avg = (mom.sums[0] / mom.good_weight).real
-        acc += (lp / log_r) * w * avg / math.sqrt(p)
-    return -2.0 * acc
+    _check_log_r(log_r)
+    return _first_moment(*_weighted_table(f, phi, log_r, P, 1, 2), log_r)[0]
 
 
 def prime_square_sum(
@@ -92,40 +130,16 @@ def prime_square_sum(
     * avg_f b_f(p^2); asymptotically S = -c * phi(0)/2.  The calibrated
     estimate divides the weighted average of avg_f b_f(p^2) by the weight
     total itself, so the prime-number-theorem truncation error cancels.
+    The bad mass is the sum of p^{-1/2} times the bad fraction of the
+    family at the same primes.
 
     Raises:
         ValueError: If phi(0) = 0 (degenerate test function).
     """
     if phi.phi0 == 0:
         raise ValueError("degenerate test function: phi(0) = 0")
-    if log_r <= 0:
-        raise ValueError("log R must be positive")
-    table = sieve_primes(max(_support_bound(phi.sigma, log_r, 2, P), 2))
-    num = den = 0.0
-    bad_mass = 0.0
-    for p, lp in zip(table.primes, table.log_p):
-        p = int(p)
-        w = float(phi.phi_hat(2.0 * lp / log_r))
-        if w == 0.0:
-            continue
-        mom = f.prime_moments(p, 2)
-        if mom.good_weight == 0:
-            continue
-        weight = (lp / (p * log_r)) * w
-        avg = (mom.sums[1] / mom.good_weight).real
-        num += weight * avg
-        den += weight
-        bad_mass += mom.bad_weight / mom.total_weight / math.sqrt(p)
-    raw = -2.0 * num
-    c_uncal = -2.0 * raw / phi.phi0
-    c_cal = num / den if den > 0 else float("nan")
-    return PrimeSquareResult(
-        raw_sum=raw,
-        c_estimate=c_cal,
-        c_uncalibrated=c_uncal,
-        weight_total=den,
-        bad_mass=bad_mass,
-    )
+    _check_log_r(log_r)
+    return _second_moment(*_weighted_table(f, phi, log_r, P, 2, 2), log_r, phi)
 
 
 def pnt_prime_sum(Fhat: TestFunction, nu: int, R: float, P: int) -> float:
@@ -199,24 +213,19 @@ def one_level_density(
     if log_r is None:
         log_r = f.average_log_conductor()
     size = f.size()
-    table = sieve_primes(max(_support_bound(phi.sigma, log_r, 1, P), 2))
-    terms = {nu: 0.0 for nu in range(1, nu_max + 1)}
-    bad_mass = 0.0
-    for p, lp in zip(table.primes, table.log_p):
-        p = int(p)
-        if float(phi.phi_hat(lp / log_r)) == 0.0:
-            continue
-        mom = f.prime_moments(p, nu_max)
-        bad_mass += mom.bad_weight / math.sqrt(p)
-        if mom.good_weight == 0:
-            continue
-        for nu in range(1, nu_max + 1):
-            w = float(phi.phi_hat(nu * lp / log_r))
-            if w == 0.0:
-                break  # hats in the library decay monotonically in |u|
-            terms[nu] += (
-                mom.sums[nu - 1].real * lp / (p ** (nu / 2.0) * log_r) * w
-            )
+    t, w1 = _weighted_table(f, phi, log_r, P, 1, nu_max)
+    on = w1 != 0
+    bad_mass = float(np.sum((t.total - t.good)[on] / np.sqrt(t.primes[on])))
+    # a prime leaves every harmonic from the first one whose weight vanishes
+    # there on (the hats in the library decay monotonically in |u|)
+    live = on & (t.good > 0)
+    terms = {}
+    for nu in range(1, nu_max + 1):
+        w = w1 if nu == 1 else np.asarray(phi.phi_hat(nu * t.log_p / log_r))
+        live &= w != 0
+        p, lp = t.primes[live], t.log_p[live]
+        b = t.sums[live, nu - 1].real
+        terms[nu] = float(np.sum(b * lp / (p ** (nu / 2.0) * log_r) * w[live]))
     scaled = {nu: -2.0 * v / size for nu, v in terms.items()}
     breakdown = {
         1: scaled.get(1, 0.0),
@@ -253,15 +262,15 @@ class ConstantConfig:
     tolerance: float = 0.2
     log_r: Optional[float] = None
     min_members: int = 2
-    sign_balance_tolerance: float = 0.1
 
 
 @dataclass(frozen=True)
 class FamilyConstant:
     """Estimated (c, epsilon, r) triple with the classification metadata.
 
-    ``c_class`` is -1, 0, +1 or None (indeterminate); ``epsilon`` is -1, 0,
-    +1 or None (unknown).
+    ``c_class`` is -1, 0, +1 or None (indeterminate); ``epsilon`` is 0 for
+    a confident unitary or symplectic class and None (unknown) otherwise:
+    no family supplies the root numbers that would split an orthogonal one.
     """
 
     c_estimate: float
@@ -290,20 +299,6 @@ def _classify(estimate: float, tol: float) -> Optional[int]:
     return None
 
 
-def _sign_statistic(f: Family, balance_tol: float) -> Optional[int]:
-    signs = [f.sign(m) for m in f.iter_members()]
-    if any(s is None for s in signs) or not signs:
-        return None
-    even = sum(1 for s in signs if s == +1) / len(signs)
-    if even == 1.0:
-        return +1
-    if even == 0.0:
-        return -1
-    if abs(even - 0.5) <= balance_tol:
-        return 0
-    return None
-
-
 def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
     """Estimate and classify the family constant (c, epsilon, r).
 
@@ -311,40 +306,32 @@ def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
     against {-1, 0, +1}: the estimate must fall within the tolerance of one
     candidate with both others at least twice the tolerance away.  Families
     smaller than ``min_members`` are never confidently classified (a
-    singleton cannot average).  epsilon is read from member signs when the
-    family supplies them and set to 0 whenever the classification is not
-    orthogonal; r is the calibrated first-moment estimate.
+    singleton cannot average).  epsilon is 0 whenever the classification is
+    unitary or symplectic and unknown otherwise; r is the calibrated
+    first-moment estimate.  All three sums read one moment table.
     """
     phi = config.phi
+    P = config.prime_cutoff
     log_r = config.log_r if config.log_r is not None else f.average_log_conductor()
-    sq = prime_square_sum(f, phi, log_r, config.prime_cutoff)
+    if phi.phi0 == 0:
+        raise ValueError("degenerate test function: phi(0) = 0")
+    _check_log_r(log_r)
+    t, w1 = _weighted_table(f, phi, log_r, P, 1, 2)
+    in_support = t.primes <= _support_bound(phi.sigma, log_r, 2, P)
+    w2 = np.where(in_support, phi.phi_hat(2.0 * t.log_p / log_r), 0.0)
+    sq = _second_moment(t, w2, log_r, phi)
 
     # calibrated rank: divide the first-moment sum by twice its own weight
     # total, against which a rank-r family's main term is exactly r.
-    table = sieve_primes(max(_support_bound(phi.sigma, log_r, 1, config.prime_cutoff), 2))
-    w1 = 0.0
-    for p, lp in zip(table.primes, table.log_p):
-        w = float(phi.phi_hat(lp / log_r))
-        if w == 0.0:
-            continue
-        mom = f.prime_moments(int(p), 2)
-        if mom.good_weight == 0:
-            continue
-        w1 += (lp / (int(p) * log_r)) * w
-    ps = prime_sum(f, phi, log_r, config.prime_cutoff)
-    rank = ps / (2.0 * w1) if w1 > 0 else float("nan")
+    ps, w1_total = _first_moment(t, w1, log_r)
+    rank = ps / (2.0 * w1_total) if w1_total > 0 else float("nan")
 
     c_class = (
         _classify(sq.c_estimate, config.tolerance)
         if f.size() >= config.min_members
         else None
     )
-    if c_class == -1:
-        eps = _sign_statistic(f, config.sign_balance_tolerance)
-    elif c_class is not None:
-        eps = 0
-    else:
-        eps = None
+    eps = 0 if c_class in (0, 1) else None
     return FamilyConstant(
         c_estimate=sq.c_estimate,
         c_class=c_class,

@@ -1,5 +1,6 @@
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,9 @@ SMALL_CONFIG = textwrap.dedent(
     right = ec2
     """
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -250,6 +254,59 @@ class TestMainExitCodes:
         path = tmp_path / "d.json"
         path.write_text(json.dumps(data))
         assert main(["density", "--config", str(path), "--check"]) == 0
+
+
+TWIST_CONFIG = textwrap.dedent(
+    """
+    [run]
+    primes = {primes}
+
+    [family d]
+    kind = dirichlet
+    modulus = 7
+
+    [family t]
+    kind = twist
+    twist = {twist}
+    base = d
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["constants"], {"twist": "kronecker", "primes": 50}),
+        (["constants"], {"twist": "character 7 9", "primes": 50}),
+        (["density"], {"twist": "kronecker 5", "primes": "abc"}),
+        (["constants", "--sigma", "-1"], {"twist": "kronecker 5", "primes": 50}),
+        (["constants", "--sigma", "0"], {"twist": "kronecker 5", "primes": 50}),
+        (["density", "--primes", "0"], {"twist": "kronecker 5", "primes": 50}),
+        (["constants", "--threads", "0"], {"twist": "kronecker 5", "primes": 50}),
+        (["weil", "sym^0([12])"], None),
+        (["weil", "[12,1/0]"], None),
+        (["weil", "[3/2]"], None),
+    ],
+)
+def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "bad.ini"
+        path.write_text(TWIST_CONFIG.format(**config))
+        args = args + ["--config", str(path)]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["constants", "density"])
+def test_demo_output_matches_golden_csv(command, capsys):
+    # refactors of the prime side must leave every printed digit in place
+    golden = ROOT / "tests" / "golden" / f"demo_p200_{command}.csv"
+    config = str(ROOT / "configs" / "demo.ini")
+    assert main([command, "--config", config, "--primes", "200"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
 
 
 class TestWeilExpressions:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lfsym import families
 from lfsym.arith import kronecker_symbol, sieve_primes
 from lfsym.ecgeom import EllipticFamilySpec, ap_residue_table, trace_of_frobenius
 from lfsym.families import (
+    PrimeMoments,
     character_twist,
     convolve,
     curves_isomorphic,
@@ -179,6 +181,23 @@ class TestEllipticFamily:
         with pytest.raises(ValueError):
             elliptic_family(EllipticFamilySpec((0,), (0,), 0, 5))
 
+    def test_trace_distribution_is_a_short_histogram(self):
+        fam = elliptic_family(EllipticFamilySpec((0, 1), (1,), 50, 150))
+        for p in (5, 7, 31, 97):
+            values, weights = fam.trace_distribution(p)
+            assert len(values) <= 2 * math.isqrt(4 * p) + 1
+            assert len(set(values.tolist())) == len(values)
+            assert weights.sum() == fam.prime_moments(p, 2).good_weight
+        assert len(fam.trace_distribution(3)[0]) == 0
+
+    def test_hasse_violation_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            families, "ap_residue_table", lambda spec, p: np.full(p, 5, np.int64)
+        )
+        fam = elliptic_family(EC1)
+        with pytest.raises(ValueError, match="sqrt"):
+            fam.prime_moments(5, 2)  # 5^2 > 4 * 5
+
 
 KNOWN_TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 
@@ -214,6 +233,17 @@ class TestDeltaFamily:
         with pytest.raises(ValueError):
             fam.hecke_eigenvalue("delta", 101)
 
+    def test_moments_match_member_loop(self):
+        assert_moments_match_loop(cusp_form_delta(60), [2, 3, 5, 59], 4)
+
+    def test_deligne_violation_rejected(self, monkeypatch):
+        fam = cusp_form_delta(10)
+        tau = list(fam.tau)
+        tau[4] = 3 * 5**6  # tau(5) beyond 2 * 5^5.5
+        monkeypatch.setattr(fam, "tau", tau)
+        with pytest.raises(ValueError, match="tau"):
+            fam.prime_moments(5, 2)
+
     def test_log_conductor_from_gamma_shift(self):
         # GammaC(s + 11/2) contributes (11/2)(13/2)/4
         fam = cusp_form_delta(10)
@@ -240,6 +270,9 @@ class TestSymLift:
         base = elliptic_family(EllipticFamilySpec((0, 1), (1,), 30, 60))
         for M in (2, 3):
             assert_moments_match_loop(sym_lift(base, M), [5, 11], 4)
+
+    def test_delta_lift_moments_match_member_loop(self):
+        assert_moments_match_loop(sym_lift(cusp_form_delta(60), 3), [2, 7, 59], 4)
 
     def test_conductor_scaling_even_odd(self):
         base = elliptic_family(EC1)
@@ -325,6 +358,24 @@ class TestConvolution:
         conv = convolve(f, elliptic_family(EllipticFamilySpec((0, 1), (1,), 10, 25)))
         assert_moments_match_loop(conv, [5, 7], 3)
 
+    def test_self_convolution_reads_one_table_per_prime(self, monkeypatch):
+        # excluded pairs read their traces from the O(p) character sum, so
+        # the only residue table at a prime is the shared factor's own
+        calls = []
+        table = families.ap_residue_table
+
+        def counted(spec, p):
+            calls.append(p)
+            return table(spec, p)
+
+        monkeypatch.setattr(families, "ap_residue_table", counted)
+        f = elliptic_family(EllipticFamilySpec((0, 1), (1,), 10, 40))
+        conv = convolve(f, f)
+        assert len(conv.excluded) == 30
+        for p in (5, 7, 11):
+            conv.prime_moments(p, 2)
+        assert calls == [5, 7, 11]
+
     def test_identity_policy_for_character_families(self):
         f = dirichlet_family(11)
         conv = convolve(f, f)
@@ -388,3 +439,30 @@ class TestTwists:
         base = elliptic_family(EllipticFamilySpec((0, 1), (1,), 20, 45))
         twisted = twist_by_fixed(character_twist(7, 2), base)
         assert_moments_match_loop(twisted, [5, 11, 13], 4)
+
+
+class TestMomentTable:
+    def test_rows_are_prime_moments(self):
+        fam = quadratic_family((100, 300))
+        table = fam.moment_table(50, 3)
+        assert table.primes.tolist() == sieve_primes(50).primes.tolist()
+        assert table.log_p == pytest.approx(np.log(table.primes))
+        for i, p in enumerate(table.primes.tolist()):
+            mom = fam.prime_moments(p, 3)
+            assert table.good[i] == mom.good_weight
+            assert table.total[i] == mom.total_weight
+            assert table.sums[i].tolist() == mom.sums.tolist()
+
+    def test_cutoff_below_two_is_empty(self):
+        table = dirichlet_family(7).moment_table(1, 2)
+        assert len(table.primes) == 0 and table.sums.shape == (0, 2)
+
+    def test_good_above_total_rejected(self, monkeypatch):
+        fam = dirichlet_family(7)
+        monkeypatch.setattr(
+            fam,
+            "prime_moments",
+            lambda p, nu_max: PrimeMoments(p, 6.0, 5.0, np.zeros(nu_max, complex)),
+        )
+        with pytest.raises(ValueError, match="exceeds"):
+            fam.moment_table(20, 2)

@@ -52,16 +52,26 @@ class TestHecke:
             hecke_b(1.0, 1)
 
     def test_array_form_matches(self):
+        # hecke_b wraps the array form, so check both against the spectrum
         a = np.array([-1.5, 0.0, 0.4, 2.0])
         table = hecke_b_array(a, 8)
         for j, av in enumerate(a):
-            assert table[:, j] == pytest.approx(hecke_b(float(av), 8).b)
+            oracle = spectrum_from_trace(3, float(av)).power_sums(8).b
+            assert table[:, j] == pytest.approx(np.asarray(oracle).real, abs=1e-9)
+            assert hecke_b(float(av), 8).b.tolist() == table[:, j].tolist()
 
     def test_a_values_recursion(self):
         a = hecke_a_values(1.0, 4)
         assert a[0] == 1 and a[1] == 1
         assert a[2] == pytest.approx(1 * 1 - 1)  # = 0
         assert a[3] == pytest.approx(1 * 0 - 1)
+
+    def test_a_values_columns_follow_traces(self):
+        traces = np.array([-1.2, 0.5, 1.9])
+        table = hecke_a_values(traces, 5)
+        assert table.shape == (6, 3)
+        for j, t in enumerate(traces):
+            assert table[:, j].tolist() == hecke_a_values(t, 5).tolist()
 
 
 class TestRankinProduct:
@@ -197,10 +207,11 @@ class TestSymPowerB:
             assert np.max(np.abs(got.b - np.asarray(oracle.b).real)) < 1e-9
 
     def test_array_form_matches(self):
+        # sym_power_b wraps the array form, so check it against the spectrum
         a = np.array([-1.9, -0.3, 0.0, 1.1, 2.0])
         for M in (1, 2, 3, 5):
             table = sym_power_b_array(a, M, 6)
             for j, av in enumerate(a):
-                assert table[:, j] == pytest.approx(
-                    sym_power_b(float(av), M, 6).b, abs=1e-10
-                )
+                lifted = sym_power_spectrum(spectrum_from_trace(3, float(av)), M)
+                oracle = np.asarray(lifted.power_sums(6).b).real
+                assert table[:, j] == pytest.approx(oracle, abs=1e-9)
