@@ -269,10 +269,31 @@ def _eps_label(value: Optional[int]) -> str:
     return "unknown" if value is None else str(value)
 
 
+def _check_prime_reach(built: dict[str, fam_mod.Family], run: RunSettings) -> None:
+    """Reject a family whose prime sums would read past its coefficient table.
+
+    The sums reach the largest prime where phi_hat(log p / log R) != 0, so
+    the check needs the family's log R unless the run fixes it.
+    """
+    for ident, family in built.items():
+        if family.prime_limit >= run.primes:
+            continue
+        log_r = run.log_r if run.log_r is not None else family.average_log_conductor()
+        reach = max(stats._support_bound(run.sigma, log_r, 1, run.primes), 2)
+        needed = int(sieve_primes(reach).primes[-1])
+        if needed > family.prime_limit:
+            raise ConfigError(
+                f"family {ident!r}: prime sums reach p = {needed}, beyond its "
+                f"coefficient bound {family.prime_limit}; raise the delta "
+                f"bound to at least {needed}"
+            )
+
+
 def run_constants(config: ExperimentConfig) -> list[dict]:
     """FamilyConstant rows; convolutions get a product check column."""
     built = config.resolve()
     run = config.run
+    _check_prime_reach(built, run)
     phi = rmt.fejer_test_function(run.sigma)
     cfg = stats.ConstantConfig(
         phi=phi,
@@ -320,6 +341,7 @@ def run_density(config: ExperimentConfig) -> list[dict]:
     """DensityReport rows joined with the matching closed-form prediction."""
     built = config.resolve()
     run = config.run
+    _check_prime_reach(built, run)
     phi = rmt.fejer_test_function(run.sigma)
     cfg = stats.ConstantConfig(
         phi=phi,
@@ -332,7 +354,7 @@ def run_density(config: ExperimentConfig) -> list[dict]:
         ident, family = item
         fc = stats.family_constant(family, cfg)
         rep = stats.one_level_density(
-            family, phi, run.primes, nu_max=run.nu_max, log_r=run.log_r
+            family, phi, run.primes, nu_max=run.nu_max, log_r=fc.log_r
         )
         c_for_prediction = fc.c_class if fc.c_class is not None else fc.c_estimate
         rep = rep.with_prediction(

@@ -6,6 +6,21 @@ exact curve invariants, a capped conductor proxy, Rankin-Selberg conductor
 bounds, average log-conductors over parameter boxes, and the two family
 statistics driven by counting points over F_p: the Nagao rank sum and the
 second-moment sum over a complete residue system.
+
+Both statistics, and the elliptic families, read the Frobenius traces a_t(p)
+of every residue t mod p from one table, ``ap_residue_table``, built on one of
+two paths chosen by the degrees of A(T) and B(T):
+
+* degree <= 1 in both: f(t, x) = F0(x) + t F1(x) with F0 = x^3 + a0 x + b0
+  and F1 = a1 x + b1, so
+  a_t(p) = -sum_{F1(x)=0} chi(F0(x)) - sum_u h[u] chi(t + u), where
+  h[u] = sum_{F1(x)!=0, F0(x)/F1(x)=u} chi(F1(x)).  The second sum is a
+  cyclic correlation of two length-p sequences, taken by real FFT in
+  O(p log p).  The float result is rounded to int64 and rejected (ValueError)
+  when some entry lies more than 0.25 from an integer or breaks the Hasse
+  bound a^2 <= 4p;
+* otherwise the whole (t, x) character-sum grid, O(p^2) per prime.  The grid
+  is also the exact oracle the correlation path is tested against.
 """
 
 from __future__ import annotations
@@ -215,11 +230,78 @@ def affine_point_count(A: int, B: int, p: int) -> int:
 def ap_residue_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     """a_t(p) for t = 0..p-1 (t read mod p), as an exact int64 array.
 
-    Vectorized over the (t, x) grid in chunks; the table drives family sums,
-    Nagao sums and second moments, since a_t(p) only depends on t mod p.
+    The table drives family sums, Nagao sums and second moments, since a_t(p)
+    only depends on t mod p.  When A and B have degree <= 1 in T it is a
+    cyclic correlation taken by FFT in O(p log p), rounded to integers and
+    checked for integrality and the Hasse bound; otherwise the (t, x)
+    character-sum grid is summed in chunks, O(p^2).  See the module docstring
+    for the identity.
+
+    Raises:
+        ValueError: If p < 5, or if the correlation path yields an entry
+            more than 0.25 from an integer or beyond the Hasse bound.
     """
     if p < 5:
         raise ValueError("residue tables require p >= 5")
+    parts = _linear_parts(spec, p)
+    if parts is None:
+        return _ap_grid_table(spec, p)
+    return _ap_correlation_table(*parts, p)
+
+
+def _linear_parts(
+    spec: EllipticFamilySpec, p: int
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(F0(x), F1(x)) mod p for x = 0..p-1, where x^3 + A(t) x + B(t) =
+    F0(x) + t F1(x); None unless A and B have degree <= 1."""
+    if len(spec.a_coeffs) > 2 or len(spec.b_coeffs) > 2:
+        return None
+    a0, a1 = (tuple(spec.a_coeffs) + (0, 0))[:2]
+    b0, b1 = (tuple(spec.b_coeffs) + (0, 0))[:2]
+    x = np.arange(p, dtype=np.int64)
+    f0 = ((x * x % p) * x + a0 % p * x + b0 % p) % p
+    f1 = (a1 % p * x + b1 % p) % p
+    return f0, f1
+
+
+def _inverse_mod(v: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse of units v mod a prime p, as v^(p-2) (Fermat)."""
+    out = np.ones_like(v)
+    base = v % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def _ap_correlation_table(f0: np.ndarray, f1: np.ndarray, p: int) -> np.ndarray:
+    """a_t(p) = -sum_{F1=0} chi(F0) - sum_u h[u] chi(t + u), by real FFT."""
+    chi = legendre_table(p)
+    root = f1 == 0
+    fixed = int(chi[f0[root]].sum())
+    units = f1[~root]
+    u = f0[~root] * _inverse_mod(units, p) % p
+    h = np.bincount(u, weights=chi[units], minlength=p)
+    # sum_u h[u] chi(t + u) as a linear correlation at lags t and t - p,
+    # zero-padded to a power of two: numpy's FFT is slow at prime lengths
+    n = 1 << (2 * p - 1).bit_length()
+    lags = np.fft.irfft(np.conj(np.fft.rfft(h, n)) * np.fft.rfft(chi, n), n)
+    corr = lags[:p] + lags[n - p :]
+    rounded = np.rint(corr)
+    drift = float(np.max(np.abs(corr - rounded)))
+    if drift > 0.25:
+        raise ValueError(f"correlation table at p = {p} is {drift:.3g} off integers")
+    a = -fixed - rounded.astype(np.int64)
+    if np.any(a * a > 4 * p):
+        raise ValueError(f"correlation table at p = {p} breaks the Hasse bound")
+    return a
+
+
+def _ap_grid_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
+    """a_t(p) for every t mod p from the whole (t, x) grid, in chunks."""
     chi = legendre_table(p)
     x = np.arange(p, dtype=np.int64)
     cubes = (x * x % p) * x % p
@@ -238,27 +320,18 @@ def ap_residue_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
 def residue_trace_sum(spec: EllipticFamilySpec, p: int) -> int:
     """Exact sum_{t mod p} a_t(p).
 
-    When A and B have degree <= 1 in T the double character sum collapses:
-    f(t, x) = x^3 + a0 x + b0 + t (a1 x + b1) is linear in t, so the t-sum
-    vanishes except at the root of a1 x + b1, leaving -p * legendre(f) there.
-    Higher-degree families fall back to the full residue table.
+    When A and B have degree <= 1 in T, summing the identity of
+    ``ap_residue_table`` over t kills the correlation term (chi sums to 0
+    over a complete residue system), leaving -p sum_{F1(x)=0} chi(F0(x)).
+    Higher-degree families sum the full residue table.
     """
     if p < 5:
         raise ValueError("requires p >= 5")
-    if len(spec.a_coeffs) <= 2 and len(spec.b_coeffs) <= 2:
-        a = list(spec.a_coeffs) + [0, 0]
-        b = list(spec.b_coeffs) + [0, 0]
-        a0, a1, b0, b1 = a[0] % p, a[1] % p, b[0] % p, b[1] % p
-        if a1 == 0 and b1 == 0:
-            # constant coefficients: every fiber is the same curve
-            return p * trace_of_frobenius(a0, b0, p)
-        if a1 == 0:
-            # slope b1 != 0 at every x: all t-sums vanish
-            return 0
-        x0 = (-b1 * pow(a1, p - 2, p)) % p
-        val = (x0 * x0 % p * x0 + a0 * x0 + b0) % p
-        return -p * int(legendre_table(p)[val])
-    return int(ap_residue_table(spec, p).sum())
+    parts = _linear_parts(spec, p)
+    if parts is None:
+        return int(ap_residue_table(spec, p).sum())
+    f0, f1 = parts
+    return -p * int(legendre_table(p)[f0[f1 == 0]].sum())
 
 
 def nagao_sum(spec: EllipticFamilySpec, X: int) -> float:

@@ -133,6 +133,8 @@ class Family:
 
     family_id: str = "family"
     degree: int = 1
+    # largest prime with local data; finite for a precomputed coefficient table
+    prime_limit: float = math.inf
 
     # -- member-level contract ------------------------------------------------
 
@@ -206,9 +208,19 @@ class Family:
                 f"weight {total[i]} at p = {primes[i]}"
             )
         sums = np.array([m.sums for m in moments], dtype=np.complex128)
-        return MomentTable(
-            primes, log_p, good, total, sums.reshape(len(moments), nu_max)
+        sums = sums.reshape(len(moments), nu_max)
+        # Ramanujan: |b(p)| <= degree for every good member; the slack covers
+        # rounding in sums built from products of factor sums
+        beyond = np.flatnonzero(
+            np.abs(sums[:, 0]) > self.degree * (good + 1e-9 * total)
         )
+        if len(beyond):
+            i = beyond[0]
+            raise ValueError(
+                f"{self.family_id}: |sum of b(p)| = {abs(sums[i, 0])} exceeds "
+                f"degree * good weight = {self.degree * good[i]} at p = {primes[i]}"
+            )
+        return MomentTable(primes, log_p, good, total, sums)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.family_id!r}>"
@@ -504,7 +516,7 @@ class DeltaFamily(Family):
     """The singleton family of the level-1 weight-12 cusp form."""
 
     def __init__(self, coefficient_bound: int = 2000):
-        self.coefficient_bound = coefficient_bound
+        self.prime_limit = coefficient_bound
         self.tau = ramanujan_tau_table(coefficient_bound)
         self.family_id = "delta"
         self.degree = 2
@@ -514,10 +526,10 @@ class DeltaFamily(Family):
         return iter(("delta",))
 
     def hecke_eigenvalue(self, member, p: int) -> float:
-        if p > self.coefficient_bound:
+        if p > self.prime_limit:
             raise ValueError(
                 f"coefficient p = {p} beyond precomputed bound "
-                f"{self.coefficient_bound}"
+                f"{self.prime_limit}"
             )
         return self.tau[p - 1] / p**5.5
 
@@ -568,6 +580,7 @@ class SymLiftFamily(Family):
             raise ValueError("power must be positive")
         self.base = base
         self.power = power
+        self.prime_limit = base.prime_limit
         self.family_id = f"sym{power}({base.family_id})"
         self.degree = power + 1
         # conductor scale: degree-2 archimedean factor of weight k has
@@ -678,6 +691,7 @@ class ConvolutionFamily(Family):
         self._excluded_set = set(self.excluded)
         self.family_id = f"({left.family_id})x({right.family_id})"
         self.degree = left.degree * right.degree
+        self.prime_limit = min(left.prime_limit, right.prime_limit)
         self._ec_pair = isinstance(left, EllipticFamily) and isinstance(
             right, EllipticFamily
         )
@@ -782,6 +796,7 @@ class FixedTwist:
     twist_id: str = "twist"
     degree: int = 1
     log_conductor: float = 0.0
+    prime_limit: float = math.inf
 
     def bad_prime(self, p: int) -> bool:
         return False
@@ -824,6 +839,7 @@ class CharacterTwist(FixedTwist):
 class DeltaTwist(FixedTwist):
     def __init__(self, coefficient_bound: int = 2000):
         self._fam = DeltaFamily(coefficient_bound)
+        self.prime_limit = coefficient_bound
         self.twist_id = "delta"
         self.degree = 2
         self.log_conductor = self._fam.log_conductor("delta")
@@ -855,6 +871,7 @@ class TwistedFamily(Family):
         self.base = base
         self.family_id = f"({twist.twist_id})x({base.family_id})"
         self.degree = twist.degree * base.degree
+        self.prime_limit = min(twist.prime_limit, base.prime_limit)
 
     def iter_members(self):
         return self.base.iter_members()

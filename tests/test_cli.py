@@ -286,6 +286,7 @@ TWIST_CONFIG = textwrap.dedent(
         (["weil", "sym^0([12])"], None),
         (["weil", "[12,1/0]"], None),
         (["weil", "[3/2]"], None),
+        (["density"], {"twist": "delta 100", "primes": 500}),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):

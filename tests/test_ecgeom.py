@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfsym import ecgeom
 from lfsym.arith import sieve_primes
 from lfsym.ecgeom import (
     EllipticFamilySpec,
@@ -132,6 +133,64 @@ class TestPointCounting:
             table = ap_residue_table(spec, p)
             for r in range(p):
                 assert table[r] == trace_of_frobenius(r, 1, p)
+
+
+# linear specs for the correlation path: the two of the paper's example,
+# a1 = 0 with b1 != 0, a constant curve, b1 = 0, negative coefficients, and
+# coefficients that all vanish mod 5, 7 and 11 (1155 = 3 5 7 11)
+LINEAR_SPECS = [
+    SPEC_T1(0, 1),
+    SPEC_T2(0, 1),
+    EllipticFamilySpec((2,), (1, 3), 0, 1),
+    EllipticFamilySpec((-1,), (5,), 0, 1),
+    SPEC_T0(0, 1),
+    EllipticFamilySpec((-3, -5), (-7, -2), 0, 1),
+    EllipticFamilySpec((1155, 2310), (-3465, 1155), 0, 1),
+]
+ORACLE_PRIMES = [int(q) for q in sieve_primes(600).primes if q >= 5] + [1999]
+
+
+class TestCorrelationTable:
+    @pytest.mark.parametrize("spec", LINEAR_SPECS)
+    def test_matches_grid(self, spec):
+        for p in ORACLE_PRIMES:
+            table = ap_residue_table(spec, p)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, ecgeom._ap_grid_table(spec, p)), p
+
+    @pytest.mark.parametrize("p", [9967, 9973, 10007])
+    def test_rows_match_trace_of_frobenius(self, p):
+        rng = np.random.default_rng(p)
+        for spec in LINEAR_SPECS[:2]:
+            table = ap_residue_table(spec, p)
+            for t in rng.integers(0, p, size=12):
+                t = int(t)
+                assert table[t] == trace_of_frobenius(spec.A(t), spec.B(t), p)
+
+    def test_off_integer_result_rejected(self, monkeypatch):
+        monkeypatch.setattr(np.fft, "irfft", lambda x, n: np.full(n, 0.2))
+        with pytest.raises(ValueError, match="off integers"):
+            ap_residue_table(SPEC_T1(0, 1), 7)
+
+    def test_hasse_violation_rejected(self, monkeypatch):
+        monkeypatch.setattr(np.fft, "irfft", lambda x, n: np.full(n, 50.0))
+        with pytest.raises(ValueError, match="Hasse"):
+            ap_residue_table(SPEC_T1(0, 1), 7)
+
+    def test_linear_spec_skips_grid(self, monkeypatch):
+        calls = []
+        grid = ecgeom._ap_grid_table
+
+        def counted(spec, p):
+            calls.append(p)
+            return grid(spec, p)
+
+        monkeypatch.setattr(ecgeom, "_ap_grid_table", counted)
+        for p in (5, 101, 1999):
+            ap_residue_table(SPEC_T1(0, 1), p)
+        assert calls == []
+        ap_residue_table(EllipticFamilySpec((0, 0, 1), (1,), 0, 1), 11)
+        assert calls == [11]
 
 
 class TestResidueTraceSum:

@@ -466,3 +466,14 @@ class TestMomentTable:
         )
         with pytest.raises(ValueError, match="exceeds"):
             fam.moment_table(20, 2)
+
+    def test_ramanujan_violation_rejected(self, monkeypatch):
+        # a degree-1 family whose summed b(p) outgrows its good weight
+        fam = dirichlet_family(7)
+        monkeypatch.setattr(
+            fam,
+            "prime_moments",
+            lambda p, nu_max: PrimeMoments(p, 5.0, 6.0, np.full(nu_max, 5.5 + 0j)),
+        )
+        with pytest.raises(ValueError, match="degree"):
+            fam.moment_table(20, 2)
