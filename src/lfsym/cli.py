@@ -22,6 +22,7 @@ import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -76,6 +77,10 @@ class RunSettings:
             raise ConfigError(f"nu_max must be at least 1, got {self.nu_max}")
         if self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
+        if self.log_r is not None and not (
+            self.log_r > 0 and math.isfinite(self.log_r)
+        ):
+            raise ConfigError(f"log_r must be positive and finite, got {self.log_r}")
 
 
 @dataclass
@@ -289,6 +294,16 @@ def _check_prime_reach(built: dict[str, fam_mod.Family], run: RunSettings) -> No
             )
 
 
+@contextmanager
+def _reported_as_config_error(ident: str):
+    """Turn a family's run-time ValueError, such as a log R of 0 for the
+    family {d = 1}, into a one-line ConfigError naming the family."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"family {ident!r}: {exc}") from exc
+
+
 def run_constants(config: ExperimentConfig) -> list[dict]:
     """FamilyConstant rows; convolutions get a product check column."""
     built = config.resolve()
@@ -304,7 +319,8 @@ def run_constants(config: ExperimentConfig) -> list[dict]:
 
     def work(item):
         ident, family = item
-        return ident, stats.family_constant(family, cfg)
+        with _reported_as_config_error(ident):
+            return ident, stats.family_constant(family, cfg)
 
     results: dict[str, stats.FamilyConstant] = {}
     with ThreadPoolExecutor(max_workers=max(1, run.threads)) as pool:
@@ -352,10 +368,11 @@ def run_density(config: ExperimentConfig) -> list[dict]:
 
     def work(item):
         ident, family = item
-        fc = stats.family_constant(family, cfg)
-        rep = stats.one_level_density(
-            family, phi, run.primes, nu_max=run.nu_max, log_r=fc.log_r
-        )
+        with _reported_as_config_error(ident):
+            fc = stats.family_constant(family, cfg)
+            rep = stats.one_level_density(
+                family, phi, run.primes, nu_max=run.nu_max, log_r=fc.log_r
+            )
         c_for_prediction = fc.c_class if fc.c_class is not None else fc.c_estimate
         rep = rep.with_prediction(
             stats.predicted_density(c_for_prediction, fc.rank_estimate, phi)
@@ -545,7 +562,10 @@ def evaluate_weil_expression(text: str) -> dict:
                 "complex_shifts": [str(t) for t in g.complex_shifts],
             },
         }
-    val = weil.log_analytic_conductor(rep)
+    try:
+        val = weil.log_analytic_conductor(rep)
+    except ValueError as exc:  # a negative gamma shift, e.g. logcond([1,-3])
+        raise WeilParseError(f"logcond: {exc}") from None
     return {"kind": "log_conductor", "text": fmt(val), "value": val}
 
 

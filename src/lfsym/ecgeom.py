@@ -21,6 +21,19 @@ two paths chosen by the degrees of A(T) and B(T):
   bound a^2 <= 4p;
 * otherwise the whole (t, x) character-sum grid, O(p^2) per prime.  The grid
   is also the exact oracle the correlation path is tested against.
+
+Conductors of a family come from one pass, ``family_conductors``, which
+factors each fiber's discriminant once; an elliptic family runs it once, on
+first use, so once per family per command.  The pass keeps each fiber's
+proxy C and the prime-power counts n(p, k), the number of fibers with
+p^k | C.  Since log gcd(C1, C2) = sum of log p over the p^k dividing both,
+the convolution's average over all pairs of two families F and G needs no
+pair loop:
+
+    sum_{f, g} log gcd(C_f, C_g) = sum_{p, k} log p * n_F(p, k) * n_G(p, k),
+
+at a cost of the number of distinct prime powers, for conductors of any
+size.  ``conductor_proxy`` stays the per-curve oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +53,9 @@ __all__ = [
     "invariants",
     "conductor_proxy",
     "rs_conductor_bounds",
+    "FamilyConductors",
+    "family_conductors",
+    "avg_pair_log_conductor",
     "avg_log_conductor",
     "nagao_sum",
     "michel_moment",
@@ -80,17 +96,18 @@ def invariants(A: int, B: int) -> CurveInvariants:
 
 
 def _minimalize_ge5(A: int, B: int) -> tuple[int, int]:
-    """Divide out twists (A, B) -> (A/p^4, B/p^6) at primes p >= 5."""
-    if A == 0 and B == 0:
+    """Divide out twists (A, B) -> (A/p^4, B/p^6) at primes p >= 5.
+
+    A prime with p^4 | A and p^6 | B divides gcd(A, B) to at least the fourth
+    power, so the candidates are read off the factorization of the gcd, and
+    nothing is factored when it is below 5^4.
+    """
+    g = math.gcd(A, B)
+    if g < 5**4:
         return A, B
-    if A == 0:
-        cands = [p for p, e in factorize(B).items() if p >= 5 and e >= 6]
-    elif B == 0:
-        cands = [p for p, e in factorize(A).items() if p >= 5 and e >= 4]
-    else:
-        fa = factorize(A)
-        cands = [p for p, e in fa.items() if p >= 5 and e >= 4 and B % p**6 == 0]
-    for p in cands:
+    for p, e in factorize(g).items():
+        if p < 5 or e < 4:
+            continue
         p4, p6 = p**4, p**6
         while A % p4 == 0 and B % p6 == 0:
             A //= p4
@@ -100,33 +117,37 @@ def _minimalize_ge5(A: int, B: int) -> tuple[int, int]:
     return A, B
 
 
+def _conductor_exponents(A: int, B: int) -> dict[int, int]:
+    """{p: exponent of p in conductor_proxy(A, B)}, from one factorization."""
+    A, B = _minimalize_ge5(A, B)
+    delta = -16 * (4 * A**3 + 27 * B**2)
+    if delta == 0:
+        raise ValueError("singular curve has no conductor")
+    c4 = -48 * A
+    exponents = {}
+    for p in factorize(delta):
+        if p == 2:
+            exponents[p] = 8
+        elif p == 3:
+            exponents[p] = 5
+        else:
+            exponents[p] = 1 if c4 % p else 2
+    return exponents
+
+
 def conductor_proxy(A: int, B: int) -> int:
     """Conductor proxy supported on the primes dividing the discriminant.
 
     After minimalizing at p >= 5, a prime p >= 5 dividing Delta contributes
     exponent 1 when p does not divide c4 (multiplicative reduction) and 2
     otherwise (additive).  Wild exponents are capped at their known maxima
-    instead of running Tate's algorithm: 2^8 whenever 2 | Delta and 3^5
-    whenever 3 | Delta.
+    instead of running Tate's algorithm: 2^8 whenever 2 | Delta (always, as
+    16 | Delta) and 3^5 whenever 3 | Delta.
 
     Raises:
         ValueError: If the curve is singular.
     """
-    A, B = _minimalize_ge5(A, B)
-    delta = -16 * (4 * A**3 + 27 * B**2)
-    if delta == 0:
-        raise ValueError("singular curve has no conductor")
-    c4 = -48 * A
-    proxy = 1
-    if delta % 2 == 0:
-        proxy <<= 8
-    if delta % 3 == 0:
-        proxy *= 3**5
-    for p in factorize(delta):
-        if p < 5:
-            continue
-        proxy *= p if c4 % p else p * p
-    return proxy
+    return math.prod(p**e for p, e in _conductor_exponents(A, B).items())
 
 
 def rs_conductor_bounds(C1: int, C2: int) -> tuple[int, int]:
@@ -403,49 +424,73 @@ def j_collision_count(
     return count, sample
 
 
-def family_conductors(spec: EllipticFamilySpec) -> tuple[list[int], list[int]]:
-    """Conductor proxies for the non-singular fibers of a family.
+@dataclass(frozen=True)
+class FamilyConductors:
+    """Conductor proxies of a family's nonsingular fibers, from one pass.
 
-    Returns (parameters, conductors) for t with Delta(t) != 0; singular
-    fibers are skipped.
+    Attributes:
+        proxies: parameter t -> conductor proxy of E_t, in ascending t;
+            singular fibers are absent.
+        prime_powers: p -> counts, where counts[k-1] is the number of fibers
+            whose proxy is divisible by p^k.
     """
-    ts: list[int] = []
-    conds: list[int] = []
+
+    proxies: dict[int, int]
+    prime_powers: dict[int, list[int]]
+
+
+def family_conductors(spec: EllipticFamilySpec) -> FamilyConductors:
+    """Conductor proxies and prime-power counts of a family's nonsingular
+    fibers, factoring each fiber's discriminant once."""
+    proxies: dict[int, int] = {}
+    prime_powers: dict[int, list[int]] = {}
     for t in spec.t_range:
         A, B = spec.A(t), spec.B(t)
         if 4 * A**3 + 27 * B**2 == 0:
             continue
-        ts.append(t)
-        conds.append(conductor_proxy(A, B))
-    return ts, conds
+        exponents = _conductor_exponents(A, B)
+        proxies[t] = math.prod(p**e for p, e in exponents.items())
+        for p, e in exponents.items():
+            counts = prime_powers.setdefault(p, [])
+            counts.extend([0] * (e - len(counts)))
+            for k in range(e):
+                counts[k] += 1
+    return FamilyConductors(proxies, prime_powers)
 
 
-def avg_log_conductor(F: EllipticFamilySpec, G: EllipticFamilySpec) -> float:
-    """Average, over parameter pairs, of the convolution log-conductor.
+def avg_pair_log_conductor(F: FamilyConductors, G: FamilyConductors) -> float:
+    """Average, over fiber pairs (f, g), of the convolution log-conductor.
 
     For each pair the log-conductor is taken as the midpoint (geometric mean
     in log space) of the Rankin-Selberg bounds on the conductor proxies:
-    2 log(C1 C2) - (5/2) log gcd(C1, C2).  Singular fibers are skipped.
+    2 log(C1 C2) - (5/2) log gcd(C1, C2).  The gcd term sums over pairs by
+    log gcd(C1, C2) = sum_{p^k | C1, p^k | C2} log p, so
+    sum_{f, g} log gcd(C_f, C_g) = sum_{p, k} log p * n_F(p, k) * n_G(p, k)
+    with the prime-power counts n of each family: the cost is the number of
+    distinct prime powers, not of pairs.
+
+    Raises:
+        ValueError: If either family has no nonsingular fibers.
+    """
+    if not F.proxies or not G.proxies:
+        raise ValueError("no nonsingular fibers in range")
+    logs_f = [math.log(c) for c in F.proxies.values()]
+    logs_g = [math.log(c) for c in G.proxies.values()]
+    base = 2.0 * (np.mean(logs_f) + np.mean(logs_g))
+    shared = sorted(p for p in F.prime_powers if p in G.prime_powers)
+    gcd_sum = sum(
+        math.log(p)
+        * sum(a * b for a, b in zip(F.prime_powers[p], G.prime_powers[p]))
+        for p in shared
+    )
+    gcd_mean = gcd_sum / (len(logs_f) * len(logs_g))
+    return float(base - 2.5 * gcd_mean)
+
+
+def avg_log_conductor(F: EllipticFamilySpec, G: EllipticFamilySpec) -> float:
+    """``avg_pair_log_conductor`` of the fibers of two family specs.
 
     Raises:
         ValueError: If either family consists entirely of singular fibers.
     """
-    _, cf = family_conductors(F)
-    _, cg = family_conductors(G)
-    if not cf or not cg:
-        raise ValueError("no nonsingular fibers in range")
-    logs_f = [math.log(c) for c in cf]
-    logs_g = [math.log(c) for c in cg]
-    base = 2.0 * (np.mean(logs_f) + np.mean(logs_g))
-    if max(cf) < 2**62 and max(cg) < 2**62:
-        gf = np.asarray(cf, dtype=np.int64)
-        gg = np.asarray(cg, dtype=np.int64)
-        gcd_mean = 0.0
-        for c1 in gf:  # row-at-a-time keeps memory flat
-            gcd_mean += float(np.log(np.gcd(c1, gg).astype(float)).sum())
-        gcd_mean /= len(cf) * len(cg)
-    else:
-        gcd_mean = sum(
-            math.log(math.gcd(c1, c2)) for c1 in cf for c2 in cg
-        ) / (len(cf) * len(cg))
-    return float(base - 2.5 * gcd_mean)
+    return avg_pair_log_conductor(family_conductors(F), family_conductors(G))

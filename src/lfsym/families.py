@@ -38,9 +38,11 @@ from .arith import (
 )
 from .ecgeom import (
     EllipticFamilySpec,
+    FamilyConductors,
     _eval_poly_mod,
     ap_residue_table,
-    conductor_proxy,
+    avg_pair_log_conductor,
+    family_conductors,
     invariants,
     rs_conductor_bounds,
     trace_of_frobenius,
@@ -287,7 +289,12 @@ def fundamental_discriminants(
     d is fundamental when d = 1 mod 4 and squarefree, or d = 4m with
     m = 2, 3 mod 4 squarefree.  A stride coprime to every prime used in
     downstream sums keeps subsampled residues equidistributed.
+
+    Raises:
+        ValueError: If stride < 1.
     """
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
     cands = np.arange(lo, hi, stride, dtype=np.int64)
     if len(cands) == 0:
         return cands
@@ -382,8 +389,12 @@ class EllipticFamily(Family):
     p | Delta(t) are bad; singular fibers (Delta(t) = 0) are skipped and
     recorded.
 
-    Semantically immutable; the memoized trace distributions (at most
-    2 isqrt(4p) + 1 entries per prime) are one-shot dict fills of
+    Conductors come from one ``family_conductors`` pass, run on first use and
+    kept with the family: the per-fiber proxies serve ``log_conductor`` and
+    convolutions, the prime-power counts the convolution's average.
+
+    Semantically immutable; the memoized conductors and trace distributions
+    (at most 2 isqrt(4p) + 1 entries per prime) are one-shot fills of
     deterministic values, so concurrent readers can at worst duplicate work.
     """
 
@@ -404,7 +415,7 @@ class EllipticFamily(Family):
             f"t=[{spec.t_min},{spec.t_max}))"
         )
         self.degree = 2
-        self._log_cond: dict[int, float] = {}
+        self._conductors: FamilyConductors | None = None
         self._traces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def iter_members(self) -> Iterator[int]:
@@ -423,12 +434,15 @@ class EllipticFamily(Family):
             return zero_coefficients(p, nu_max, degree=2)
         return hecke_b(self.hecke_eigenvalue(member, p), nu_max, p=p)
 
+    @property
+    def conductors(self) -> FamilyConductors:
+        """Conductor proxies and prime-power counts of every member."""
+        if self._conductors is None:
+            self._conductors = family_conductors(self.spec)
+        return self._conductors
+
     def log_conductor(self, member) -> float:
-        if member not in self._log_cond:
-            self._log_cond[member] = math.log(
-                conductor_proxy(self.spec.A(member), self.spec.B(member))
-            )
-        return self._log_cond[member]
+        return math.log(self.conductors.proxies[member])
 
     def bad_prime(self, member, p: int) -> bool:
         return p in (2, 3) or self.spec.discriminant(member) % p == 0
@@ -484,7 +498,13 @@ def elliptic_family(spec: EllipticFamilySpec) -> EllipticFamily:
 
 def ramanujan_tau_table(n_max: int) -> list[int]:
     """tau(1..n_max) as exact integers, from the 24th power of the
-    pentagonal-number series (Euler product of the eta function)."""
+    pentagonal-number series (Euler product of the eta function).
+
+    Raises:
+        ValueError: If n_max < 1.
+    """
+    if n_max < 1:
+        raise ValueError(f"coefficient bound must be at least 1, got {n_max}")
     length = n_max  # coefficients of q^0 .. q^{n_max - 1} in eta-product^24
     pent: list[tuple[int, int]] = []
     k = 1
@@ -678,23 +698,25 @@ class ConvolutionFamily(Family):
     def __init__(self, left: Family, right: Family, collision_policy: str = "auto"):
         self.left = left
         self.right = right
+        self._ec_pair = isinstance(left, EllipticFamily) and isinstance(
+            right, EllipticFamily
+        )
         policy = collision_policy
         if policy == "auto":
-            if isinstance(left, EllipticFamily) and isinstance(right, EllipticFamily):
+            if self._ec_pair:
                 policy = "ec-isomorphism"
             elif left is right or left.family_id == right.family_id:
                 policy = "identity"
             else:
                 policy = "none"
+        if policy == "ec-isomorphism" and not self._ec_pair:
+            raise ValueError("collision policy 'ec-isomorphism' needs elliptic factors")
         self.policy = policy
         self.excluded: list[tuple] = self._collisions()
         self._excluded_set = set(self.excluded)
         self.family_id = f"({left.family_id})x({right.family_id})"
         self.degree = left.degree * right.degree
         self.prime_limit = min(left.prime_limit, right.prime_limit)
-        self._ec_pair = isinstance(left, EllipticFamily) and isinstance(
-            right, EllipticFamily
-        )
 
     def _collisions(self) -> list[tuple]:
         if self.policy == "none":
@@ -746,17 +768,15 @@ class ConvolutionFamily(Family):
     def log_conductor(self, member) -> float:
         f, g = member
         if self._ec_pair:
-            c1 = conductor_proxy(self.left.spec.A(f), self.left.spec.B(f))
-            c2 = conductor_proxy(self.right.spec.A(g), self.right.spec.B(g))
-            lo, hi = rs_conductor_bounds(c1, c2)
+            lo, hi = rs_conductor_bounds(
+                self.left.conductors.proxies[f], self.right.conductors.proxies[g]
+            )
             return 0.5 * (math.log(lo) + math.log(hi))
         return self.left.log_conductor(f) + self.right.log_conductor(g)
 
     def average_log_conductor(self) -> float:
         if self._ec_pair:
-            from .ecgeom import avg_log_conductor
-
-            return avg_log_conductor(self.left.spec, self.right.spec)
+            return avg_pair_log_conductor(self.left.conductors, self.right.conductors)
         return (
             self.left.average_log_conductor() + self.right.average_log_conductor()
         )

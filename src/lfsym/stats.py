@@ -46,7 +46,8 @@ __all__ = [
 
 def _support_bound(sigma: float, log_r: float, nu: int, P: int) -> int:
     """Largest prime that can contribute: phi_hat(nu log p / log R) != 0."""
-    edge = math.exp(sigma * log_r / nu)
+    # capped before exp: past log P the bound is P, and exp could overflow
+    edge = math.exp(min(sigma * log_r / nu, math.log(P)))
     return min(P, int(edge) + 1)
 
 
@@ -64,6 +65,15 @@ class PrimeSquareResult:
 def _check_log_r(log_r: float) -> None:
     if log_r <= 0:
         raise ValueError("log R must be positive")
+
+
+def _member_count(f: Family) -> float:
+    """f.size(), rejecting a family with no members, such as a convolution
+    that excludes every pair it has (delta x delta)."""
+    size = f.size()
+    if size == 0:
+        raise ValueError(f"{f.family_id} has no members")
+    return size
 
 
 def _weighted_table(
@@ -209,10 +219,14 @@ def one_level_density(
     archimedean term approximated by phi_hat(0) (conductors essentially
     constant).  The division is by the full family size; bad (member, prime)
     pairs contribute zero and their weight is reported as bad_prime_mass.
+
+    Raises:
+        ValueError: If the family has no members, or log R is not positive.
     """
     if log_r is None:
         log_r = f.average_log_conductor()
-    size = f.size()
+    _check_log_r(log_r)
+    size = _member_count(f)
     t, w1 = _weighted_table(f, phi, log_r, P, 1, nu_max)
     on = w1 != 0
     bad_mass = float(np.sum((t.total - t.good)[on] / np.sqrt(t.primes[on])))
@@ -309,6 +323,10 @@ def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
     singleton cannot average).  epsilon is 0 whenever the classification is
     unitary or symplectic and unknown otherwise; r is the calibrated
     first-moment estimate.  All three sums read one moment table.
+
+    Raises:
+        ValueError: If phi(0) = 0, log R is not positive or the family has
+            no members.
     """
     phi = config.phi
     P = config.prime_cutoff
@@ -316,6 +334,7 @@ def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
     if phi.phi0 == 0:
         raise ValueError("degenerate test function: phi(0) = 0")
     _check_log_r(log_r)
+    size = _member_count(f)
     t, w1 = _weighted_table(f, phi, log_r, P, 1, 2)
     in_support = t.primes <= _support_bound(phi.sigma, log_r, 2, P)
     w2 = np.where(in_support, phi.phi_hat(2.0 * t.log_p / log_r), 0.0)
@@ -328,7 +347,7 @@ def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
 
     c_class = (
         _classify(sq.c_estimate, config.tolerance)
-        if f.size() >= config.min_members
+        if size >= config.min_members
         else None
     )
     eps = 0 if c_class in (0, 1) else None

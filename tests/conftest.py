@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lfsym.families import Family
 from lfsym.satake import LocalCoefficients
+
+# Fixed examples, so that a failure in CI reproduces anywhere; selected with
+# pytest --hypothesis-profile=ci
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 class ZeroFamily(Family):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from lfsym import ecgeom
 from lfsym.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -168,6 +169,33 @@ class TestRunners:
         config2.run.threads = 4
         assert run_constants(config1) == run_constants(config2)
 
+    def test_one_conductor_pass_per_curve(self, tmp_path, monkeypatch):
+        # the factoring core behind conductor_proxy runs once per member
+        # curve, however many derived families read its conductor
+        calls = []
+        core = ecgeom._conductor_exponents
+
+        def counted(A, B):
+            calls.append((A, B))
+            return core(A, B)
+
+        monkeypatch.setattr(ecgeom, "_conductor_exponents", counted)
+        ec = {"kind": "elliptic", "a_poly": "0 1", "t_min": 300, "t_max": 360}
+        data = {
+            "run": {"primes": 100},
+            "families": [
+                {"id": "ec1", "b_poly": "1", **ec},
+                {"id": "ec2", "b_poly": "2", **ec},
+                {"id": "prod", "kind": "convolve", "left": "ec1", "right": "ec2"},
+                {"id": "k5", "kind": "twist", "twist": "kronecker 5", "base": "ec1"},
+                {"id": "c7", "kind": "twist", "twist": "character 7 1", "base": "ec1"},
+            ],
+        }
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(data))
+        assert main(["constants", "--config", str(path)]) == 0
+        assert len(calls) == len(set(calls)) == 120
+
 
 class TestMainExitCodes:
     def test_constants_ok(self, config_path, capsys):
@@ -273,6 +301,9 @@ TWIST_CONFIG = textwrap.dedent(
 )
 
 
+DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
+
+
 @pytest.mark.parametrize(
     "args, config",
     [
@@ -287,12 +318,34 @@ TWIST_CONFIG = textwrap.dedent(
         (["weil", "[12,1/0]"], None),
         (["weil", "[3/2]"], None),
         (["density"], {"twist": "delta 100", "primes": 500}),
+        (["weil", "logcond([1,-3])"], None),
+        # whole JSON configs, one family list each
+        (["constants"], {"run": {"log_r": 0}, "families": [DIRICHLET_7]}),
+        (["constants"], {"families": [{"id": "q", "kind": "quadratic",
+                                       "d_min": 10, "d_max": 20, "stride": 0}]}),
+        (["constants"], {"families": [{"id": "dd", "kind": "delta", "bound": 0}]}),
+        (["constants"], {"families": [DIRICHLET_7, {
+            "id": "x", "kind": "convolve", "left": "d", "right": "d",
+            "collisions": "ec-isomorphism"}]}),
+        # the family {d = 1} has log R = 0
+        (["constants"], {"families": [{"id": "q", "kind": "quadratic",
+                                       "d_min": 0, "d_max": 2}]}),
+        # delta x delta excludes its only pair
+        (["constants"], {"run": {"log_r": 4.0, "primes": 50}, "families": [
+            {"id": "dd", "kind": "delta", "bound": 60},
+            {"id": "x", "kind": "convolve", "left": "dd", "right": "dd"}]}),
+        (["density"], {"run": {"log_r": 4.0, "primes": 50}, "families": [
+            {"id": "dd", "kind": "delta", "bound": 60},
+            {"id": "x", "kind": "convolve", "left": "dd", "right": "dd"}]}),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "bad.ini"
-        path.write_text(TWIST_CONFIG.format(**config))
+        if "families" in config:
+            path.write_text(json.dumps(config))
+        else:
+            path.write_text(TWIST_CONFIG.format(**config))
         args = args + ["--config", str(path)]
     assert main(args) == EXIT_CONFIG
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfsym import ecgeom
-from lfsym.arith import sieve_primes
+from lfsym.arith import factorize, sieve_primes
 from lfsym.ecgeom import (
     EllipticFamilySpec,
     affine_point_count,
@@ -28,6 +28,8 @@ SPEC_T1 = lambda lo, hi: EllipticFamilySpec((0, 1), (1,), lo, hi)  # x^3+Tx+1
 SPEC_T2 = lambda lo, hi: EllipticFamilySpec((0, 1), (2,), lo, hi)  # x^3+Tx+2
 SPEC_TT = lambda lo, hi: EllipticFamilySpec((0, 1), (0, -1), lo, hi)  # x^3+Tx-T
 SPEC_T0 = lambda lo, hi: EllipticFamilySpec((0, 1), (0,), lo, hi)  # x^3+Tx
+# degree 2, as in the wide-box benchmark: x^3+Tx+T^2+1
+SPEC_QUAD = lambda lo, hi: EllipticFamilySpec((0, 1), (1, 0, 1), lo, hi)
 
 
 class TestInvariants:
@@ -80,6 +82,45 @@ class TestConductorProxy:
     def test_singular_error(self):
         with pytest.raises(ValueError):
             conductor_proxy(0, 0)
+
+    def test_minimalization_candidates_from_gcd(self):
+        def old_rule(A, B):
+            # candidates from factoring A, or B when A == 0
+            if A == 0 and B == 0:
+                return A, B
+            if A == 0:
+                cands = [p for p, e in factorize(B).items() if p >= 5 and e >= 6]
+            elif B == 0:
+                cands = [p for p, e in factorize(A).items() if p >= 5 and e >= 4]
+            else:
+                cands = [
+                    p
+                    for p, e in factorize(A).items()
+                    if p >= 5 and e >= 4 and B % p**6 == 0
+                ]
+            for p in cands:
+                while A % p**4 == 0 and B % p**6 == 0:
+                    A //= p**4
+                    B //= p**6
+                    if A == 0 or B == 0:
+                        break
+            return A, B
+
+        values = {0, 1, -1, 2, 3, -7, 12, 625, 2401, 14641}
+        for p in (5, 7, 11):
+            values |= {p**4, -(p**4), 2 * p**4, p**6, -3 * p**6, p**8, p**12, 6 * p**12}
+        values.add(5**4 * 7**6)
+        values.add(5**6 * 7**4)
+        for A in sorted(values):
+            for B in sorted(values):
+                assert ecgeom._minimalize_ge5(A, B) == old_rule(A, B), (A, B)
+
+    def test_no_factoring_for_small_gcd(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ecgeom, "factorize", lambda n: calls.append(n) or {})
+        assert ecgeom._minimalize_ge5(2000, 1) == (2000, 1)
+        assert ecgeom._minimalize_ge5(5**4, 2) == (5**4, 2)
+        assert calls == []
 
 
 class TestRSBounds:
@@ -286,7 +327,67 @@ class TestJCollisions:
             j_collision_count(SPEC_T0(0, 5), SPEC_T1(0, 5))
 
 
+def brute_avg_log_conductor(F, G):
+    cf = [conductor_proxy(F.A(t), F.B(t)) for t in F.t_range if F.discriminant(t)]
+    cg = [conductor_proxy(G.A(s), G.B(s)) for s in G.t_range if G.discriminant(s)]
+    base = 2.0 * (
+        sum(math.log(c) for c in cf) / len(cf) + sum(math.log(c) for c in cg) / len(cg)
+    )
+    gcd_sum = sum(math.log(math.gcd(c1, c2)) for c1 in cf for c2 in cg)
+    return base - 2.5 * gcd_sum / (len(cf) * len(cg))
+
+
 class TestAvgLogConductor:
+    @pytest.mark.parametrize(
+        "F, G",
+        [
+            # the two families of the acceptance pair
+            (SPEC_T1(2000, 2060), SPEC_T2(2030, 2090)),
+            (SPEC_T1(0, 40), SPEC_T1(0, 40)),
+            # degree 2 near t = 2e4: conductors above 2^62
+            (SPEC_T1(20000, 20040), SPEC_QUAD(20010, 20050)),
+            # t = 625 and every fiber of the second minimalize at p >= 5
+            (
+                EllipticFamilySpec((0, 1), (5**6,), 600, 650),
+                EllipticFamilySpec((0, 7**4), (7**6,), 1, 40),
+            ),
+        ],
+    )
+    def test_matches_pairwise_gcd(self, F, G):
+        assert avg_log_conductor(F, G) == pytest.approx(
+            brute_avg_log_conductor(F, G), rel=1e-12
+        )
+
+    def test_big_conductors_present(self):
+        big = ecgeom.family_conductors(SPEC_QUAD(20010, 20050))
+        assert max(big.proxies.values()) >= 2**62
+
+    def test_family_conductors_match_proxy(self):
+        spec = EllipticFamilySpec((0, 1), (5**6,), 600, 650)
+        fc = ecgeom.family_conductors(spec)
+        assert list(fc.proxies) == list(spec.t_range)
+        assert fc.proxies[625] == conductor_proxy(1, 1)
+        counts: dict = {}
+        for t in spec.t_range:
+            c = conductor_proxy(spec.A(t), spec.B(t))
+            assert fc.proxies[t] == c
+            for p, e in factorize(c).items():
+                for k in range(1, e + 1):
+                    counts[p, k] = counts.get((p, k), 0) + 1
+        flat = {
+            (p, k + 1): n
+            for p, row in fc.prime_powers.items()
+            for k, n in enumerate(row)
+        }
+        assert flat == counts
+
+    def test_singular_fibers_skipped(self):
+        # A = -3, B = 1 + T is singular where B = 2: at t = 1 only
+        spec = EllipticFamilySpec((-3,), (1, 1), 0, 4)
+        assert list(ecgeom.family_conductors(spec).proxies) == [0, 2, 3]
+        with pytest.raises(ValueError):
+            avg_log_conductor(EllipticFamilySpec((-3,), (2,), 0, 3), SPEC_T1(1, 5))
+
     def test_symmetric(self):
         f, g = SPEC_T1(20, 30), SPEC_T2(35, 45)
         assert avg_log_conductor(f, g) == pytest.approx(avg_log_conductor(g, f))

@@ -121,6 +121,11 @@ class TestOneLevelDensity:
         assert rep.empirical < rep.phi_hat0
         assert rep.empirical > predicted_density(1.0, 0.0, PHI_HALF)
 
+    def test_huge_log_r_saturates_at_the_cutoff(self):
+        # the support bound exp(sigma log R) is capped at P before exp
+        rep = one_level_density(dirichlet_family(7), PHI_ONE, 50, log_r=1e3)
+        assert math.isfinite(rep.empirical)
+
     def test_prediction_helper(self):
         assert predicted_density(1.0, 0.0, PHI_HALF) == pytest.approx(0.75)
         assert predicted_density(-1.0, 0.0, PHI_HALF) == pytest.approx(1.25)
