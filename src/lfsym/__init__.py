@@ -33,7 +33,6 @@ from .families import (
     character_twist,
     convolve,
     cusp_form_delta,
-    delta_twist,
     dirichlet_family,
     elliptic_family,
     fundamental_discriminants,

@@ -169,7 +169,7 @@ def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
     raise ConfigError(f"family {decl.ident!r}: unknown kind {kind!r}")
 
 
-def _build_twist(text: str) -> fam_mod.FixedTwist:
+def _build_twist(text: str) -> fam_mod.Family:
     kind, *rest = str(text).split() or [""]
     args = [int(tok) for tok in rest]
     if kind == "kronecker" and len(args) == 1:
@@ -177,7 +177,7 @@ def _build_twist(text: str) -> fam_mod.FixedTwist:
     if kind == "character" and len(args) == 2:
         return fam_mod.character_twist(*args)
     if kind == "delta" and len(args) <= 1:
-        return fam_mod.delta_twist(*args)
+        return fam_mod.cusp_form_delta(*args)
     raise ValueError(
         f"bad twist spec {text!r}: expected 'kronecker D', "
         "'character MODULUS INDEX' or 'delta [BOUND]'"
@@ -529,8 +529,16 @@ def _parse_expr(tok: _Tokens) -> weil.WeilRep:
 _EPS_LABEL = {0: "+1", 1: "i", 2: "-1", 3: "-i"}
 
 
+def _shifted_s(t: Fraction) -> str:
+    return f"s+{t}" if t >= 0 else f"s-{-t}"
+
+
 def evaluate_weil_expression(text: str) -> dict:
-    """Evaluate the mini-language; returns {'kind', 'text', 'value'}."""
+    """Evaluate the mini-language; returns {'kind', 'text', 'value'}.
+
+    ``gamma`` takes any rational shifts; ``logcond`` needs every gamma shift
+    to be non-negative and rejects a negative one with WeilParseError.
+    """
     tok = _Tokens(text)
     kind, value, _ = tok.peek()
     query = None
@@ -552,8 +560,8 @@ def evaluate_weil_expression(text: str) -> dict:
         return {"kind": "epsilon", "text": _EPS_LABEL[e], "value": e}
     if query == "gamma":
         g = weil.gamma_factor(rep)
-        parts = [f"GammaR(s+{t})" for t in g.real_shifts]
-        parts += [f"GammaC(s+{t})" for t in g.complex_shifts]
+        parts = [f"GammaR({_shifted_s(t)})" for t in g.real_shifts]
+        parts += [f"GammaC({_shifted_s(t)})" for t in g.complex_shifts]
         return {
             "kind": "gamma",
             "text": " ".join(parts) if parts else "1",

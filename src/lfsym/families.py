@@ -13,8 +13,10 @@ matrix-vector product.
 
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
 characters of fundamental discriminants, one-parameter elliptic-curve
-families, the level-one weight-12 cusp form, symmetric-power lifts,
-Rankin-Selberg convolutions and fixed twists.
+families, the level-one weight-12 cusp form, symmetric-power lifts and
+Rankin-Selberg convolutions.  A fixed twist f x G is the convolution of G
+with the one-member family {f}: a single Kronecker or Dirichlet character,
+or the cusp form.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ __all__ = [
     "ramanujan_tau_table",
     "kronecker_twist",
     "character_twist",
-    "delta_twist",
     "curves_isomorphic",
 ]
 
@@ -142,10 +143,6 @@ class Family:
 
     def iter_members(self) -> Iterator:
         raise NotImplementedError
-
-    @property
-    def members(self) -> list:
-        return list(self.iter_members())
 
     def multiplicity(self, member) -> int:
         return 1
@@ -287,8 +284,9 @@ def fundamental_discriminants(
     """Fundamental discriminants among lo, lo+stride, ... below hi.
 
     d is fundamental when d = 1 mod 4 and squarefree, or d = 4m with
-    m = 2, 3 mod 4 squarefree.  A stride coprime to every prime used in
-    downstream sums keeps subsampled residues equidistributed.
+    m = 2, 3 mod 4 squarefree; squarefree refers to |d| and |m|, so negative
+    candidates are sieved like positive ones.  A stride coprime to every
+    prime used in downstream sums keeps subsampled residues equidistributed.
 
     Raises:
         ValueError: If stride < 1.
@@ -298,13 +296,14 @@ def fundamental_discriminants(
     cands = np.arange(lo, hi, stride, dtype=np.int64)
     if len(cands) == 0:
         return cands
-    limit = math.isqrt(int(cands.max())) + 1
+    limit = math.isqrt(int(np.abs(cands).max())) + 1
     primes = sieve_primes(max(limit, 2)).primes
 
     def squarefree(v: np.ndarray) -> np.ndarray:
         ok = np.ones(v.shape, dtype=bool)
         if len(v) == 0:
             return ok
+        v = np.abs(v)
         vmax = int(v.max())
         for p in primes:
             q = int(p) * int(p)
@@ -693,6 +692,10 @@ class ConvolutionFamily(Family):
     convolutions) are excluded.  Aggregated moments use the product
     structure: the sum over included pairs is the product of the factor sums
     minus the small excluded correction.
+
+    The conductor of a pair is q_f^deg(g) q_g^deg(f) (coprime levels); an
+    elliptic pair instead takes the midpoint of its Rankin-Selberg conductor
+    bounds.  A fixed twist f x G is the case where F = {f} has one member.
     """
 
     def __init__(self, left: Family, right: Family, collision_policy: str = "auto"):
@@ -772,13 +775,17 @@ class ConvolutionFamily(Family):
                 self.left.conductors.proxies[f], self.right.conductors.proxies[g]
             )
             return 0.5 * (math.log(lo) + math.log(hi))
-        return self.left.log_conductor(f) + self.right.log_conductor(g)
+        return (
+            self.left.degree * self.right.log_conductor(g)
+            + self.right.degree * self.left.log_conductor(f)
+        )
 
     def average_log_conductor(self) -> float:
         if self._ec_pair:
             return avg_pair_log_conductor(self.left.conductors, self.right.conductors)
         return (
-            self.left.average_log_conductor() + self.right.average_log_conductor()
+            self.left.degree * self.right.average_log_conductor()
+            + self.right.degree * self.left.average_log_conductor()
         )
 
     def bad_prime(self, member, p: int) -> bool:
@@ -807,65 +814,52 @@ def convolve(f: Family, g: Family, collision_policy: str = "auto") -> Family:
 
 
 # ---------------------------------------------------------------------------
-# Fixed twists
+# Fixed twists: one-member families, convolved like any other factor
 
 
-class FixedTwist:
-    """A single L-function used to twist a whole family."""
+class KroneckerTwist(Family):
+    """The single Kronecker character (d|.), a one-member family."""
 
-    twist_id: str = "twist"
-    degree: int = 1
-    log_conductor: float = 0.0
-    prime_limit: float = math.inf
-
-    def bad_prime(self, p: int) -> bool:
-        return False
-
-    def local_coefficients(self, p: int, nu_max: int) -> LocalCoefficients:
-        raise NotImplementedError
-
-
-class KroneckerTwist(FixedTwist):
     def __init__(self, d: int):
         if d == 0:
             raise ValueError("discriminant must be nonzero")
         self.d = d
-        self.twist_id = f"chi({d})"
-        self.log_conductor = math.log(abs(d))
+        self.family_id = f"chi({d})"
 
-    def bad_prime(self, p: int) -> bool:
-        return self.d % p == 0
+    def iter_members(self) -> Iterator[int]:
+        return iter((self.d,))
 
-    def local_coefficients(self, p, nu_max):
+    def local_coefficients(self, member, p, nu_max):
         chi = kronecker_symbol(self.d, p)
         b = np.array([float(chi**nu) for nu in range(1, nu_max + 1)])
         return LocalCoefficients(p=p, degree=1, b=b)
 
+    def log_conductor(self, member) -> float:
+        return math.log(abs(self.d))
 
-class CharacterTwist(FixedTwist):
+    def bad_prime(self, member, p: int) -> bool:
+        return self.d % p == 0
+
+
+class CharacterTwist(Family):
+    """The single Dirichlet character char, a one-member family."""
+
     def __init__(self, char: DirichletCharacter):
         self.char = char
-        self.twist_id = f"chi_{char.modulus}^{char.index}"
-        self.log_conductor = math.log(char.modulus)
+        self.family_id = f"chi_{char.modulus}^{char.index}"
 
-    def bad_prime(self, p: int) -> bool:
-        return p % self.char.modulus == 0
+    def iter_members(self) -> Iterator[int]:
+        return iter((self.char.index,))
 
-    def local_coefficients(self, p, nu_max):
+    def local_coefficients(self, member, p, nu_max):
         b = np.array([self.char.power_value(p, nu) for nu in range(1, nu_max + 1)])
         return LocalCoefficients(p=p, degree=1, b=b)
 
+    def log_conductor(self, member) -> float:
+        return math.log(self.char.modulus)
 
-class DeltaTwist(FixedTwist):
-    def __init__(self, coefficient_bound: int = 2000):
-        self._fam = DeltaFamily(coefficient_bound)
-        self.prime_limit = coefficient_bound
-        self.twist_id = "delta"
-        self.degree = 2
-        self.log_conductor = self._fam.log_conductor("delta")
-
-    def local_coefficients(self, p, nu_max):
-        return self._fam.local_coefficients("delta", p, nu_max)
+    def bad_prime(self, member, p: int) -> bool:
+        return p % self.char.modulus == 0
 
 
 def kronecker_twist(d: int) -> KroneckerTwist:
@@ -879,55 +873,20 @@ def character_twist(modulus: int, index: int) -> CharacterTwist:
     return CharacterTwist(chars[index])
 
 
-def delta_twist(coefficient_bound: int = 2000) -> DeltaTwist:
-    return DeltaTwist(coefficient_bound)
+class TwistedFamily(ConvolutionFamily):
+    """``convolve(h, g, "none")``: the one-member family h against all of g.
+
+    Adds no behaviour; the class keeps a twisted family's kind nameable for
+    per-class tooling (the benchmark tracer).
+    """
+
+    def __init__(self, h: Family, g: Family):
+        super().__init__(h, g, "none")
 
 
-class TwistedFamily(Family):
-    """The fixed form h against every member of a base family."""
+def twist_by_fixed(h: Family, g: Family) -> TwistedFamily:
+    """Twist every member of g by the fixed form h, a one-member family.
 
-    def __init__(self, twist: FixedTwist, base: Family):
-        self.twist = twist
-        self.base = base
-        self.family_id = f"({twist.twist_id})x({base.family_id})"
-        self.degree = twist.degree * base.degree
-        self.prime_limit = min(twist.prime_limit, base.prime_limit)
-
-    def iter_members(self):
-        return self.base.iter_members()
-
-    def multiplicity(self, member):
-        return self.base.multiplicity(member)
-
-    def local_coefficients(self, member, p, nu_max):
-        return rankin_product(
-            self.twist.local_coefficients(p, nu_max),
-            self.base.local_coefficients(member, p, nu_max),
-        )
-
-    def log_conductor(self, member) -> float:
-        # conductor of a pair grows like each factor raised to the other's
-        # degree; in logs: deg(h) * log Q_g + deg(g) * log c_h
-        return (
-            self.twist.degree * self.base.log_conductor(member)
-            + self.base.degree * self.twist.log_conductor
-        )
-
-    def bad_prime(self, member, p: int) -> bool:
-        return self.twist.bad_prime(p) or self.base.bad_prime(member, p)
-
-    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        mb = self.base.prime_moments(p, nu_max)
-        if self.twist.bad_prime(p):
-            return PrimeMoments(
-                p, 0.0, mb.total_weight, np.zeros(nu_max, np.complex128)
-            )
-        hb = np.asarray(
-            self.twist.local_coefficients(p, nu_max).b, dtype=np.complex128
-        )
-        return PrimeMoments(p, mb.good_weight, mb.total_weight, hb * mb.sums)
-
-
-def twist_by_fixed(h: FixedTwist, g: Family) -> TwistedFamily:
-    """Twist every member of g by the fixed form h."""
+    Members are the pairs (h's member, g's member).
+    """
     return TwistedFamily(h, g)

@@ -198,6 +198,16 @@ class TestRunners:
 
 
 class TestMainExitCodes:
+    def test_negative_discriminants(self, tmp_path, capsys):
+        path = tmp_path / "neg.ini"
+        path.write_text(
+            "[run]\nprimes = 300\n\n"
+            "[family q]\nkind = quadratic\nd_min = -400\nd_max = -3\n"
+        )
+        assert main(["constants", "--config", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2 and rows[1].startswith("q,")
+
     def test_constants_ok(self, config_path, capsys):
         assert main(["constants", "--config", config_path]) == 0
         out = capsys.readouterr().out
@@ -354,13 +364,23 @@ def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+GOLDEN = ROOT / "tests" / "golden"
+# benchmark workloads at smoke size, seed 1: the twists kronecker 5,
+# character 7 1 and kronecker -4, a sym^2 lift and a degree-2 family
+GOLDEN_WORKLOADS = ("ec_pair", "characters", "ec_wide_box")
+
+
 @pytest.mark.parametrize("command", ["constants", "density"])
 def test_demo_output_matches_golden_csv(command, capsys):
     # refactors of the prime side must leave every printed digit in place
-    golden = ROOT / "tests" / "golden" / f"demo_p200_{command}.csv"
     config = str(ROOT / "configs" / "demo.ini")
     assert main([command, "--config", config, "--primes", "200"]) == 0
-    assert capsys.readouterr().out == golden.read_text()
+    assert capsys.readouterr().out == (GOLDEN / f"demo_p200_{command}.csv").read_text()
+    for name in GOLDEN_WORKLOADS:
+        config = str(GOLDEN / f"{name}_smoke_s1.json")
+        assert main([command, "--config", config]) == 0
+        expected = (GOLDEN / f"{name}_smoke_s1_{command}.csv").read_text()
+        assert capsys.readouterr().out == expected, name
 
 
 class TestWeilExpressions:
@@ -410,6 +430,17 @@ class TestWeilExpressions:
 
     def test_cli_parse_error_exit_code(self, capsys):
         assert main(["weil", "sym^(bad"]) == EXIT_CONFIG
+
+    def test_negative_shifts_print_as_subtraction(self, capsys):
+        # gamma takes any rational shift; logcond needs non-negative ones
+        assert main(["weil", "gamma([1,-3])"]) == 0
+        assert capsys.readouterr().out == "GammaR(s-3) GammaR(s-2)\n"
+        assert main(["weil", "gamma([12,-7])"]) == 0
+        assert capsys.readouterr().out == "GammaC(s-3/2)\n"
+        assert main(["weil", "logcond([1,-3])"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: logcond: negative gamma shift -3\n"
 
 
 class TestOtherSubcommands:

@@ -12,7 +12,6 @@ from lfsym.families import (
     convolve,
     curves_isomorphic,
     cusp_form_delta,
-    delta_twist,
     dirichlet_family,
     elliptic_family,
     fundamental_discriminants,
@@ -95,6 +94,22 @@ class TestDirichletFamily:
 class TestQuadraticFamily:
     def test_fundamental_filter(self):
         assert fundamental_discriminants(3, 20).tolist() == [5, 8, 12, 13, 17]
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_fundamental_matches_definition(self, stride):
+        def squarefree(n):
+            n = abs(n)
+            return n > 0 and all(n % (k * k) for k in range(2, math.isqrt(n) + 1))
+
+        def fundamental(d):
+            if d % 4 == 1:
+                return squarefree(d)
+            return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+        expected = [d for d in range(-500, 500, stride) if fundamental(d)]
+        assert fundamental_discriminants(-500, 500, stride).tolist() == expected
+        negative = [d for d in expected if d < 0]
+        assert fundamental_discriminants(-500, 0, stride).tolist() == negative
 
     def test_chi5_at_2(self):
         assert kronecker_symbol(5, 2) == -1
@@ -421,18 +436,50 @@ class TestTwists:
         assert mt.sums[1] == pytest.approx(chi2 * mb.sums[1])
 
     def test_delta_twist_square_coefficient(self):
-        tw = delta_twist(60)
+        tw = cusp_form_delta(60)
         for p in (2, 3, 5):
-            lc = tw.local_coefficients(p, 2)
-            a = tw._fam.hecke_eigenvalue("delta", p)
+            lc = tw.local_coefficients("delta", p, 2)
+            a = tw.hecke_eigenvalue("delta", p)
             assert lc.b[1] == pytest.approx(a * a - 2)
 
     def test_twisted_log_conductor(self):
         base = elliptic_family(EC1)
         twisted = twist_by_fixed(kronecker_twist(5), base)
         t = base.members_list[0]
-        assert twisted.log_conductor(t) == pytest.approx(
+        assert twisted.log_conductor((5, t)) == pytest.approx(
             base.log_conductor(t) + 2 * math.log(5)
+        )
+
+    @pytest.mark.parametrize(
+        "make_twist",
+        [
+            lambda: kronecker_twist(5),
+            lambda: character_twist(7, 1),
+            lambda: cusp_form_delta(60),
+        ],
+        ids=["kronecker", "character", "delta"],
+    )
+    def test_twist_is_convolution_with_one_member(self, make_twist):
+        h = make_twist()
+        base = elliptic_family(EllipticFamilySpec((0, 1), (1,), 20, 45))
+        twisted = twist_by_fixed(h, base)
+        conv = convolve(h, base, "none")
+        assert list(twisted.iter_members()) == list(conv.iter_members())
+        a, b = twisted.moment_table(59, 4), conv.moment_table(59, 4)
+        for field in ("primes", "good", "total", "sums"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert twisted.average_log_conductor() == conv.average_log_conductor()
+
+    def test_convolution_conductor_is_degree_weighted(self):
+        # q_{chi x E} = q_chi^deg(E) q_E^deg(chi) = 11^2 N_t
+        chars, ec = dirichlet_family(11), elliptic_family(EC1)
+        conv = convolve(chars, ec)
+        for t in ec.members_list[:5]:
+            assert conv.log_conductor((0, t)) == pytest.approx(
+                2 * math.log(11) + ec.log_conductor(t)
+            )
+        assert conv.average_log_conductor() == pytest.approx(
+            2 * math.log(11) + ec.average_log_conductor()
         )
 
     def test_moments_match_member_loop(self):

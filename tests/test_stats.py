@@ -225,10 +225,10 @@ class TestFunctorialLifts:
         assert fc.c_class == -1
 
     def test_delta_twist_flips_to_symplectic(self, lift_base_family):
-        from lfsym.families import delta_twist, twist_by_fixed
+        from lfsym.families import cusp_form_delta, twist_by_fixed
 
         fc = family_constant(
-            twist_by_fixed(delta_twist(700), lift_base_family), LIFT_CFG
+            twist_by_fixed(cusp_form_delta(700), lift_base_family), LIFT_CFG
         )
         assert fc.c_class == 1
 
