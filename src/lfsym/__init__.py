@@ -65,11 +65,8 @@ from .stats import (
     DensityReport,
     FamilyConstant,
     family_constant,
-    one_level_density,
     pnt_prime_sum,
     predicted_density,
-    prime_square_sum,
-    prime_sum,
 )
 from .weil import (
     GammaFactor,

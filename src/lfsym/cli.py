@@ -262,7 +262,7 @@ DENSITY_COLUMNS = [
     "D1_emp",
     "D1_pred",
     "nu3_tail",
-    "bad_mass",
+    "d1_bad_mass",
 ]
 
 
@@ -304,8 +304,12 @@ def _reported_as_config_error(ident: str):
         raise ConfigError(f"family {ident!r}: {exc}") from exc
 
 
-def run_constants(config: ExperimentConfig) -> list[dict]:
-    """FamilyConstant rows; convolutions get a product check column."""
+def run_families(config: ExperimentConfig) -> list[dict]:
+    """One row per declared family with the columns of every command.
+
+    Each family's c, r and 1-level density come from one ``family_constant``
+    call; a convolution also gets the product of its factors' c estimates.
+    """
     built = config.resolve()
     run = config.run
     _check_prime_reach(built, run)
@@ -315,6 +319,7 @@ def run_constants(config: ExperimentConfig) -> list[dict]:
         prime_cutoff=run.primes,
         tolerance=run.tolerance,
         log_r=run.log_r,
+        nu_max=run.nu_max,
     )
 
     def work(item):
@@ -322,20 +327,17 @@ def run_constants(config: ExperimentConfig) -> list[dict]:
         with _reported_as_config_error(ident):
             return ident, stats.family_constant(family, cfg)
 
-    results: dict[str, stats.FamilyConstant] = {}
     with ThreadPoolExecutor(max_workers=max(1, run.threads)) as pool:
-        for ident, fc in pool.map(work, built.items()):
-            results[ident] = fc
+        results = dict(pool.map(work, built.items()))
 
     rows = []
     for decl in config.declarations:
         fc = results[decl.ident]
+        rep = fc.density
         product = ""
         if decl.kind == "convolve":
-            left = results.get(decl.options["left"])
-            right = results.get(decl.options["right"])
-            if left and right:
-                product = fmt(left.c_estimate * right.c_estimate)
+            left, right = (results[decl.options[side]] for side in ("left", "right"))
+            product = fmt(left.c_estimate * right.c_estimate)
         rows.append(
             {
                 "family_id": decl.ident,
@@ -348,58 +350,10 @@ def run_constants(config: ExperimentConfig) -> list[dict]:
                 "log_r": fmt(fc.log_r),
                 "bad_mass": fmt(fc.bad_mass),
                 "product_check": product,
-            }
-        )
-    return rows
-
-
-def run_density(config: ExperimentConfig) -> list[dict]:
-    """DensityReport rows joined with the matching closed-form prediction."""
-    built = config.resolve()
-    run = config.run
-    _check_prime_reach(built, run)
-    phi = rmt.fejer_test_function(run.sigma)
-    cfg = stats.ConstantConfig(
-        phi=phi,
-        prime_cutoff=run.primes,
-        tolerance=run.tolerance,
-        log_r=run.log_r,
-    )
-
-    def work(item):
-        ident, family = item
-        with _reported_as_config_error(ident):
-            fc = stats.family_constant(family, cfg)
-            rep = stats.one_level_density(
-                family, phi, run.primes, nu_max=run.nu_max, log_r=fc.log_r
-            )
-        c_for_prediction = fc.c_class if fc.c_class is not None else fc.c_estimate
-        rep = rep.with_prediction(
-            stats.predicted_density(c_for_prediction, fc.rank_estimate, phi)
-        )
-        return ident, fc, rep
-
-    results = {}
-    with ThreadPoolExecutor(max_workers=max(1, run.threads)) as pool:
-        for ident, fc, rep in pool.map(work, built.items()):
-            results[ident] = (fc, rep)
-
-    rows = []
-    for decl in config.declarations:
-        fc, rep = results[decl.ident]
-        rows.append(
-            {
-                "family_id": decl.ident,
-                "sigma": fmt(run.sigma),
-                "P": str(run.primes),
-                "c_est": fmt(fc.c_estimate),
-                "c_class": _class_label(fc.c_class),
-                "r_est": fmt(fc.rank_estimate),
-                "eps": _eps_label(fc.epsilon),
                 "D1_emp": fmt(rep.empirical),
                 "D1_pred": fmt(rep.predicted),
                 "nu3_tail": fmt(rep.breakdown["tail"]),
-                "bad_mass": fmt(rep.bad_prime_mass),
+                "d1_bad_mass": fmt(rep.bad_prime_mass),
             }
         )
     return rows
@@ -641,25 +595,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("constants", "density"):
+    for name in ("constants", "density", "convolve"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
+        if name == "convolve":
+            p.add_argument("--left", required=True)
+            p.add_argument("--right", required=True)
         p.add_argument("--primes", type=int)
         p.add_argument("--sigma", type=float)
         p.add_argument("--threads", type=int)
         p.add_argument("--out")
         p.add_argument("--check", action="store_true")
-        p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("convolve")
-    p.add_argument("--config", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--primes", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
-    p.add_argument("--check", action="store_true")
+        if name != "convolve":
+            p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("weil")
     p.add_argument("expression")
@@ -740,45 +688,27 @@ def _dispatch(args) -> int:
                 options={"left": args.left, "right": args.right},
             )
         )
-        rows = run_constants(config)
-        text = rows_to_csv(rows, CONSTANT_COLUMNS)
-        _write_output(text, args.out, "constants.csv")
-        if _has_nan(rows):
-            return EXIT_NUMERIC
-        if args.check and any(r["c_class"] == "indeterminate" for r in rows):
-            return EXIT_CHECK
-        return EXIT_OK
 
-    if args.command == "constants":
-        rows = run_constants(config)
-        if getattr(args, "json", False):
-            text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
-            _write_output(text, args.out, "constants.json")
-        else:
-            _write_output(rows_to_csv(rows, CONSTANT_COLUMNS), args.out, "constants.csv")
-        if _has_nan(rows):
-            return EXIT_NUMERIC
-        if args.check and any(r["c_class"] == "indeterminate" for r in rows):
-            return EXIT_CHECK
+    # the commands differ only in the columns they print and in --check
+    density = args.command == "density"
+    columns = DENSITY_COLUMNS if density else CONSTANT_COLUMNS
+    stem = "density" if density else "constants"
+    rows = [{c: row[c] for c in columns} for row in run_families(config)]
+    if getattr(args, "json", False):
+        text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
+        _write_output(text, args.out, f"{stem}.json")
+    else:
+        _write_output(rows_to_csv(rows, columns), args.out, f"{stem}.csv")
+    if _has_nan(rows):
+        return EXIT_NUMERIC
+    if not args.check:
         return EXIT_OK
-
-    if args.command == "density":
-        rows = run_density(config)
-        if getattr(args, "json", False):
-            text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
-            _write_output(text, args.out, "density.json")
-        else:
-            _write_output(rows_to_csv(rows, DENSITY_COLUMNS), args.out, "density.csv")
-        if _has_nan(rows):
-            return EXIT_NUMERIC
-        if args.check:
-            tol = config.run.check_tolerance
-            for row in rows:
-                if abs(float(row["D1_emp"]) - float(row["D1_pred"])) > tol:
-                    return EXIT_CHECK
-        return EXIT_OK
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    if density:
+        tol = config.run.check_tolerance
+        failed = any(abs(float(r["D1_emp"]) - float(r["D1_pred"])) > tol for r in rows)
+    else:
+        failed = any(r["c_class"] == "indeterminate" for r in rows)
+    return EXIT_CHECK if failed else EXIT_OK
 
 
 if __name__ == "__main__":

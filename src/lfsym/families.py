@@ -95,11 +95,6 @@ class PrimeMoments:
     total_weight: float
     sums: np.ndarray
 
-    def average(self, nu: int) -> complex:
-        if self.good_weight == 0:
-            raise ZeroDivisionError(f"no members are good at p = {self.p}")
-        return complex(self.sums[nu - 1]) / self.good_weight
-
 
 @dataclass(frozen=True)
 class MomentTable:
@@ -126,9 +121,10 @@ def _weighted_moments(
     btab[nu-1, k] is b(p^nu) of the k-th distinct local factor and
     weights[k] the summed multiplicity of the good members that carry it.
     """
-    return PrimeMoments(
-        p, float(weights.sum()), total, (btab @ weights).astype(np.complex128)
-    )
+    # row by row, unlike BLAS btab @ weights, whose summation order depends
+    # on the row count: a table's first rows keep their bits for any nu_max
+    sums = np.einsum("ik,k->i", btab, weights)
+    return PrimeMoments(p, float(weights.sum()), total, sums.astype(np.complex128))
 
 
 class Family:
@@ -818,11 +814,18 @@ def convolve(f: Family, g: Family, collision_policy: str = "auto") -> Family:
 
 
 class KroneckerTwist(Family):
-    """The single Kronecker character (d|.), a one-member family."""
+    """The single Kronecker character (d|.), a one-member family.
+
+    d must be a fundamental discriminant other than 1, so that (d|.) is
+    primitive of conductor |d| and log |d| is its log-conductor.
+    """
 
     def __init__(self, d: int):
-        if d == 0:
-            raise ValueError("discriminant must be nonzero")
+        if d == 1 or len(fundamental_discriminants(d, d + 1)) == 0:
+            raise ValueError(
+                f"kronecker twist needs a fundamental discriminant other than 1, "
+                f"got {d}"
+            )
         self.d = d
         self.family_id = f"chi({d})"
 
@@ -842,9 +845,18 @@ class KroneckerTwist(Family):
 
 
 class CharacterTwist(Family):
-    """The single Dirichlet character char, a one-member family."""
+    """The single Dirichlet character char, a one-member family.
+
+    char must be nontrivial; modulo a prime it is then primitive, and
+    log modulus is its log-conductor.
+    """
 
     def __init__(self, char: DirichletCharacter):
+        if char.is_trivial:
+            raise ValueError(
+                f"character {char.index} mod {char.modulus} is trivial; "
+                "a twist needs a nontrivial character"
+            )
         self.char = char
         self.family_id = f"chi_{char.modulus}^{char.index}"
 

@@ -6,16 +6,17 @@ structure: the first-moment sum over b(p) detects the family rank, and the
 second-moment sum over b(p^2) detects the symmetry constant: it is near +1
 for symplectic-type families, -1 for orthogonal, 0 for unitary.
 
-Every statistic is a masked contraction of the family's moment table (see
-``Family.moment_table``) against phi_hat(nu log p / log R), evaluated once
-per harmonic nu over the table's primes.  Bad primes are excluded
-member-by-member, and the excluded mass is reported so its negligibility
-can be checked rather than assumed.  The raw weighted sums follow the
-explicit-formula normalization exactly; the *estimates* of the rank and
-symmetry constant are self-calibrated: they divide by the same truncated
-prime-sum weight that multiplies the target, which removes the O(1/log R)
-truncation bias of the raw normalization (the dominant error at desk
-scale).
+``family_constant`` reads c, r and the 1-level density off one moment
+table per family (see ``Family.moment_table``): every statistic is a
+masked contraction of that table against phi_hat(nu log p / log R),
+evaluated once per harmonic nu over the table's primes.  Bad primes are
+excluded member-by-member, and the excluded mass is reported so its
+negligibility can be checked rather than assumed.  The density's weighted
+sums follow the explicit-formula normalization exactly; the *estimates* of
+the rank and symmetry constant are self-calibrated: they divide by the
+same truncated prime-sum weight that multiplies the target, which removes
+the O(1/log R) truncation bias of the raw normalization (the dominant
+error at desk scale).
 """
 
 from __future__ import annotations
@@ -33,12 +34,8 @@ from .rmt import TestFunction
 __all__ = [
     "FamilyConstant",
     "DensityReport",
-    "PrimeSquareResult",
     "ConstantConfig",
-    "prime_sum",
-    "prime_square_sum",
     "pnt_prime_sum",
-    "one_level_density",
     "family_constant",
     "predicted_density",
 ]
@@ -51,41 +48,21 @@ def _support_bound(sigma: float, log_r: float, nu: int, P: int) -> int:
     return min(P, int(edge) + 1)
 
 
-@dataclass(frozen=True)
-class PrimeSquareResult:
-    """Raw second-moment sum and the calibrated symmetry-constant estimate."""
-
-    raw_sum: float
-    c_estimate: float
-    c_uncalibrated: float
-    weight_total: float
-    bad_mass: float
-
-
-def _check_log_r(log_r: float) -> None:
-    if log_r <= 0:
-        raise ValueError("log R must be positive")
-
-
-def _member_count(f: Family) -> float:
-    """f.size(), rejecting a family with no members, such as a convolution
-    that excludes every pair it has (delta x delta)."""
-    size = f.size()
-    if size == 0:
-        raise ValueError(f"{f.family_id} has no members")
-    return size
-
-
 def _weighted_table(
-    f: Family, phi: TestFunction, log_r: float, P: int, nu: int, nu_max: int
-) -> tuple[MomentTable, np.ndarray]:
-    """f's moment table through the last prime p <= P with a nonzero weight
-    w = phi_hat(nu log p / log R), and w on the table's primes."""
-    table = sieve_primes(max(_support_bound(phi.sigma, log_r, nu, P), 2))
-    w = np.asarray(phi.phi_hat(nu * table.log_p / log_r), dtype=float)
-    n = int(np.flatnonzero(w)[-1]) + 1 if w.any() else 0
+    f: Family, phi: TestFunction, log_r: float, P: int, nu_max: int
+) -> tuple[MomentTable, list[np.ndarray]]:
+    """f's moment table with nu_max rows through the last prime p <= P with
+    a nonzero weight phi_hat(log p / log R), and the weights
+    phi_hat(nu log p / log R) on the table's primes for nu = 1..nu_max."""
+    table = sieve_primes(max(_support_bound(phi.sigma, log_r, 1, P), 2))
+    w1 = np.asarray(phi.phi_hat(table.log_p / log_r), dtype=float)
+    n = int(np.flatnonzero(w1)[-1]) + 1 if w1.any() else 0
     cutoff = int(table.primes[n - 1]) if n else 1
-    return f.moment_table(cutoff, nu_max), w[:n]
+    t = f.moment_table(cutoff, nu_max)
+    hats = [w1[:n]]
+    for nu in range(2, nu_max + 1):
+        hats.append(np.asarray(phi.phi_hat(nu * t.log_p / log_r)))
+    return t, hats
 
 
 def _first_moment(t: MomentTable, w1: np.ndarray, log_r: float) -> tuple[float, float]:
@@ -101,55 +78,22 @@ def _first_moment(t: MomentTable, w1: np.ndarray, log_r: float) -> tuple[float, 
     return -2.0 * float(acc), float(np.sum((lp / (p * log_r)) * w))
 
 
-def _second_moment(
-    t: MomentTable, w2: np.ndarray, log_r: float, phi: TestFunction
-) -> PrimeSquareResult:
-    """Second-moment sums over the primes with w2 != 0 where some member is good."""
+def _second_moment(t: MomentTable, w2: np.ndarray, log_r: float) -> tuple[float, float]:
+    """The calibrated symmetry-constant estimate and its bad mass.
+
+    Both run over the primes with w2 != 0 where some member is good.  The
+    estimate divides the weighted average of avg_f b_f(p^2) by the weight
+    total sum (log p)/(p log R) w2 itself, so the prime-number-theorem
+    truncation error of the raw sum cancels.  The bad mass is the sum of
+    p^{-1/2} times the bad fraction of the family.
+    """
     live = (w2 != 0) & (t.good > 0)
     p, lp, good, total = t.primes[live], t.log_p[live], t.good[live], t.total[live]
     weight = (lp / (p * log_r)) * w2[live]
     num = float(np.sum(weight * (t.sums[live, 1].real / good)))
     den = float(np.sum(weight))
-    raw = -2.0 * num
-    return PrimeSquareResult(
-        raw_sum=raw,
-        c_estimate=num / den if den > 0 else float("nan"),
-        c_uncalibrated=-2.0 * raw / phi.phi0,
-        weight_total=den,
-        bad_mass=float(np.sum((total - good) / total / np.sqrt(p))),
-    )
-
-
-def prime_sum(f: Family, phi: TestFunction, log_r: float, P: int) -> float:
-    """First-moment prime sum of the family.
-
-    Returns -2 * sum_p p^{-1/2} (log p / log R) phi_hat(log p / log R)
-    * avg_f b_f(p), the average running over members good at p.  For a
-    family of rank r this estimates r * phi(0).
-    """
-    _check_log_r(log_r)
-    return _first_moment(*_weighted_table(f, phi, log_r, P, 1, 2), log_r)[0]
-
-
-def prime_square_sum(
-    f: Family, phi: TestFunction, log_r: float, P: int
-) -> PrimeSquareResult:
-    """Second-moment prime sum and symmetry-constant estimate.
-
-    The raw sum is S = -2 * sum_p p^{-1} (log p/log R) phi_hat(2 log p/log R)
-    * avg_f b_f(p^2); asymptotically S = -c * phi(0)/2.  The calibrated
-    estimate divides the weighted average of avg_f b_f(p^2) by the weight
-    total itself, so the prime-number-theorem truncation error cancels.
-    The bad mass is the sum of p^{-1/2} times the bad fraction of the
-    family at the same primes.
-
-    Raises:
-        ValueError: If phi(0) = 0 (degenerate test function).
-    """
-    if phi.phi0 == 0:
-        raise ValueError("degenerate test function: phi(0) = 0")
-    _check_log_r(log_r)
-    return _second_moment(*_weighted_table(f, phi, log_r, P, 2, 2), log_r, phi)
+    c_estimate = num / den if den > 0 else float("nan")
+    return c_estimate, float(np.sum((total - good) / total / np.sqrt(p)))
 
 
 def pnt_prime_sum(Fhat: TestFunction, nu: int, R: float, P: int) -> float:
@@ -175,10 +119,12 @@ def pnt_prime_sum(Fhat: TestFunction, nu: int, R: float, P: int) -> float:
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Empirical 1-level density and its per-harmonic breakdown.
+    """Empirical 1-level density, its per-harmonic breakdown and its prediction.
 
     The empirical value equals ``phi_hat0 + sum(breakdown.values())``
     exactly; ``breakdown`` has keys 1, 2 and "tail" (all harmonics nu >= 3).
+    ``predicted`` is ``predicted_density`` at the family's class (its c
+    estimate when indeterminate) and rank estimate.
     """
 
     empirical: float
@@ -188,54 +134,30 @@ class DensityReport:
     size: float
     bad_prime_mass: float
     prime_cutoff: int
-    predicted: Optional[float] = None
-
-    def with_prediction(self, value: float) -> "DensityReport":
-        return DensityReport(
-            empirical=self.empirical,
-            phi_hat0=self.phi_hat0,
-            breakdown=self.breakdown,
-            log_r=self.log_r,
-            size=self.size,
-            bad_prime_mass=self.bad_prime_mass,
-            prime_cutoff=self.prime_cutoff,
-            predicted=value,
-        )
+    predicted: float
 
 
-def one_level_density(
-    f: Family,
-    phi: TestFunction,
-    P: int,
-    nu_max: int = 10,
-    log_r: Optional[float] = None,
-) -> DensityReport:
-    """Prime side of the averaged explicit formula.
+def _density_breakdown(
+    t: MomentTable, hats: list[np.ndarray], log_r: float, size: float
+) -> tuple[dict, float]:
+    """Per-harmonic prime side of the averaged explicit formula.
 
     D1 = phi_hat(0) - (2/|F|) sum_members sum_{nu <= nu_max} sum_{good p <= P}
          b(p^nu) (log p) / (p^{nu/2} log R) phi_hat(nu log p / log R),
 
-    with log R the family's average log-conductor unless overridden, and the
-    archimedean term approximated by phi_hat(0) (conductors essentially
-    constant).  The division is by the full family size; bad (member, prime)
-    pairs contribute zero and their weight is reported as bad_prime_mass.
-
-    Raises:
-        ValueError: If the family has no members, or log R is not positive.
+    one term per weight array in hats, with the archimedean term
+    approximated by phi_hat(0) (conductors essentially constant).  The
+    division is by the full family size; bad (member, prime) pairs
+    contribute zero, and their weight over |F| is returned with the
+    breakdown.
     """
-    if log_r is None:
-        log_r = f.average_log_conductor()
-    _check_log_r(log_r)
-    size = _member_count(f)
-    t, w1 = _weighted_table(f, phi, log_r, P, 1, nu_max)
-    on = w1 != 0
+    on = hats[0] != 0
     bad_mass = float(np.sum((t.total - t.good)[on] / np.sqrt(t.primes[on])))
     # a prime leaves every harmonic from the first one whose weight vanishes
     # there on (the hats in the library decay monotonically in |u|)
     live = on & (t.good > 0)
     terms = {}
-    for nu in range(1, nu_max + 1):
-        w = w1 if nu == 1 else np.asarray(phi.phi_hat(nu * t.log_p / log_r))
+    for nu, w in enumerate(hats, start=1):
         live &= w != 0
         p, lp = t.primes[live], t.log_p[live]
         b = t.sums[live, nu - 1].real
@@ -246,16 +168,7 @@ def one_level_density(
         2: scaled.get(2, 0.0),
         "tail": sum(v for nu, v in scaled.items() if nu >= 3),
     }
-    empirical = phi.phi_hat0 + breakdown[1] + breakdown[2] + breakdown["tail"]
-    return DensityReport(
-        empirical=empirical,
-        phi_hat0=phi.phi_hat0,
-        breakdown=breakdown,
-        log_r=log_r,
-        size=size,
-        bad_prime_mass=bad_mass / size,
-        prime_cutoff=P,
-    )
+    return breakdown, bad_mass / size
 
 
 def predicted_density(c: float, rank: float, phi: TestFunction) -> float:
@@ -269,13 +182,18 @@ def predicted_density(c: float, rank: float, phi: TestFunction) -> float:
 
 @dataclass(frozen=True)
 class ConstantConfig:
-    """Estimation parameters for the family constant."""
+    """Estimation parameters for the family constant and its density report.
+
+    ``nu_max`` is the number of harmonics in the 1-level density; the
+    moment table has ``max(2, nu_max)`` rows, since c reads b(p^2).
+    """
 
     phi: TestFunction
     prime_cutoff: int
     tolerance: float = 0.2
     log_r: Optional[float] = None
     min_members: int = 2
+    nu_max: int = 2
 
 
 @dataclass(frozen=True)
@@ -285,6 +203,7 @@ class FamilyConstant:
     ``c_class`` is -1, 0, +1 or None (indeterminate); ``epsilon`` is 0 for
     a confident unitary or symplectic class and None (unknown) otherwise:
     no family supplies the root numbers that would split an orthogonal one.
+    ``density`` is the 1-level density read off the same moment table.
     """
 
     c_estimate: float
@@ -296,6 +215,7 @@ class FamilyConstant:
     prime_cutoff: int
     log_r: float
     bad_mass: float
+    density: DensityReport
     family_id: str = ""
 
     @property
@@ -314,7 +234,8 @@ def _classify(estimate: float, tol: float) -> Optional[int]:
 
 
 def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
-    """Estimate and classify the family constant (c, epsilon, r).
+    """Estimate and classify the family constant (c, epsilon, r) and report
+    the family's 1-level density.
 
     c comes from the calibrated second-moment average and is classified
     against {-1, 0, +1}: the estimate must fall within the tolerance of one
@@ -322,44 +243,63 @@ def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
     smaller than ``min_members`` are never confidently classified (a
     singleton cannot average).  epsilon is 0 whenever the classification is
     unitary or symplectic and unknown otherwise; r is the calibrated
-    first-moment estimate.  All three sums read one moment table.
+    first-moment estimate.  The density sums ``config.nu_max`` harmonics
+    and is predicted from the class (c when indeterminate) and r.  Every
+    statistic reads one moment table.
+
+    log R is the family's average log-conductor unless the config fixes it.
 
     Raises:
-        ValueError: If phi(0) = 0, log R is not positive or the family has
-            no members.
+        ValueError: If phi(0) = 0, log R is not positive, nu_max < 1 or the
+            family has no members.
     """
     phi = config.phi
     P = config.prime_cutoff
+    if config.nu_max < 1:
+        raise ValueError(f"nu_max must be at least 1, got {config.nu_max}")
     log_r = config.log_r if config.log_r is not None else f.average_log_conductor()
     if phi.phi0 == 0:
         raise ValueError("degenerate test function: phi(0) = 0")
-    _check_log_r(log_r)
-    size = _member_count(f)
-    t, w1 = _weighted_table(f, phi, log_r, P, 1, 2)
-    in_support = t.primes <= _support_bound(phi.sigma, log_r, 2, P)
-    w2 = np.where(in_support, phi.phi_hat(2.0 * t.log_p / log_r), 0.0)
-    sq = _second_moment(t, w2, log_r, phi)
+    if log_r <= 0:
+        raise ValueError("log R must be positive")
+    # zero for a convolution that excludes every pair it has (delta x delta)
+    size = f.size()
+    if size == 0:
+        raise ValueError(f"{f.family_id} has no members")
+    t, hats = _weighted_table(f, phi, log_r, P, max(2, config.nu_max))
+    c_est, bad_mass = _second_moment(t, hats[1], log_r)
 
     # calibrated rank: divide the first-moment sum by twice its own weight
     # total, against which a rank-r family's main term is exactly r.
-    ps, w1_total = _first_moment(t, w1, log_r)
+    ps, w1_total = _first_moment(t, hats[0], log_r)
     rank = ps / (2.0 * w1_total) if w1_total > 0 else float("nan")
 
     c_class = (
-        _classify(sq.c_estimate, config.tolerance)
-        if size >= config.min_members
-        else None
+        _classify(c_est, config.tolerance) if size >= config.min_members else None
     )
-    eps = 0 if c_class in (0, 1) else None
+    breakdown, bad_prime_mass = _density_breakdown(
+        t, hats[: config.nu_max], log_r, size
+    )
+    density = DensityReport(
+        empirical=phi.phi_hat0 + breakdown[1] + breakdown[2] + breakdown["tail"],
+        phi_hat0=phi.phi_hat0,
+        breakdown=breakdown,
+        log_r=log_r,
+        size=size,
+        bad_prime_mass=bad_prime_mass,
+        prime_cutoff=P,
+        predicted=predicted_density(c_est if c_class is None else c_class, rank, phi),
+    )
     return FamilyConstant(
-        c_estimate=sq.c_estimate,
+        c_estimate=c_est,
         c_class=c_class,
-        epsilon=eps,
+        epsilon=0 if c_class in (0, 1) else None,
         rank_estimate=rank,
         tolerance=config.tolerance,
         sigma=phi.sigma,
-        prime_cutoff=config.prime_cutoff,
+        prime_cutoff=P,
         log_r=log_r,
-        bad_mass=sq.bad_mass,
+        bad_mass=bad_mass,
+        density=density,
         family_id=f.family_id,
     )

@@ -40,7 +40,6 @@ from lfsym.rmt import (
 from lfsym.stats import (
     ConstantConfig,
     family_constant,
-    one_level_density,
     pnt_prime_sum,
 )
 from lfsym.weil import (
@@ -521,7 +520,7 @@ def quadratic_density_report():
     fam = quadratic_family((QUAD_LO, QUAD_HI), stride=QUAD_STRIDE)
     phi = fejer_test_function(0.5)
     assert math.exp(0.5 * fam.average_log_conductor()) < QUAD_STRIDE
-    return one_level_density(fam, phi, QUAD_P, nu_max=10)
+    return family_constant(fam, ConstantConfig(phi, QUAD_P, nu_max=10)).density
 
 
 def test_criterion_11_density_value(quadratic_density_report):

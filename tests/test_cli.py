@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import textwrap
 from pathlib import Path
@@ -6,6 +8,8 @@ import pytest
 
 from lfsym import ecgeom
 from lfsym.cli import (
+    CONSTANT_COLUMNS,
+    DENSITY_COLUMNS,
     EXIT_CHECK,
     EXIT_CONFIG,
     ConfigError,
@@ -13,9 +17,9 @@ from lfsym.cli import (
     evaluate_weil_expression,
     load_config,
     main,
-    run_constants,
-    run_density,
+    run_families,
 )
+from lfsym.families import Family
 
 SMALL_CONFIG = textwrap.dedent(
     """
@@ -128,7 +132,7 @@ class TestConfig:
 class TestRunners:
     def test_constants_product_check(self, config_path):
         config = load_config(config_path)
-        rows = run_constants(config)
+        rows = run_families(config)
         assert [r["family_id"] for r in rows] == ["ec1", "ec2", "prod"]
         prod_row = rows[2]
         assert prod_row["c_class"] == "1"
@@ -141,7 +145,7 @@ class TestRunners:
     def test_empty_family_list(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"run": {"primes": 50}, "families": []}))
-        rows = run_constants(load_config(str(path)))
+        rows = run_families(load_config(str(path)))
         assert rows == []
 
     def test_density_rows(self, tmp_path):
@@ -153,7 +157,7 @@ class TestRunners:
         }
         path = tmp_path / "d.json"
         path.write_text(json.dumps(data))
-        rows = run_density(load_config(str(path)))
+        rows = run_families(load_config(str(path)))
         assert rows[0]["c_class"] == "1"
         emp, pred = float(rows[0]["D1_emp"]), float(rows[0]["D1_pred"])
         assert emp < 1.0 and pred == pytest.approx(0.75, abs=0.05)
@@ -161,13 +165,13 @@ class TestRunners:
     def test_determinism(self, config_path):
         config1 = load_config(config_path)
         config2 = load_config(config_path)
-        assert run_constants(config1) == run_constants(config2)
+        assert run_families(config1) == run_families(config2)
 
     def test_threads_do_not_change_output(self, config_path):
         config1 = load_config(config_path)
         config2 = load_config(config_path)
         config2.run.threads = 4
-        assert run_constants(config1) == run_constants(config2)
+        assert run_families(config1) == run_families(config2)
 
     def test_one_conductor_pass_per_curve(self, tmp_path, monkeypatch):
         # the factoring core behind conductor_proxy runs once per member
@@ -272,6 +276,14 @@ class TestMainExitCodes:
         assert main(["constants", "--config", config_path, "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert [r["family_id"] for r in rows] == ["ec1", "ec2", "prod"]
+        assert all(sorted(r) == sorted(CONSTANT_COLUMNS) for r in rows)
+
+    def test_density_json_output(self, config_path, capsys):
+        # one runner fills every column; each command prints only its own
+        assert main(["density", "--config", config_path, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["family_id"] for r in rows] == ["ec1", "ec2", "prod"]
+        assert all(sorted(r) == sorted(DENSITY_COLUMNS) for r in rows)
 
     def test_convolve_subcommand(self, config_path, capsys):
         code = main(
@@ -279,6 +291,7 @@ class TestMainExitCodes:
         )
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].split(",") == CONSTANT_COLUMNS
         assert lines[-1].startswith("ec1xec2,")
 
     def test_density_check_passes_for_classified_family(self, tmp_path):
@@ -347,6 +360,9 @@ DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
         (["density"], {"run": {"log_r": 4.0, "primes": 50}, "families": [
             {"id": "dd", "kind": "delta", "bound": 60},
             {"id": "x", "kind": "convolve", "left": "dd", "right": "dd"}]}),
+        # imprimitive characters: log |d| would not be their log-conductor
+        (["constants"], {"twist": "kronecker 9", "primes": 50}),
+        (["constants"], {"twist": "character 7 0", "primes": 50}),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
@@ -368,6 +384,8 @@ GOLDEN = ROOT / "tests" / "golden"
 # benchmark workloads at smoke size, seed 1: the twists kronecker 5,
 # character 7 1 and kronecker -4, a sym^2 lift and a degree-2 family
 GOLDEN_WORKLOADS = ("ec_pair", "characters", "ec_wide_box")
+# the columns that constants and density both print
+SHARED_COLUMNS = ("family_id", "sigma", "P", "c_est", "c_class", "r_est", "eps")
 
 
 @pytest.mark.parametrize("command", ["constants", "density"])
@@ -381,6 +399,33 @@ def test_demo_output_matches_golden_csv(command, capsys):
         assert main([command, "--config", config]) == 0
         expected = (GOLDEN / f"{name}_smoke_s1_{command}.csv").read_text()
         assert capsys.readouterr().out == expected, name
+
+
+@pytest.mark.parametrize(
+    "config, args",
+    [(ROOT / "configs" / "demo.ini", ["--primes", "200"])]
+    + [(GOLDEN / f"{name}_smoke_s1.json", []) for name in GOLDEN_WORKLOADS],
+    ids=["demo_p200"] + [f"{name}_smoke_s1" for name in GOLDEN_WORKLOADS],
+)
+def test_one_moment_table_per_family(config, args, capsys, monkeypatch):
+    # c, r and D1 of a family come from one table, so the commands agree
+    tables = []
+    moment_table = Family.moment_table
+
+    def counted(self, P, nu_max):
+        tables.append(self)
+        return moment_table(self, P, nu_max)
+
+    monkeypatch.setattr(Family, "moment_table", counted)
+    outputs = {}
+    for command in ("constants", "density"):
+        tables.clear()
+        assert main([command, "--config", str(config)] + args) == 0
+        declared = load_config(str(config)).declarations
+        assert len(tables) == len({id(f) for f in tables}) == len(declared)
+        rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        outputs[command] = [[row[c] for c in SHARED_COLUMNS] for row in rows]
+    assert outputs["constants"] == outputs["density"]
 
 
 class TestWeilExpressions:

@@ -66,12 +66,13 @@ class TestDirichletFamily:
     def test_orthogonality_average_at_2(self):
         fam = dirichlet_family(7)
         mom = fam.prime_moments(2, 1)
-        assert mom.average(1) == pytest.approx(-1 / 5)
+        assert mom.sums[0] / mom.good_weight == pytest.approx(-1 / 5)
 
     def test_average_at_split_prime(self):
         # 29 = 1 mod 7, so every character takes value 1
         fam = dirichlet_family(7)
-        assert fam.prime_moments(29, 1).average(1) == pytest.approx(1.0)
+        mom = fam.prime_moments(29, 1)
+        assert mom.sums[0] / mom.good_weight == pytest.approx(1.0)
 
     def test_bad_prime(self):
         fam = dirichlet_family(7)
@@ -487,8 +488,54 @@ class TestTwists:
         twisted = twist_by_fixed(character_twist(7, 2), base)
         assert_moments_match_loop(twisted, [5, 11, 13], 4)
 
+    @pytest.mark.parametrize(
+        "make_twist",
+        [
+            lambda: kronecker_twist(1),
+            lambda: kronecker_twist(0),
+            lambda: kronecker_twist(9),
+            lambda: kronecker_twist(-4 * 9),
+            lambda: kronecker_twist(20),
+            lambda: character_twist(7, 0),
+        ],
+        ids=["d=1", "d=0", "d=9", "d=-36", "d=20", "trivial-character"],
+    )
+    def test_imprimitive_twist_rejected(self, make_twist):
+        # log |d| and log modulus are conductors only of primitive characters
+        with pytest.raises(ValueError):
+            make_twist()
+
+    def test_primitive_twists_accepted(self):
+        for d in (-8, -4, -3, 5, 8, 12):
+            assert kronecker_twist(d).d == d
+        assert character_twist(7, 3).char.index == 3
+
+
+ROW_COUNT_FAMILIES = {
+    "dirichlet": lambda: dirichlet_family(11),
+    "quadratic": lambda: quadratic_family((100, 300)),
+    "elliptic-linear": lambda: elliptic_family(EC1),
+    "elliptic-degree-2": lambda: elliptic_family(
+        EllipticFamilySpec((0, 1), (1, 0, 1), 200, 240)
+    ),
+    "delta": lambda: cusp_form_delta(200),
+    "sym-lift": lambda: sym_lift(elliptic_family(EC1), 2),
+    "convolution": lambda: convolve(elliptic_family(EC1), elliptic_family(EC1)),
+    "twist": lambda: twist_by_fixed(kronecker_twist(5), elliptic_family(EC1)),
+}
+
 
 class TestMomentTable:
+    @pytest.mark.parametrize("kind", list(ROW_COUNT_FAMILIES))
+    def test_first_rows_do_not_depend_on_row_count(self, kind):
+        # one table serves c (two rows) and D1 (nu_max rows) bit for bit
+        fam = ROW_COUNT_FAMILIES[kind]()
+        if kind == "convolution":
+            assert fam.excluded  # each curve collides with itself
+        short, long = fam.moment_table(200, 2), fam.moment_table(200, 10)
+        assert np.array_equal(short.sums, long.sums[:, :2])
+        assert np.array_equal(short.good, long.good)
+
     def test_rows_are_prime_moments(self):
         fam = quadratic_family((100, 300))
         table = fam.moment_table(50, 3)

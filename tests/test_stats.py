@@ -15,20 +15,27 @@ from lfsym.rmt import fejer_test_function, zero_test_function
 from lfsym.stats import (
     ConstantConfig,
     family_constant,
-    one_level_density,
     pnt_prime_sum,
     predicted_density,
-    prime_square_sum,
-    prime_sum,
 )
 
 PHI_HALF = fejer_test_function(0.5)
 PHI_ONE = fejer_test_function(1.0)
 
 
+def constant(f, phi, P, log_r=None, nu_max=2):
+    return family_constant(
+        f, ConstantConfig(phi=phi, prime_cutoff=P, log_r=log_r, nu_max=nu_max)
+    )
+
+
+def density(f, phi, P, log_r=None, nu_max=10):
+    return constant(f, phi, P, log_r, nu_max).density
+
+
 class TestPrimeSum:
     def test_zero_family(self, zero_family):
-        assert prime_sum(zero_family, PHI_HALF, math.log(50), 100) == 0.0
+        assert constant(zero_family, PHI_HALF, 100, math.log(50)).rank_estimate == 0.0
 
     def test_rank_one_family_detected(self):
         fam = elliptic_family(EllipticFamilySpec((0, 1), (0, -1), 300, 600))
@@ -37,42 +44,41 @@ class TestPrimeSum:
         assert fc.rank_estimate == pytest.approx(1.0, abs=0.35)
 
     def test_dirichlet_prime_sum_tiny(self):
+        # every character is good at every prime but 1009, where all are
+        # bad, so the first harmonic over |F| is the first-moment prime sum
         fam = dirichlet_family(1009)
-        est = prime_sum(fam, PHI_HALF, math.log(1009), 10**4)
+        est = density(fam, PHI_HALF, 10**4, math.log(1009)).breakdown[1]
         assert abs(est) < 0.05 * PHI_HALF.phi0
 
 
 class TestPrimeSquareSum:
     def test_quadratic_family_exactly_one(self):
         fam = quadratic_family((1000, 3000))
-        res = prime_square_sum(fam, PHI_HALF, fam.average_log_conductor(), 10**4)
+        res = constant(fam, PHI_HALF, 10**4)
         assert res.c_estimate == pytest.approx(1.0, abs=1e-12)
-
-    def test_uncalibrated_underestimates_at_desk_scale(self):
-        # the raw normalization carries the prime-number-theorem truncation
-        # bias; the calibrated ratio removes it
-        fam = quadratic_family((1000, 3000))
-        res = prime_square_sum(fam, PHI_HALF, fam.average_log_conductor(), 10**4)
-        assert res.c_uncalibrated < 0.8
 
     def test_dirichlet_family_near_zero(self):
         fam = dirichlet_family(1009)
-        res = prime_square_sum(fam, PHI_HALF, math.log(1009), 10**4)
+        res = constant(fam, PHI_HALF, 10**4, math.log(1009))
         assert abs(res.c_estimate) < 0.05
 
     def test_ec_family_near_minus_one(self):
         fam = elliptic_family(EllipticFamilySpec((0, 1), (1,), 300, 500))
-        res = prime_square_sum(fam, PHI_ONE, fam.average_log_conductor(), 300)
+        res = constant(fam, PHI_ONE, 300)
         assert res.c_estimate == pytest.approx(-1.0, abs=0.15)
 
     def test_degenerate_test_function(self):
         fam = dirichlet_family(7)
         with pytest.raises(ValueError):
-            prime_square_sum(fam, zero_test_function(), math.log(7), 100)
+            constant(fam, zero_test_function(), 100, math.log(7))
+
+    def test_no_harmonics_rejected(self):
+        with pytest.raises(ValueError, match="nu_max"):
+            constant(dirichlet_family(7), PHI_ONE, 100, nu_max=0)
 
     def test_bad_mass_reported(self):
         fam = elliptic_family(EllipticFamilySpec((0, 1), (1,), 300, 400))
-        res = prime_square_sum(fam, PHI_ONE, fam.average_log_conductor(), 200)
+        res = constant(fam, PHI_ONE, 200)
         assert res.bad_mass > 0
 
 
@@ -99,13 +105,13 @@ class TestPNTPrimeSum:
 
 class TestOneLevelDensity:
     def test_zero_family_is_exactly_phi_hat0(self, zero_family):
-        rep = one_level_density(zero_family, PHI_HALF, 200)
+        rep = density(zero_family, PHI_HALF, 200)
         assert rep.empirical == PHI_HALF.phi_hat0
         assert rep.breakdown[1] == 0.0 and rep.breakdown["tail"] == 0.0
 
     def test_internal_consistency_exact(self):
         fam = quadratic_family((1000, 2000))
-        rep = one_level_density(fam, PHI_HALF, 500)
+        rep = density(fam, PHI_HALF, 500)
         total = (
             rep.phi_hat0
             + rep.breakdown[1]
@@ -117,13 +123,13 @@ class TestOneLevelDensity:
     def test_quadratic_family_direction(self):
         # symplectic: empirical below phi_hat(0), approaching 1 - phi(0)/2
         fam = quadratic_family((10**4, 2 * 10**4))
-        rep = one_level_density(fam, PHI_HALF, 10**4)
+        rep = density(fam, PHI_HALF, 10**4)
         assert rep.empirical < rep.phi_hat0
         assert rep.empirical > predicted_density(1.0, 0.0, PHI_HALF)
 
     def test_huge_log_r_saturates_at_the_cutoff(self):
         # the support bound exp(sigma log R) is capped at P before exp
-        rep = one_level_density(dirichlet_family(7), PHI_ONE, 50, log_r=1e3)
+        rep = density(dirichlet_family(7), PHI_ONE, 50, log_r=1e3)
         assert math.isfinite(rep.empirical)
 
     def test_prediction_helper(self):
@@ -133,7 +139,7 @@ class TestOneLevelDensity:
 
     def test_bad_mass_and_log_r_reported(self):
         fam = elliptic_family(EllipticFamilySpec((0, 1), (1,), 300, 360))
-        rep = one_level_density(fam, PHI_ONE, 150)
+        rep = density(fam, PHI_ONE, 150)
         assert rep.log_r == pytest.approx(fam.average_log_conductor())
         assert rep.bad_prime_mass > 0
 
@@ -144,8 +150,8 @@ class TestOneLevelDensity:
         g = elliptic_family(EllipticFamilySpec((0, 1), (0, -2), 100, 250))
         conv = convolve(f, g)
         log_r = conv.average_log_conductor()
-        full = one_level_density(conv, PHI_HALF, 300, log_r=log_r).breakdown[1]
-        half = one_level_density(conv, PHI_HALF, 300, log_r=log_r / 2).breakdown[1]
+        full = density(conv, PHI_HALF, 300, log_r=log_r).breakdown[1]
+        half = density(conv, PHI_HALF, 300, log_r=log_r / 2).breakdown[1]
         assert full != 0.0
         assert half / full == pytest.approx(2.0, rel=0.3)
 
@@ -246,9 +252,8 @@ class TestConvolutionMultiplicativity:
                 x.prime_moments(p, 2) for x in (f, g, conv)
             )
             if mf.good_weight and mg.good_weight:
-                assert abs(
-                    mc.average(2) - mf.average(2) * mg.average(2)
-                ) < 1e-12
+                fc, ff, fg = (m.sums[1] / m.good_weight for m in (mc, mf, mg))
+                assert abs(fc - ff * fg) < 1e-12
 
     def test_symmetry_constants_multiply_small_scale(self):
         f = elliptic_family(EllipticFamilySpec((0, 1), (1,), 300, 500))
