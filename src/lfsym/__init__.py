@@ -11,6 +11,7 @@ from .arith import (
     DirichletCharacter,
     PrimeTable,
     characters_mod,
+    dirichlet_character,
     factorize,
     is_prime,
     kronecker_symbol,

@@ -9,6 +9,7 @@ tolerance creep.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ __all__ = [
     "legendre_table",
     "primitive_root",
     "DirichletCharacter",
+    "dirichlet_character",
     "characters_mod",
 ]
 
@@ -127,20 +129,22 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
-_TRIAL_PRIMES: list[int] = []
+_TRIAL_BOUND = 10_000
 
 
-def _trial_primes() -> list[int]:
-    if not _TRIAL_PRIMES:
-        _TRIAL_PRIMES.extend(int(p) for p in sieve_primes(10_000).primes)
-    return _TRIAL_PRIMES
+@functools.lru_cache(maxsize=1)
+def _trial_primes() -> tuple[tuple[int, ...], int]:
+    """The primes below the trial bound and their product, the primorial."""
+    primes = tuple(int(p) for p in sieve_primes(_TRIAL_BOUND).primes)
+    return primes, math.prod(primes)
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
-    Trial division by small primes, then Miller-Rabin plus Pollard rho on
-    the remaining cofactor.
+    One gcd with the primorial of the primes below 10^4 reveals which of them
+    divide n; only those are divided out.  Miller-Rabin plus Pollard rho
+    split the remaining cofactor.
 
     Raises:
         ValueError: If n == 0.
@@ -149,14 +153,23 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("cannot factorize 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in _trial_primes():
-        if p * p > n:
+    primes, primorial = _trial_primes()
+    # g is the squarefree product of the trial primes that divide n, so
+    # once p * p > g what remains of g is 1 or one prime
+    g = math.gcd(n, primorial)
+    small = []
+    for p in primes:
+        if p * p > g:
             break
+        if g % p == 0:
+            small.append(p)
+            g //= p
+    if g > 1:
+        small.append(g)
+    for p in small:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return out
     stack = [n]
     while stack:
         m = stack.pop()
@@ -292,35 +305,52 @@ class DirichletCharacter:
         return complex(np.exp(2j * np.pi * ((k * nu) % e) / e))
 
 
-def characters_mod(m: int) -> list[DirichletCharacter]:
-    """All m - 1 Dirichlet characters modulo a prime m >= 3.
+@functools.lru_cache(maxsize=4)
+def _discrete_log(m: int) -> np.ndarray:
+    """Read-only dlog[a] = k with g^k = a mod m for the smallest primitive
+    root g of the prime m (dlog[0] = 0 is never read)."""
+    g = primitive_root(m)
+    dlog = np.zeros(m, dtype=np.int64)
+    acc = 1
+    for k in range(m - 1):
+        dlog[acc] = k
+        acc = acc * g % m
+    dlog.setflags(write=False)
+    return dlog
 
-    Built from a primitive root g and its discrete-log table:
-    chi_j(g^k) = e^(2*pi*i*j*k/(m-1)).  The trivial character is index 0.
+
+def dirichlet_character(m: int, j: int) -> DirichletCharacter:
+    """The character chi_j modulo a prime m >= 3, for 0 <= j <= m - 2.
+
+    chi_j(g^k) = e^(2*pi*i*j*k/(m-1)) for the smallest primitive root g;
+    the trivial character is j = 0.  Costs O(m) time and memory.
+
+    Raises:
+        ValueError: If m < 3, m is not prime, or j is out of range.
+    """
+    if m < 3 or not is_prime(m):
+        raise ValueError(f"modulus must be an odd prime, got {m}")
+    e = m - 1
+    if not 0 <= j < e:
+        raise ValueError(f"character index must lie in 0..{e - 1}")
+    dlog = _discrete_log(m)
+    roots = np.exp(2j * np.pi * np.arange(e) / e)
+    idx = np.full(m, -1, dtype=np.int64)
+    idx[1:] = (j * dlog[1:]) % e
+    vals = np.zeros(m, dtype=np.complex128)
+    vals[1:] = roots[idx[1:]]
+    order = e // math.gcd(e, j)
+    return DirichletCharacter(
+        modulus=m, index=j, order=order, value_index=idx, values=vals
+    )
+
+
+def characters_mod(m: int) -> list[DirichletCharacter]:
+    """All m - 1 Dirichlet characters modulo a prime m >= 3, by index.
 
     Raises:
         ValueError: If m < 3 or m is not prime.
     """
     if m < 3 or not is_prime(m):
         raise ValueError(f"modulus must be an odd prime, got {m}")
-    g = primitive_root(m)
-    e = m - 1
-    dlog = np.zeros(m, dtype=np.int64)
-    acc = 1
-    for k in range(e):
-        dlog[acc] = k
-        acc = acc * g % m
-    roots = np.exp(2j * np.pi * np.arange(e) / e)
-    chars = []
-    for j in range(e):
-        idx = np.full(m, -1, dtype=np.int64)
-        idx[1:] = (j * dlog[1:]) % e
-        vals = np.zeros(m, dtype=np.complex128)
-        vals[1:] = roots[idx[1:]]
-        order = e // math.gcd(e, j)
-        chars.append(
-            DirichletCharacter(
-                modulus=m, index=j, order=order, value_index=idx, values=vals
-            )
-        )
-    return chars
+    return [dirichlet_character(m, j) for j in range(m - 1)]

@@ -11,8 +11,17 @@ at p with their summed member weights, from which any coefficient sequence
 of the members (their own, or a symmetric power's) aggregates as one
 matrix-vector product.
 
+Each family keeps the last table it built, so a command computes a family's
+prime rows once, however many statistics and derived families read them:
+one table per family per command.  Derived families contract their
+factors' kept tables instead of recomputing the factors' rows; a
+convolution's (or twist's) rows are the products of its factors' rows,
+less the excluded pairs.
+
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
-characters of fundamental discriminants, one-parameter elliptic-curve
+characters of fundamental discriminants (the Dirichlet family holds no
+character tables: its moments follow from orthogonality, and a member's
+character is built when asked for), one-parameter elliptic-curve
 families, the level-one weight-12 cusp form, symmetric-power lifts and
 Rankin-Selberg convolutions.  A fixed twist f x G is the convolution of G
 with the one-member family {f}: a single Kronecker or Dirichlet character,
@@ -22,6 +31,7 @@ or the cusp form.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -31,7 +41,7 @@ import numpy as np
 from . import weil
 from .arith import (
     DirichletCharacter,
-    characters_mod,
+    dirichlet_character,
     is_prime,
     kronecker_symbol,
     kronecker_table_two,
@@ -127,6 +137,11 @@ def _weighted_moments(
     return PrimeMoments(p, float(weights.sum()), total, sums.astype(np.complex128))
 
 
+# guards the lazy creation of each family's table lock, so that subclasses
+# need not call a base __init__
+_LOCK_GUARD = threading.Lock()
+
+
 class Family:
     """Base contract; concrete families override the data accessors."""
 
@@ -134,6 +149,8 @@ class Family:
     degree: int = 1
     # largest prime with local data; finite for a precomputed coefficient table
     prime_limit: float = math.inf
+    # (cutoff, table) of the last moment table built
+    _kept: tuple[int, MomentTable] | None = None
 
     # -- member-level contract ------------------------------------------------
 
@@ -184,38 +201,70 @@ class Family:
         return PrimeMoments(p=p, good_weight=good, total_weight=total, sums=sums)
 
     def moment_table(self, P: int, nu_max: int) -> MomentTable:
-        """One ``prime_moments`` call at every prime p <= P, stacked.
+        """Rows for every prime p <= P, with nu_max columns each.
+
+        The family keeps the last table it built.  A request with a cutoff
+        and a column count no larger than the kept ones is answered by a
+        slice of it, bit-identical to a fresh build: a row does not depend on
+        the cutoff, nor its first columns on nu_max.  Any other request
+        builds a new table, checks it and keeps it in place of the old one.
+        Concurrent callers wait for one build.  The arrays are read-only.
 
         Raises:
-            ValueError: If some prime reports more good than total weight.
+            ValueError: If some prime reports more good than total weight, or
+                a summed |b(p)| beyond degree times the good weight.
         """
+        with self._table_lock():
+            kept = self._kept
+            if kept is None or P > kept[0] or nu_max > kept[1].sums.shape[1]:
+                kept = self._kept = (P, self._checked(self._build_table(P, nu_max)))
+        t = kept[1]
+        n = int(np.searchsorted(t.primes, P, side="right"))
+        return MomentTable(
+            t.primes[:n], t.log_p[:n], t.good[:n], t.total[:n], t.sums[:n, :nu_max]
+        )
+
+    def _table_lock(self) -> threading.Lock:
+        with _LOCK_GUARD:
+            return self.__dict__.setdefault("_lock", threading.Lock())
+
+    def _build_table(self, P: int, nu_max: int) -> MomentTable:
+        """One ``prime_moments`` call at every prime p <= P, stacked."""
         table = sieve_primes(max(P, 2))
         keep = table.primes <= P
         primes, log_p = table.primes[keep], table.log_p[keep]
         moments = [self.prime_moments(int(p), nu_max) for p in primes]
         good = np.array([m.good_weight for m in moments], dtype=float)
         total = np.array([m.total_weight for m in moments], dtype=float)
-        over = np.flatnonzero(good > total)
+        sums = np.array([m.sums for m in moments], dtype=np.complex128)
+        return MomentTable(
+            primes, log_p, good, total, sums.reshape(len(moments), nu_max)
+        )
+
+    def _checked(self, t: MomentTable) -> MomentTable:
+        """t with read-only arrays, once its weights and sums pass the guards."""
+        over = np.flatnonzero(t.good > t.total)
         if len(over):
             i = over[0]
             raise ValueError(
-                f"{self.family_id}: good weight {good[i]} exceeds total "
-                f"weight {total[i]} at p = {primes[i]}"
+                f"{self.family_id}: good weight {t.good[i]} exceeds total "
+                f"weight {t.total[i]} at p = {t.primes[i]}"
             )
-        sums = np.array([m.sums for m in moments], dtype=np.complex128)
-        sums = sums.reshape(len(moments), nu_max)
         # Ramanujan: |b(p)| <= degree for every good member; the slack covers
         # rounding in sums built from products of factor sums
         beyond = np.flatnonzero(
-            np.abs(sums[:, 0]) > self.degree * (good + 1e-9 * total)
+            np.abs(t.sums[:, 0]) > self.degree * (t.good + 1e-9 * t.total)
         )
         if len(beyond):
             i = beyond[0]
             raise ValueError(
-                f"{self.family_id}: |sum of b(p)| = {abs(sums[i, 0])} exceeds "
-                f"degree * good weight = {self.degree * good[i]} at p = {primes[i]}"
+                f"{self.family_id}: |sum of b(p)| = {abs(t.sums[i, 0])} exceeds "
+                f"degree * good weight = {self.degree * t.good[i]} at "
+                f"p = {t.primes[i]}"
             )
-        return MomentTable(primes, log_p, good, total, sums)
+        for a in (t.primes, t.log_p, t.good, t.total, t.sums):
+            a.setflags(write=False)
+        return t
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.family_id!r}>"
@@ -226,23 +275,25 @@ class Family:
 
 
 class DirichletFamily(Family):
-    """All nontrivial Dirichlet characters of prime modulus m."""
+    """All nontrivial Dirichlet characters of prime modulus m.
+
+    Member k is the character of index k + 1 (see ``dirichlet_character``),
+    built only when its coefficients are asked for: the family holds just m,
+    since its moments follow from orthogonality.
+    """
 
     def __init__(self, modulus: int):
         if not is_prime(modulus) or modulus < 3:
             raise ValueError("modulus must be an odd prime")
         self.modulus = modulus
-        self.characters: list[DirichletCharacter] = [
-            chi for chi in characters_mod(modulus) if not chi.is_trivial
-        ]
         self.family_id = f"dirichlet({modulus})"
         self.degree = 1
 
     def iter_members(self) -> Iterator[int]:
-        return iter(range(len(self.characters)))
+        return iter(range(self.modulus - 2))
 
     def local_coefficients(self, member, p, nu_max):
-        chi = self.characters[member]
+        chi = dirichlet_character(self.modulus, member + 1)
         b = np.array([chi.power_value(p, nu) for nu in range(1, nu_max + 1)])
         return LocalCoefficients(p=p, degree=1, b=b)
 
@@ -254,7 +305,7 @@ class DirichletFamily(Family):
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
         m = self.modulus
-        n = len(self.characters)
+        n = m - 2
         if p % m == 0:
             return PrimeMoments(p, 0.0, float(n), np.zeros(nu_max, np.complex128))
         # orthogonality: the sum over all nontrivial characters of chi(a) is
@@ -687,7 +738,8 @@ class ConvolutionFamily(Family):
     Pairs flagged by the collision policy (potentially imprimitive
     convolutions) are excluded.  Aggregated moments use the product
     structure: the sum over included pairs is the product of the factor sums
-    minus the small excluded correction.
+    minus the small excluded correction, so a table's rows are products of
+    the factors' kept rows; ``prime_moments`` is the per-prime oracle.
 
     The conductor of a pair is q_f^deg(g) q_g^deg(f) (coprime levels); an
     elliptic pair instead takes the midpoint of its Rankin-Selberg conductor
@@ -788,12 +840,8 @@ class ConvolutionFamily(Family):
         f, g = member
         return self.left.bad_prime(f, p) or self.right.bad_prime(g, p)
 
-    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        ml = self.left.prime_moments(p, nu_max)
-        mr = self.right.prime_moments(p, nu_max)
-        sums = ml.sums * mr.sums
-        good = ml.good_weight * mr.good_weight
-        total = ml.total_weight * mr.total_weight
+    def _less_excluded(self, p: int, nu_max: int, sums, good, total):
+        """(sums, good, total) at p of all pairs, less the excluded pairs."""
         for pair in self.excluded:
             mu = self.multiplicity(pair)
             total -= mu
@@ -801,7 +849,33 @@ class ConvolutionFamily(Family):
                 continue
             sums = sums - mu * self.local_coefficients(pair, p, nu_max).b
             good -= mu
+        return sums, good, total
+
+    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
+        ml = self.left.prime_moments(p, nu_max)
+        mr = self.right.prime_moments(p, nu_max)
+        sums, good, total = self._less_excluded(
+            p,
+            nu_max,
+            ml.sums * mr.sums,
+            ml.good_weight * mr.good_weight,
+            ml.total_weight * mr.total_weight,
+        )
         return PrimeMoments(p, good, total, sums)
+
+    def _build_table(self, P: int, nu_max: int) -> MomentTable:
+        """``prime_moments`` at every prime p <= P, from the factors' tables."""
+        lt = self.left.moment_table(P, nu_max)
+        rt = self.right.moment_table(P, nu_max)
+        sums = lt.sums * rt.sums
+        good = lt.good * rt.good
+        total = lt.total * rt.total
+        if self.excluded:
+            for i, p in enumerate(lt.primes.tolist()):
+                sums[i], good[i], total[i] = self._less_excluded(
+                    p, nu_max, sums[i], good[i], total[i]
+                )
+        return MomentTable(lt.primes, lt.log_p, good, total, sums)
 
 
 def convolve(f: Family, g: Family, collision_policy: str = "auto") -> Family:
@@ -879,10 +953,8 @@ def kronecker_twist(d: int) -> KroneckerTwist:
 
 
 def character_twist(modulus: int, index: int) -> CharacterTwist:
-    chars = characters_mod(modulus)
-    if not 0 <= index < len(chars):
-        raise ValueError(f"character index must lie in 0..{len(chars) - 1}")
-    return CharacterTwist(chars[index])
+    """The one-member family of character ``index`` modulo a prime."""
+    return CharacterTwist(dirichlet_character(modulus, index))
 
 
 class TwistedFamily(ConvolutionFamily):

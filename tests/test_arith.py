@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,23 @@ from lfsym.arith import (
     legendre_table,
     sieve_primes,
 )
+
+
+def trial_division_factorize(n: int) -> dict[int, int]:
+    """Reference: divide by every prime below 10^4 in turn, then split the
+    cofactor as ``factorize`` does."""
+    n = abs(n)
+    out: dict[int, int] = {}
+    for p in sieve_primes(10_000).primes.tolist():
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        for q, e in factorize(n).items():
+            out[q] = out.get(q, 0) + e
+    return out
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -122,6 +140,20 @@ class TestFactorize:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_matches_trial_division_loop(self):
+        # the prime divisors below 10^4 come from one gcd with their
+        # primorial; the result, key order included, is that of dividing by
+        # every prime in turn, with the last of them and the first beyond
+        rng = random.Random(7)
+        special = [9973, 10007, 9973**2, 10007**2, 9973 * 10007, 9967 * 9973]
+        inputs = [rng.randrange(2, 10**12) for _ in range(300)]
+        inputs += [s * rng.randrange(1, 10**6) for s in special for _ in range(20)]
+        inputs += special + [2**40, 3**25 * 9973, 1, -9973 * 10007]
+        for n in inputs:
+            assert list(factorize(n).items()) == list(
+                trial_division_factorize(n).items()
+            ), n
 
 
 class TestCharacters:

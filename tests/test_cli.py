@@ -401,6 +401,10 @@ def test_demo_output_matches_golden_csv(command, capsys):
         assert capsys.readouterr().out == expected, name
 
 
+def _family_classes(cls):
+    return {cls}.union(*(_family_classes(sub) for sub in cls.__subclasses__()))
+
+
 @pytest.mark.parametrize(
     "config, args",
     [(ROOT / "configs" / "demo.ini", ["--primes", "200"])]
@@ -408,23 +412,30 @@ def test_demo_output_matches_golden_csv(command, capsys):
     ids=["demo_p200"] + [f"{name}_smoke_s1" for name in GOLDEN_WORKLOADS],
 )
 def test_one_moment_table_per_family(config, args, capsys, monkeypatch):
-    # c, r and D1 of a family come from one table, so the commands agree
-    tables = []
-    moment_table = Family.moment_table
+    # every (family, prime) row is computed once per command: derived
+    # families read their factors' kept tables, and c, r and D1 of a family
+    # come from one table, so the commands agree
+    rows = []
 
-    def counted(self, P, nu_max):
-        tables.append(self)
-        return moment_table(self, P, nu_max)
+    def counted(prime_moments):
+        def wrapper(self, p, nu_max):
+            rows.append((id(self), p))
+            return prime_moments(self, p, nu_max)
 
-    monkeypatch.setattr(Family, "moment_table", counted)
+        return wrapper
+
+    for cls in _family_classes(Family):
+        if "prime_moments" in vars(cls):
+            monkeypatch.setattr(
+                cls, "prime_moments", counted(vars(cls)["prime_moments"])
+            )
     outputs = {}
     for command in ("constants", "density"):
-        tables.clear()
+        rows.clear()
         assert main([command, "--config", str(config)] + args) == 0
-        declared = load_config(str(config)).declarations
-        assert len(tables) == len({id(f) for f in tables}) == len(declared)
-        rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
-        outputs[command] = [[row[c] for c in SHARED_COLUMNS] for row in rows]
+        assert len(rows) == len(set(rows)) > 0
+        lines = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        outputs[command] = [[row[c] for c in SHARED_COLUMNS] for row in lines]
     assert outputs["constants"] == outputs["density"]
 
 

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lfsym import families
-from lfsym.arith import kronecker_symbol, sieve_primes
+from lfsym.arith import characters_mod, kronecker_symbol, sieve_primes
 from lfsym.ecgeom import EllipticFamilySpec, ap_residue_table, trace_of_frobenius
 from lfsym.families import (
     PrimeMoments,
@@ -571,3 +574,176 @@ class TestMomentTable:
         )
         with pytest.raises(ValueError, match="degree"):
             fam.moment_table(20, 2)
+
+
+def stacked_prime_moments(fam, P, nu_max):
+    """The table ``prime_moments`` gives one prime at a time: the oracle."""
+    primes = sieve_primes(max(P, 2)).up_to(P)
+    moments = [fam.prime_moments(int(p), nu_max) for p in primes]
+    return (
+        primes,
+        np.array([m.good_weight for m in moments]),
+        np.array([m.total_weight for m in moments]),
+        np.array([m.sums for m in moments], dtype=np.complex128),
+    )
+
+
+def assert_tables_equal(a, b):
+    for field in ("primes", "log_p", "good", "total", "sums"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.shape == y.shape, field
+        assert np.array_equal(x, y), field
+
+
+def self_convolution(fam):
+    return convolve(fam, fam)
+
+
+# y^2 = x^3 + 16Tx + 64 is the u = 2 rescaling of y^2 = x^3 + Tx + 1
+EC1_SCALED = EllipticFamilySpec((0, 16), (64,), 2020, 2060)
+
+DERIVED_FAMILIES = {
+    "identity-self-convolution": lambda: self_convolution(
+        quadratic_family((100, 300))
+    ),
+    "ec-isomorphism-pair": lambda: convolve(
+        elliptic_family(EC1), elliptic_family(EC1_SCALED)
+    ),
+    "delta-x-delta": lambda: convolve(cusp_form_delta(200), cusp_form_delta(200)),
+    "nested": lambda: convolve(
+        twist_by_fixed(kronecker_twist(5), elliptic_family(EC1)),
+        dirichlet_family(7),
+    ),
+}
+
+
+class TestDerivedTables:
+    @pytest.mark.parametrize("kind", list(DERIVED_FAMILIES))
+    def test_table_equals_prime_moments_oracle(self, kind):
+        fam = DERIVED_FAMILIES[kind]()
+        if kind == "identity-self-convolution":
+            assert fam.policy == "identity" and fam.excluded
+        if kind == "ec-isomorphism-pair":
+            assert fam.policy == "ec-isomorphism" and len(fam.excluded) == 20
+        table = fam.moment_table(199, 6)
+        primes, good, total, sums = stacked_prime_moments(fam, 199, 6)
+        assert np.array_equal(table.primes, primes)
+        assert np.array_equal(table.log_p, np.log(primes.astype(float)))
+        assert np.array_equal(table.good, good)
+        assert np.array_equal(table.total, total)
+        assert np.array_equal(table.sums, sums)
+
+    def test_factor_rows_computed_once(self, monkeypatch):
+        # the base family's rows serve itself and every family built on it
+        calls = []
+        prime_moments = families.QuadraticFamily.prime_moments
+
+        def counted(self, p, nu_max):
+            calls.append(p)
+            return prime_moments(self, p, nu_max)
+
+        monkeypatch.setattr(families.QuadraticFamily, "prime_moments", counted)
+        q = quadratic_family((100, 300))
+        derived = [q, twist_by_fixed(kronecker_twist(-4), q), convolve(q, q)]
+        for fam in derived:
+            fam.moment_table(97, 4)
+        assert calls == sieve_primes(97).primes.tolist()
+
+
+class TestKeptTable:
+    @pytest.mark.parametrize("kind", ["dirichlet", "elliptic-linear", "twist"])
+    @pytest.mark.parametrize("P, nu_max", [(97, 10), (200, 3), (60, 2)])
+    def test_slice_equals_fresh_build(self, kind, P, nu_max):
+        kept = ROW_COUNT_FAMILIES[kind]()
+        kept.moment_table(200, 10)
+        assert_tables_equal(
+            kept.moment_table(P, nu_max),
+            ROW_COUNT_FAMILIES[kind]().moment_table(P, nu_max),
+        )
+
+    def test_smaller_request_builds_nothing(self, monkeypatch):
+        fam = quadratic_family((100, 300))
+        fam.moment_table(200, 10)
+        monkeypatch.setattr(fam, "_build_table", None)
+        fam.moment_table(150, 4)
+        fam.moment_table(200, 10)
+
+    def test_larger_request_replaces_kept_table(self):
+        fam = quadratic_family((100, 300))
+        fam.moment_table(100, 2)
+        for P, nu_max in ((200, 2), (200, 6), (50, 6)):
+            assert_tables_equal(
+                fam.moment_table(P, nu_max),
+                quadratic_family((100, 300)).moment_table(P, nu_max),
+            )
+
+    def test_tables_are_read_only(self):
+        table = quadratic_family((100, 300)).moment_table(50, 2)
+        with pytest.raises(ValueError):
+            table.sums[0, 0] = 1.0
+
+    def test_concurrent_callers_share_one_build(self, monkeypatch):
+        calls = []
+        prime_moments = families.QuadraticFamily.prime_moments
+
+        def counted(self, p, nu_max):
+            calls.append(p)
+            return prime_moments(self, p, nu_max)
+
+        monkeypatch.setattr(families.QuadraticFamily, "prime_moments", counted)
+        q = quadratic_family((100, 300))
+        derived = [q, twist_by_fixed(kronecker_twist(-4), q), convolve(q, q)]
+        results = {}
+
+        def work(i):
+            results[i] = derived[i % 3].moment_table(300, 4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == sieve_primes(300).primes.tolist()
+        for i in range(3, 12):
+            assert_tables_equal(results[i], results[i % 3])
+
+
+class TestDirichletOnDemand:
+    @pytest.mark.parametrize("m", [7, 13])
+    def test_members_match_characters_mod(self, m):
+        chars = characters_mod(m)
+        fam = dirichlet_family(m)
+        assert list(fam.iter_members()) == list(range(m - 2))
+        for k in fam.iter_members():
+            chi = chars[k + 1]
+            for p in (2, 3, 5, m, 29, 53):
+                b = fam.local_coefficients(k, p, 4).b
+                assert b.tolist() == [chi.power_value(p, nu) for nu in range(1, 5)]
+
+    def test_character_twist_matches_characters_mod(self):
+        char = character_twist(2003, 5).char
+        ref = characters_mod(2003)[5]
+        assert (char.index, char.order) == (ref.index, ref.order)
+        assert np.array_equal(char.value_index, ref.value_index)
+        assert np.array_equal(char.values, ref.values)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: character_twist(2003, 5), lambda: dirichlet_family(2003)],
+        ids=["character_twist", "dirichlet_family"],
+    )
+    def test_builds_no_character_tables(self, build):
+        # all 2002 tables would take about 90 MB
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
