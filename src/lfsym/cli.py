@@ -9,7 +9,8 @@ Subcommands:
     ec-scan     per-prime second-moment ratios and rank partial sums
 
 Configs are flat key-table INI files ([run] section plus one [family ID]
-section per family); JSON with the same shape is accepted.  Output is
+section per family); JSON with the same shape is accepted, and a key outside
+``RunSettings`` or ``FAMILY_OPTIONS`` is an error.  Output is
 deterministic: fixed row order, floats printed with 12 significant digits.
 """
 
@@ -31,7 +32,7 @@ from typing import Optional
 from . import families as fam_mod
 from . import rmt, stats, weil
 from .arith import sieve_primes
-from .ecgeom import EllipticFamilySpec, michel_moment, residue_trace_sum
+from .ecgeom import EllipticFamilySpec, ap_residue_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,13 +59,14 @@ def fmt(x) -> str:
 
 @dataclass
 class RunSettings:
+    """The [run] keys of a config, with their defaults."""
+
     primes: int = 1000
     sigma: float = 1.0
     nu_max: int = 10
     tolerance: float = 0.2
     check_tolerance: float = 0.2
     threads: int = 1
-    out: Optional[str] = None
     log_r: Optional[float] = None
 
     def validate(self) -> None:
@@ -126,9 +128,25 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in str(text).replace(",", " ").split())
 
 
+FAMILY_OPTIONS = {
+    "dirichlet": {"modulus"},
+    "quadratic": {"d_min", "d_max", "stride"},
+    "elliptic": {"a_poly", "b_poly", "t_min", "t_max"},
+    "delta": {"bound"},
+    "sym_lift": {"base", "power"},
+    "convolve": {"left", "right", "collisions"},
+    "twist": {"base", "twist"},
+}
+
+
 def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
     kind = decl.kind
     opt = decl.options
+    if kind not in FAMILY_OPTIONS:
+        raise ConfigError(f"family {decl.ident!r}: unknown kind {kind!r}")
+    for key in opt:
+        if key not in FAMILY_OPTIONS[kind]:
+            raise ConfigError(f"family {decl.ident!r}: unknown option {key!r}")
     try:
         if kind == "dirichlet":
             return fam_mod.dirichlet_family(int(opt["modulus"]))
@@ -166,7 +184,6 @@ def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
             return fam_mod.twist_by_fixed(_build_twist(opt["twist"]), built[base])
     except KeyError as exc:
         raise ConfigError(f"family {decl.ident!r}: missing option {exc}") from exc
-    raise ConfigError(f"family {decl.ident!r}: unknown kind {kind!r}")
 
 
 def _build_twist(text: str) -> fam_mod.Family:
@@ -211,17 +228,15 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _config_from_dict(data: dict) -> ExperimentConfig:
-    run_raw = data.get("run", {})
-    run = RunSettings(
-        primes=int(run_raw.get("primes", 1000)),
-        sigma=float(run_raw.get("sigma", 1.0)),
-        nu_max=int(run_raw.get("nu_max", 10)),
-        tolerance=float(run_raw.get("tolerance", 0.2)),
-        check_tolerance=float(run_raw.get("check_tolerance", 0.2)),
-        threads=int(run_raw.get("threads", 1)),
-        out=run_raw.get("out"),
-        log_r=float(run_raw["log_r"]) if "log_r" in run_raw else None,
-    )
+    defaults = vars(RunSettings())
+    values = {}
+    for key, value in data.get("run", {}).items():
+        if key not in defaults:
+            raise ConfigError(f"unknown run key {key!r}")
+        # log_r, the one field that defaults to None, holds a float
+        cast = float if defaults[key] is None else type(defaults[key])
+        values[key] = cast(value)
+    run = RunSettings(**values)
     decls = []
     for raw in data.get("families", []):
         raw = dict(raw)
@@ -274,34 +289,14 @@ def _eps_label(value: Optional[int]) -> str:
     return "unknown" if value is None else str(value)
 
 
-def _check_prime_reach(built: dict[str, fam_mod.Family], run: RunSettings) -> None:
-    """Reject a family whose prime sums would read past its coefficient table.
-
-    The sums reach the largest prime where phi_hat(log p / log R) != 0, so
-    the check needs the family's log R unless the run fixes it.
-    """
-    for ident, family in built.items():
-        if family.prime_limit >= run.primes:
-            continue
-        log_r = run.log_r if run.log_r is not None else family.average_log_conductor()
-        reach = max(stats._support_bound(run.sigma, log_r, 1, run.primes), 2)
-        needed = int(sieve_primes(reach).primes[-1])
-        if needed > family.prime_limit:
-            raise ConfigError(
-                f"family {ident!r}: prime sums reach p = {needed}, beyond its "
-                f"coefficient bound {family.prime_limit}; raise the delta "
-                f"bound to at least {needed}"
-            )
-
-
 @contextmanager
-def _reported_as_config_error(ident: str):
-    """Turn a family's run-time ValueError, such as a log R of 0 for the
-    family {d = 1}, into a one-line ConfigError naming the family."""
+def _reported_as_config_error(what: str):
+    """Turn a ValueError from bad input, such as a log R of 0 for the family
+    {d = 1}, into a one-line ConfigError naming where it came from."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"family {ident!r}: {exc}") from exc
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def run_families(config: ExperimentConfig) -> list[dict]:
@@ -312,7 +307,6 @@ def run_families(config: ExperimentConfig) -> list[dict]:
     """
     built = config.resolve()
     run = config.run
-    _check_prime_reach(built, run)
     phi = rmt.fejer_test_function(run.sigma)
     cfg = stats.ConstantConfig(
         phi=phi,
@@ -324,7 +318,7 @@ def run_families(config: ExperimentConfig) -> list[dict]:
 
     def work(item):
         ident, family = item
-        with _reported_as_config_error(ident):
+        with _reported_as_config_error(f"family {ident!r}"):
             return ident, stats.family_constant(family, cfg)
 
     with ThreadPoolExecutor(max_workers=max(1, run.threads)) as pool:
@@ -553,7 +547,15 @@ def rmt_table(sigmas: list[float], ranks: list[float]) -> list[dict]:
 
 
 def ec_scan(spec: EllipticFamilySpec, prime_cutoff: int) -> list[dict]:
-    """Per-prime second-moment ratio and running rank estimate."""
+    """Per-prime second-moment ratio and running rank estimate, both from
+    one residue table per prime.
+
+    Raises:
+        ValueError: If j is constant or undefined (Delta = 0), or
+            prime_cutoff < 2.
+    """
+    if spec.j_is_constant():
+        raise ValueError("second-moment asymptotics require non-constant j")
     rows = []
     table = sieve_primes(prime_cutoff)
     running = 0.0
@@ -561,8 +563,9 @@ def ec_scan(spec: EllipticFamilySpec, prime_cutoff: int) -> list[dict]:
         p = int(p)
         if p < 5:
             continue
-        moment = michel_moment(spec, p)
-        running += lp / p * residue_trace_sum(spec, p)
+        a = ap_residue_table(spec, p)
+        moment = int(a @ a)
+        running += lp / p * int(a.sum())
         rows.append(
             {
                 "p": str(p),
@@ -651,9 +654,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "rmt-table":
-        sigmas = [float(s) for s in args.sigma.split(",")]
-        ranks = [float(r) for r in args.ranks.split(",")]
-        rows = rmt_table(sigmas, ranks)
+        with _reported_as_config_error("rmt-table"):
+            sigmas = [float(s) for s in args.sigma.split(",")]
+            ranks = [float(r) for r in args.ranks.split(",")]
+            rows = rmt_table(sigmas, ranks)
         _write_output(
             rows_to_csv(rows, ["group", "sigma", "r", "prediction"]),
             args.out,
@@ -662,10 +666,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "ec-scan":
-        spec = EllipticFamilySpec(
-            a_coeffs=_ints(args.a_poly), b_coeffs=_ints(args.b_poly), t_min=0, t_max=1
-        )
-        rows = ec_scan(spec, args.primes)
+        with _reported_as_config_error("ec-scan"):
+            spec = EllipticFamilySpec(_ints(args.a_poly), _ints(args.b_poly), 0, 1)
+            rows = ec_scan(spec, args.primes)
         _write_output(
             rows_to_csv(rows, ["p", "michel_ratio", "nagao_partial"]),
             args.out,

@@ -193,7 +193,11 @@ class EllipticFamilySpec:
         return range(self.t_min, self.t_max)
 
     def j_is_constant(self) -> bool:
-        """Exact check whether j(T) is constant as a rational function."""
+        """Exact check whether j(T) is constant as a rational function.
+
+        Raises:
+            ValueError: If the discriminant vanishes identically.
+        """
         degree = max(len(self.a_coeffs), len(self.b_coeffs), 1) - 1
         seen: set[Fraction] = set()
         t = 0
@@ -205,6 +209,10 @@ class EllipticFamilySpec:
                 checked += 1
                 if len(seen) > 1:
                     return False
+            # t + 1 - checked of the fibers so far are singular, but a nonzero
+            # Delta(T) has degree <= 3 degree, so at most that many roots
+            elif t + 1 - checked > 3 * degree:
+                raise ValueError("discriminant vanishes identically")
             t += 1
         return True
 

@@ -1,15 +1,15 @@
 """Families of L-functions presented through their local data.
 
-A family is a finite weighted collection of members, each serving
+A family is a finite collection of members, each counted once, each serving
 power-sum coefficients b(p^nu) at every prime, a log-conductor, and a
 bad-prime predicate.  Statistics modules consume families through
-``moment_table``, which stacks the family-aggregated coefficient sums of
-``prime_moments`` over every prime up to a cutoff; concrete families
-override ``prime_moments`` with vectorized implementations.  Degree-2
-families also serve ``trace_distribution``: the distinct normalized traces
-at p with their summed member weights, from which any coefficient sequence
-of the members (their own, or a symmetric power's) aggregates as one
-matrix-vector product.
+``moment_table``, which stacks the coefficient sums of ``prime_moments``
+over every prime up to a cutoff and refuses a cutoff past ``prime_limit``
+(finite for the cusp form's coefficient table).  The degree-2 families,
+elliptic curves and the cusp form, share the base ``HeckeFamily``: from
+``trace_distribution``, the distinct normalized traces at p with their
+member counts, it aggregates any coefficient sequence of the members (their
+own, or a symmetric power's) as one matrix-vector product.
 
 Each family keeps the last table it built, so a command computes a family's
 prime rows once, however many statistics and derived families read them:
@@ -71,6 +71,7 @@ from .satake import (
 
 __all__ = [
     "Family",
+    "HeckeFamily",
     "PrimeMoments",
     "MomentTable",
     "dirichlet_family",
@@ -94,10 +95,10 @@ class PrimeMoments:
 
     Attributes:
         p: The prime.
-        good_weight: Total multiplicity of members unramified at p.
-        total_weight: Total multiplicity of the family.
+        good_weight: Number of members unramified at p.
+        total_weight: Number of members of the family.
         sums: complex128 array, sums[nu-1] = sum over good members of
-            multiplicity * b(p^nu).
+            b(p^nu).
     """
 
     p: int
@@ -111,7 +112,7 @@ class MomentTable:
     """PrimeMoments at every prime up to a cutoff, stacked into arrays.
 
     Row i describes primes[i]: good[i] and total[i] are its good and total
-    weights, and sums[i, nu-1] its good-member sum of multiplicity * b(p^nu)
+    weights, and sums[i, nu-1] its good-member sum of b(p^nu)
     (complex128).  Every prime-side statistic is a masked contraction of
     these rows against test-function weights.
     """
@@ -129,7 +130,7 @@ def _weighted_moments(
     """PrimeMoments of members whose coefficients are columns of btab.
 
     btab[nu-1, k] is b(p^nu) of the k-th distinct local factor and
-    weights[k] the summed multiplicity of the good members that carry it.
+    weights[k] the number of good members that carry it.
     """
     # row by row, unlike BLAS btab @ weights, whose summation order depends
     # on the row count: a table's first rows keep their bits for any nu_max
@@ -157,9 +158,6 @@ class Family:
     def iter_members(self) -> Iterator:
         raise NotImplementedError
 
-    def multiplicity(self, member) -> int:
-        return 1
-
     def local_coefficients(self, member, p: int, nu_max: int) -> LocalCoefficients:
         raise NotImplementedError
 
@@ -172,15 +170,14 @@ class Family:
     # -- family-level derived data --------------------------------------------
 
     def size(self) -> float:
-        """Number of members counted with multiplicity."""
-        return float(sum(self.multiplicity(m) for m in self.iter_members()))
+        """Number of members."""
+        return float(sum(1 for _ in self.iter_members()))
 
     def average_log_conductor(self) -> float:
         tot = w = 0.0
         for m in self.iter_members():
-            mu = self.multiplicity(m)
-            tot += mu * self.log_conductor(m)
-            w += mu
+            tot += self.log_conductor(m)
+            w += 1
         if w == 0:
             raise ValueError(f"family {self.family_id} is empty")
         return tot / w
@@ -190,12 +187,11 @@ class Family:
         sums = np.zeros(nu_max, dtype=np.complex128)
         good = total = 0.0
         for m in self.iter_members():
-            mu = self.multiplicity(m)
-            total += mu
+            total += 1
             if self.bad_prime(m, p):
                 continue
-            good += mu
-            sums += mu * np.asarray(
+            good += 1
+            sums += np.asarray(
                 self.local_coefficients(m, p, nu_max).b, dtype=np.complex128
             )
         return PrimeMoments(p=p, good_weight=good, total_weight=total, sums=sums)
@@ -211,8 +207,8 @@ class Family:
         Concurrent callers wait for one build.  The arrays are read-only.
 
         Raises:
-            ValueError: If some prime reports more good than total weight, or
-                a summed |b(p)| beyond degree times the good weight.
+            ValueError: If a prime p <= P lies beyond ``prime_limit``, has
+                more good than total weight, or |sum b(p)| > degree * good.
         """
         with self._table_lock():
             kept = self._kept
@@ -233,6 +229,11 @@ class Family:
         table = sieve_primes(max(P, 2))
         keep = table.primes <= P
         primes, log_p = table.primes[keep], table.log_p[keep]
+        if len(primes) and primes[-1] > self.prime_limit:
+            raise ValueError(
+                f"prime sums reach p = {primes[-1]}, beyond its coefficient bound "
+                f"{self.prime_limit}; raise the delta bound to at least {primes[-1]}"
+            )
         moments = [self.prime_moments(int(p), nu_max) for p in primes]
         good = np.array([m.good_weight for m in moments], dtype=float)
         total = np.array([m.total_weight for m in moments], dtype=float)
@@ -287,7 +288,6 @@ class DirichletFamily(Family):
             raise ValueError("modulus must be an odd prime")
         self.modulus = modulus
         self.family_id = f"dirichlet({modulus})"
-        self.degree = 1
 
     def iter_members(self) -> Iterator[int]:
         return iter(range(self.modulus - 2))
@@ -379,7 +379,6 @@ class QuadraticFamily(Family):
         self.family_id = f"quadratic[{d_min},{d_max})" + (
             f"/{stride}" if stride != 1 else ""
         )
-        self.degree = 1
         self._log_d = np.log(np.abs(self.discriminants).astype(float))
 
     def iter_members(self) -> Iterator[int]:
@@ -423,10 +422,42 @@ def quadratic_family(d_range: tuple[int, int], stride: int = 1) -> QuadraticFami
 
 
 # ---------------------------------------------------------------------------
+# Degree-2 families with Hecke eigenvalues
+
+
+class HeckeFamily(Family):
+    """A degree-2 self-dual family whose members have Hecke eigenvalues.
+
+    Subclasses serve ``hecke_eigenvalue`` and ``trace_distribution``, whose
+    histogram gives the moments of the family and of its symmetric powers.
+    """
+
+    degree = 2
+
+    def hecke_eigenvalue(self, member, p: int) -> float:
+        raise NotImplementedError
+
+    def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def sym_power_log_conductor(self, member, power: int) -> float:
+        # a degree-2 archimedean factor of weight k has log Q ~ 2 log(k/2);
+        # the lift has (power + 1)/2 or power/2 such factors
+        scale = (power + 1) / 2.0 if power % 2 else power / 2.0
+        return scale * self.log_conductor(member)
+
+    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
+        values, weights = self.trace_distribution(p)
+        return _weighted_moments(
+            p, hecke_b_array(values, nu_max), weights, self.size()
+        )
+
+
+# ---------------------------------------------------------------------------
 # One-parameter elliptic-curve families
 
 
-class EllipticFamily(Family):
+class EllipticFamily(HeckeFamily):
     """Specializations E_t: y^2 = x^3 + A(t)x + B(t) for t in a box.
 
     Local data at good p >= 5 comes from the character-sum trace a_t(p):
@@ -460,7 +491,6 @@ class EllipticFamily(Family):
             f"ec(A={list(spec.a_coeffs)},B={list(spec.b_coeffs)},"
             f"t=[{spec.t_min},{spec.t_max}))"
         )
-        self.degree = 2
         self._conductors: FamilyConductors | None = None
         self._traces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -504,7 +534,7 @@ class EllipticFamily(Family):
         return a, counts * (delta_mod != 0)
 
     def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct a_t(p)/sqrt(p), summed weights of the good members); memoized.
+        """(distinct a_t(p)/sqrt(p), number of good members at each); memoized.
 
         Empty at p = 2, 3, where every fiber is bad.
 
@@ -523,12 +553,6 @@ class EllipticFamily(Family):
                 held = np.flatnonzero(hist)
                 self._traces[p] = ((held - off) / math.sqrt(p), hist[held])
         return self._traces[p]
-
-    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        values, weights = self.trace_distribution(p)
-        return _weighted_moments(
-            p, hecke_b_array(values, nu_max), weights, self.size()
-        )
 
 
 def elliptic_family(spec: EllipticFamilySpec) -> EllipticFamily:
@@ -578,15 +602,13 @@ def ramanujan_tau_table(n_max: int) -> list[int]:
     return series  # series[n-1] = tau(n)
 
 
-class DeltaFamily(Family):
+class DeltaFamily(HeckeFamily):
     """The singleton family of the level-1 weight-12 cusp form."""
 
     def __init__(self, coefficient_bound: int = 2000):
         self.prime_limit = coefficient_bound
         self.tau = ramanujan_tau_table(coefficient_bound)
         self.family_id = "delta"
-        self.degree = 2
-        self._logq = weil.log_analytic_conductor(weil.disc(12))
 
     def iter_members(self) -> Iterator[str]:
         return iter(("delta",))
@@ -603,10 +625,10 @@ class DeltaFamily(Family):
         return hecke_b(self.hecke_eigenvalue(member, p), nu_max, p=p)
 
     def log_conductor(self, member) -> float:
-        return self._logq
+        return weil.log_analytic_conductor(weil.disc(12))
 
-    def bad_prime(self, member, p: int) -> bool:
-        return False
+    def sym_power_log_conductor(self, member, power: int) -> float:
+        return weil.log_analytic_conductor(weil.sym_power(weil.disc(12), power))
 
     def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """The single normalized trace tau(p)/p^(11/2), with weight 1.
@@ -619,12 +641,6 @@ class DeltaFamily(Family):
             raise ValueError(f"tau({p}) beyond 2 p^(11/2)")
         return np.array([value]), np.ones(1)
 
-    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        values, weights = self.trace_distribution(p)
-        return _weighted_moments(
-            p, hecke_b_array(values, nu_max), weights, self.size()
-        )
-
 
 def cusp_form_delta(coefficient_bound: int = 2000) -> DeltaFamily:
     return DeltaFamily(coefficient_bound)
@@ -635,13 +651,11 @@ def cusp_form_delta(coefficient_bound: int = 2000) -> DeltaFamily:
 
 
 class SymLiftFamily(Family):
-    """Member-wise symmetric-power lift of a degree-2 self-dual family."""
+    """Member-wise symmetric-power lift of a ``HeckeFamily``."""
 
     def __init__(self, base: Family, power: int):
-        if base.degree != 2:
-            raise ValueError("symmetric-power lift requires a degree-2 family")
-        if not hasattr(base, "trace_distribution"):
-            raise ValueError("base family does not expose Hecke eigenvalues")
+        if not isinstance(base, HeckeFamily):
+            raise ValueError("symmetric-power lift requires a degree-2 Hecke family")
         if power < 1:
             raise ValueError("power must be positive")
         self.base = base
@@ -649,22 +663,9 @@ class SymLiftFamily(Family):
         self.prime_limit = base.prime_limit
         self.family_id = f"sym{power}({base.family_id})"
         self.degree = power + 1
-        # conductor scale: degree-2 archimedean factor of weight k has
-        # log Q ~ 2 log(k/2); the lift has (M+1) or M such factors.
-        if isinstance(base, DeltaFamily):
-            self._logq = weil.log_analytic_conductor(
-                weil.sym_power(weil.disc(12), power)
-            )
-        else:
-            m = power
-            self._logq = None
-            self._scale = (m + 1) / 2.0 if m % 2 else m / 2.0
 
     def iter_members(self):
         return self.base.iter_members()
-
-    def multiplicity(self, member):
-        return self.base.multiplicity(member)
 
     def local_coefficients(self, member, p, nu_max):
         if self.base.bad_prime(member, p):
@@ -673,9 +674,7 @@ class SymLiftFamily(Family):
         return sym_power_b(a, self.power, nu_max, p=p)
 
     def log_conductor(self, member) -> float:
-        if self._logq is not None:
-            return self._logq
-        return self._scale * self.base.log_conductor(member)
+        return self.base.sym_power_log_conductor(member, self.power)
 
     def bad_prime(self, member, p: int) -> bool:
         return self.base.bad_prime(member, p)
@@ -767,7 +766,6 @@ class ConvolutionFamily(Family):
         self._excluded_set = set(self.excluded)
         self.family_id = f"({left.family_id})x({right.family_id})"
         self.degree = left.degree * right.degree
-        self.prime_limit = min(left.prime_limit, right.prime_limit)
 
     def _collisions(self) -> list[tuple]:
         if self.policy == "none":
@@ -798,16 +796,8 @@ class ConvolutionFamily(Family):
                 if (f, g) not in self._excluded_set:
                     yield (f, g)
 
-    def multiplicity(self, member) -> int:
-        f, g = member
-        return self.left.multiplicity(f) * self.right.multiplicity(g)
-
     def size(self) -> float:
-        excluded_w = sum(
-            self.left.multiplicity(f) * self.right.multiplicity(g)
-            for f, g in self.excluded
-        )
-        return self.left.size() * self.right.size() - excluded_w
+        return self.left.size() * self.right.size() - len(self.excluded)
 
     def local_coefficients(self, member, p, nu_max):
         f, g = member
@@ -843,12 +833,11 @@ class ConvolutionFamily(Family):
     def _less_excluded(self, p: int, nu_max: int, sums, good, total):
         """(sums, good, total) at p of all pairs, less the excluded pairs."""
         for pair in self.excluded:
-            mu = self.multiplicity(pair)
-            total -= mu
+            total -= 1
             if self.bad_prime(pair, p):
                 continue
-            sums = sums - mu * self.local_coefficients(pair, p, nu_max).b
-            good -= mu
+            sums = sums - self.local_coefficients(pair, p, nu_max).b
+            good -= 1
         return sums, good, total
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:

@@ -363,6 +363,22 @@ DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
         # imprimitive characters: log |d| would not be their log-conductor
         (["constants"], {"twist": "kronecker 9", "primes": 50}),
         (["constants"], {"twist": "character 7 0", "primes": 50}),
+        (["ec-scan", "--a-poly", "x", "--b-poly", "1"], None),
+        (["ec-scan", "--a-poly", "0", "--b-poly", "1"], None),  # constant j
+        (["ec-scan", "--a-poly", "0 1", "--b-poly", "1", "--primes", "1"], None),
+        # every fiber singular: the discriminant vanishes identically
+        (["ec-scan", "--a-poly", "0", "--b-poly", "0"], None),
+        (["ec-scan", "--a-poly", "0 0 -3", "--b-poly", "0 0 0 2"], None),
+        (["rmt-table", "--sigma", "1.5"], None),
+        (["rmt-table", "--sigma", "abc"], None),
+        (["rmt-table", "--ranks", "x"], None),
+        # keys outside the schema: a [run] typo, the dropped out key and a
+        # family option typo
+        (["constants"], {"run": {"prime": 50}, "families": [DIRICHLET_7]}),
+        (["constants"], {"run": {"out": "results"}, "families": [DIRICHLET_7]}),
+        (["density"], {"run": {"primes": 50}, "families": [DIRICHLET_7, {
+            "id": "x", "kind": "convolve", "left": "d", "right": "d",
+            "colisions": "none"}]}),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
@@ -399,6 +415,26 @@ def test_demo_output_matches_golden_csv(command, capsys):
         assert main([command, "--config", config]) == 0
         expected = (GOLDEN / f"{name}_smoke_s1_{command}.csv").read_text()
         assert capsys.readouterr().out == expected, name
+
+
+@pytest.mark.parametrize("command", ["constants", "density"])
+def test_hecke_output_matches_golden_csv(command, capsys):
+    # Delta, its lifts, a delta twist and convolutions that exclude pairs
+    assert main([command, "--config", str(GOLDEN / "hecke_p300.ini")]) == 0
+    expected = (GOLDEN / f"hecke_p300_{command}.csv").read_text()
+    assert capsys.readouterr().out == expected
+
+
+def test_delta_bound_at_the_support_edge(tmp_path, capsys):
+    # R = 100.5: phi_hat(log p / log R) vanishes from p = 101 on, so the
+    # sums read tau(p) up to p = 97 only, within the bound
+    path = tmp_path / "edge.ini"
+    path.write_text(
+        "[run]\nprimes = 500\nlog_r = 4.61015\n\n"
+        "[family dd]\nkind = delta\nbound = 100\n"
+    )
+    assert main(["constants", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("dd,1,500,")
 
 
 def _family_classes(cls):
@@ -518,3 +554,27 @@ class TestOtherSubcommands:
         # running rank estimate of the hidden-section family drifts toward 1
         last = lines[-1].split(",")
         assert float(last[2]) > 0.5
+
+    def test_ec_scan_matches_golden_csv(self, capsys):
+        argv = ["ec-scan", "--a-poly", "0 1", "--b-poly", "1", "--primes", "200"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / "ec_scan_p200.csv").read_text()
+
+    def test_ec_scan_reads_one_table_per_prime(self, monkeypatch, capsys):
+        tables, j_checks = [], []
+        j_is_constant_of = ecgeom.EllipticFamilySpec.j_is_constant
+
+        def table(spec, p):
+            tables.append(p)
+            return ecgeom.ap_residue_table(spec, p)
+
+        def j_is_constant(spec):
+            j_checks.append(spec)
+            return j_is_constant_of(spec)
+
+        monkeypatch.setattr("lfsym.cli.ap_residue_table", table)
+        monkeypatch.setattr(ecgeom.EllipticFamilySpec, "j_is_constant", j_is_constant)
+        assert main(["ec-scan", "--a-poly", "0 1", "--b-poly", "1 0 1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert sorted(tables) == tables == [int(row.split(",")[0]) for row in rows]
+        assert len(j_checks) == 1

@@ -410,3 +410,14 @@ class TestAvgLogConductor:
         spec = EllipticFamilySpec((0, 1), (0,), 0, 10)
         assert spec.j_is_constant()
         assert not SPEC_T1(0, 10).j_is_constant()
+
+    @pytest.mark.parametrize(
+        "a_coeffs, b_coeffs",
+        [((0,), (0,)), ((0, 0, -3), (0, 0, 0, 2))],  # 4(-3T^2)^3 + 27(2T^3)^2 = 0
+    )
+    def test_identically_singular_family_rejected(self, a_coeffs, b_coeffs):
+        spec = EllipticFamilySpec(a_coeffs, b_coeffs, 0, 10)
+        with pytest.raises(ValueError, match="vanishes identically"):
+            spec.j_is_constant()
+        with pytest.raises(ValueError, match="vanishes identically"):
+            michel_moment(spec, 7)

@@ -34,12 +34,11 @@ def moments_by_member_loop(family, p, nu_max):
     sums = np.zeros(nu_max, dtype=np.complex128)
     good = total = 0.0
     for m in family.iter_members():
-        mu = family.multiplicity(m)
-        total += mu
+        total += 1
         if family.bad_prime(m, p):
             continue
-        good += mu
-        sums += mu * np.asarray(
+        good += 1
+        sums += np.asarray(
             family.local_coefficients(m, p, nu_max).b, dtype=np.complex128
         )
     return good, total, sums
@@ -314,6 +313,13 @@ class TestSymLift:
     def test_degree_one_base_rejected(self):
         with pytest.raises(ValueError):
             sym_lift(dirichlet_family(7), 2)
+
+    def test_twisted_family_rejected(self):
+        # degree 2, but a twist has no Hecke eigenvalues of its own
+        twisted = twist_by_fixed(kronecker_twist(5), elliptic_family(EC1))
+        assert twisted.degree == 2
+        with pytest.raises(ValueError, match="Hecke"):
+            sym_lift(twisted, 2)
 
 
 class TestCurvesIsomorphic:

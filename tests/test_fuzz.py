@@ -1,7 +1,8 @@
-"""Fuzz of the command line over small configs and Weil expressions.
+"""Fuzz of the command line over small configs, Weil expressions and the
+arguments of ``ec-scan`` and ``rmt-table``.
 
 Whatever the input, ``cli.main`` returns one of its exit codes and prints no
-traceback; a config or expression it rejects gets one ``error:`` line.  The
+traceback; an input it rejects gets one ``error:`` line.  The
 sizes stay tiny (P <= 50, boxes of at most 10 members) so each example runs
 in milliseconds.
 """
@@ -176,6 +177,31 @@ def weil_expressions(draw):
         stray = draw(st.sampled_from(["", "(", ")", "]", ",", "(*)", "sym^2", "-"]))
         text = text[:i] + stray + text[i + 1 :]
     return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a_poly=polynomials,
+    b_poly=polynomials,
+    primes=mostly(st.integers(2, 60), st.integers(-2, 1)),
+)
+def test_ec_scan_fuzz_exits_cleanly(a_poly, b_poly, primes):
+    # --option=value, so that a value starting with "-" stays a value
+    argv = ["ec-scan", f"--a-poly={a_poly}", f"--b-poly={b_poly}"]
+    check(*run_main(argv + [f"--primes={primes}"]))
+
+
+number_lists = st.lists(
+    st.one_of(st.sampled_from(["0", "0.5", "0.99", "1", "1.5", "-0.5", "3"]), junk),
+    min_size=1,
+    max_size=3,
+).map(",".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sigma=number_lists, ranks=number_lists)
+def test_rmt_table_fuzz_exits_cleanly(sigma, ranks):
+    check(*run_main(["rmt-table", f"--sigma={sigma}", f"--ranks={ranks}"]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -82,6 +82,17 @@ class TestPrimeSquareSum:
         assert res.bad_mass > 0
 
 
+def test_delta_bound_names_the_last_prime_read():
+    # sigma = 1 and R = e^10 weight every prime up to the cutoff 500
+    cfg = ConstantConfig(fejer_test_function(1.0), prime_cutoff=500, log_r=10.0)
+    with pytest.raises(ValueError) as info:
+        family_constant(cusp_form_delta(100), cfg)
+    assert str(info.value) == (
+        "prime sums reach p = 499, beyond its coefficient bound 100; "
+        "raise the delta bound to at least 499"
+    )
+
+
 class TestPNTPrimeSum:
     def test_zero_function(self):
         assert pnt_prime_sum(zero_test_function(), 1, 1e6, 10**5) == 0.0
