@@ -21,7 +21,6 @@ __all__ = [
     "sieve_primes",
     "is_prime",
     "factorize",
-    "squarefree_part",
     "kronecker_symbol",
     "legendre_table",
     "primitive_root",
@@ -182,11 +181,6 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return out
-
-
-def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor of |n| (1 for n = +-1)."""
-    return math.prod(factorize(n)) if abs(n) != 1 else 1
 
 
 # ---------------------------------------------------------------------------

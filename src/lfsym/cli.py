@@ -132,7 +132,7 @@ FAMILY_OPTIONS = {
     "dirichlet": {"modulus"},
     "quadratic": {"d_min", "d_max", "stride"},
     "elliptic": {"a_poly", "b_poly", "t_min", "t_max"},
-    "delta": {"bound"},
+    "delta": set(),
     "sym_lift": {"base", "power"},
     "convolve": {"left", "right", "collisions"},
     "twist": {"base", "twist"},
@@ -164,7 +164,7 @@ def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
             )
             return fam_mod.elliptic_family(spec)
         if kind == "delta":
-            return fam_mod.cusp_form_delta(int(opt.get("bound", 2000)))
+            return fam_mod.cusp_form_delta()
         if kind == "sym_lift":
             base = opt["base"]
             if base not in built:
@@ -193,11 +193,11 @@ def _build_twist(text: str) -> fam_mod.Family:
         return fam_mod.kronecker_twist(*args)
     if kind == "character" and len(args) == 2:
         return fam_mod.character_twist(*args)
-    if kind == "delta" and len(args) <= 1:
-        return fam_mod.cusp_form_delta(*args)
+    if kind == "delta" and not args:
+        return fam_mod.cusp_form_delta()
     raise ValueError(
         f"bad twist spec {text!r}: expected 'kronecker D', "
-        "'character MODULUS INDEX' or 'delta [BOUND]'"
+        "'character MODULUS INDEX' or 'delta'"
     )
 
 

@@ -4,8 +4,7 @@ A family is a finite collection of members, each counted once, each serving
 power-sum coefficients b(p^nu) at every prime, a log-conductor, and a
 bad-prime predicate.  Statistics modules consume families through
 ``moment_table``, which stacks the coefficient sums of ``prime_moments``
-over every prime up to a cutoff and refuses a cutoff past ``prime_limit``
-(finite for the cusp form's coefficient table).  The degree-2 families,
+over every prime up to a cutoff.  The degree-2 families,
 elliptic curves and the cusp form, share the base ``HeckeFamily``: from
 ``trace_distribution``, the distinct normalized traces at p with their
 member counts, it aggregates any coefficient sequence of the members (their
@@ -148,8 +147,6 @@ class Family:
 
     family_id: str = "family"
     degree: int = 1
-    # largest prime with local data; finite for a precomputed coefficient table
-    prime_limit: float = math.inf
     # (cutoff, table) of the last moment table built
     _kept: tuple[int, MomentTable] | None = None
 
@@ -207,8 +204,8 @@ class Family:
         Concurrent callers wait for one build.  The arrays are read-only.
 
         Raises:
-            ValueError: If a prime p <= P lies beyond ``prime_limit``, has
-                more good than total weight, or |sum b(p)| > degree * good.
+            ValueError: If a prime p <= P has more good than total weight, or
+                |sum b(p)| > degree * good.
         """
         with self._table_lock():
             kept = self._kept
@@ -229,11 +226,6 @@ class Family:
         table = sieve_primes(max(P, 2))
         keep = table.primes <= P
         primes, log_p = table.primes[keep], table.log_p[keep]
-        if len(primes) and primes[-1] > self.prime_limit:
-            raise ValueError(
-                f"prime sums reach p = {primes[-1]}, beyond its coefficient bound "
-                f"{self.prime_limit}; raise the delta bound to at least {primes[-1]}"
-            )
         moments = [self.prime_moments(int(p), nu_max) for p in primes]
         good = np.array([m.good_weight for m in moments], dtype=float)
         total = np.array([m.total_weight for m in moments], dtype=float)
@@ -275,6 +267,12 @@ class Family:
 # Dirichlet characters of prime modulus
 
 
+def _character_coefficients(chi, p: int, nu_max: int) -> LocalCoefficients:
+    """b(p^nu) = chi(p)^nu of one Dirichlet character, nu = 1..nu_max."""
+    b = np.array([chi.power_value(p, nu) for nu in range(1, nu_max + 1)])
+    return LocalCoefficients(p=p, degree=1, b=b)
+
+
 class DirichletFamily(Family):
     """All nontrivial Dirichlet characters of prime modulus m.
 
@@ -294,8 +292,7 @@ class DirichletFamily(Family):
 
     def local_coefficients(self, member, p, nu_max):
         chi = dirichlet_character(self.modulus, member + 1)
-        b = np.array([chi.power_value(p, nu) for nu in range(1, nu_max + 1)])
-        return LocalCoefficients(p=p, degree=1, b=b)
+        return _character_coefficients(chi, p, nu_max)
 
     def log_conductor(self, member) -> float:
         return math.log(self.modulus)
@@ -369,6 +366,13 @@ def fundamental_discriminants(
     return cands[keep]
 
 
+def _kronecker_coefficients(d: int, p: int, nu_max: int) -> LocalCoefficients:
+    """b(p^nu) = (d|p)^nu of one Kronecker character, nu = 1..nu_max."""
+    chi = kronecker_symbol(d, p)
+    b = np.array([float(chi**nu) for nu in range(1, nu_max + 1)])
+    return LocalCoefficients(p=p, degree=1, b=b)
+
+
 class QuadraticFamily(Family):
     """Quadratic characters chi_d = (d|.) for fundamental discriminants d."""
 
@@ -385,9 +389,7 @@ class QuadraticFamily(Family):
         return iter(self.discriminants.tolist())
 
     def local_coefficients(self, member, p, nu_max):
-        chi = kronecker_symbol(int(member), p)
-        b = np.array([float(chi**nu) for nu in range(1, nu_max + 1)])
-        return LocalCoefficients(p=p, degree=1, b=b)
+        return _kronecker_coefficients(int(member), p, nu_max)
 
     def log_conductor(self, member) -> float:
         return math.log(abs(member))
@@ -574,52 +576,50 @@ def ramanujan_tau_table(n_max: int) -> list[int]:
         ValueError: If n_max < 1.
     """
     if n_max < 1:
-        raise ValueError(f"coefficient bound must be at least 1, got {n_max}")
-    length = n_max  # coefficients of q^0 .. q^{n_max - 1} in eta-product^24
-    pent: list[tuple[int, int]] = []
-    k = 1
-    while True:
-        for kk in (k, -k):
-            e = kk * (3 * kk - 1) // 2
-            if e < length:
-                pent.append((e, -1 if kk % 2 else 1))
-        if k * (3 * k - 1) // 2 >= length:
-            break
-        k += 1
-    pent.sort()
-    series = [0] * length
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    # (exponent, sign) of the pentagonal terms q^(k(3k-1)/2) below q^n_max;
+    # series holds the coefficients of q^0 .. q^(n_max - 1) of the product
+    pent = sorted(
+        (k * (3 * k - 1) // 2, -1 if k % 2 else 1)
+        for k in range(-math.isqrt(n_max) - 1, math.isqrt(n_max) + 2)
+        if k and k * (3 * k - 1) // 2 < n_max
+    )
+    series = [0] * n_max
     series[0] = 1
     for _ in range(24):
-        nxt = [0] * length
+        nxt = [0] * n_max
         for e, s in [(0, 1)] + pent:
             if s == 1:
-                for i in range(length - e):
+                for i in range(n_max - e):
                     nxt[i + e] += series[i]
             else:
-                for i in range(length - e):
+                for i in range(n_max - e):
                     nxt[i + e] -= series[i]
         series = nxt
     return series  # series[n-1] = tau(n)
 
 
 class DeltaFamily(HeckeFamily):
-    """The singleton family of the level-1 weight-12 cusp form."""
+    """The singleton family of the level-1 weight-12 cusp form, holding
+    tau(n) only as far as the prime sums have read."""
 
-    def __init__(self, coefficient_bound: int = 2000):
-        self.prime_limit = coefficient_bound
-        self.tau = ramanujan_tau_table(coefficient_bound)
+    def __init__(self):
+        self.tau: list[int] = []
         self.family_id = "delta"
+
+    def tau_through(self, n: int) -> list[int]:
+        """The kept tau table, grown to max(n, 2 len) if shorter than n."""
+        # a local name: a concurrent grow rebinds self.tau, never this list
+        tau = self.tau
+        if len(tau) < n:
+            tau = self.tau = ramanujan_tau_table(max(n, 2 * len(tau)))
+        return tau
 
     def iter_members(self) -> Iterator[str]:
         return iter(("delta",))
 
     def hecke_eigenvalue(self, member, p: int) -> float:
-        if p > self.prime_limit:
-            raise ValueError(
-                f"coefficient p = {p} beyond precomputed bound "
-                f"{self.prime_limit}"
-            )
-        return self.tau[p - 1] / p**5.5
+        return self.tau_through(p)[p - 1] / p**5.5
 
     def local_coefficients(self, member, p, nu_max):
         return hecke_b(self.hecke_eigenvalue(member, p), nu_max, p=p)
@@ -641,9 +641,13 @@ class DeltaFamily(HeckeFamily):
             raise ValueError(f"tau({p}) beyond 2 p^(11/2)")
         return np.array([value]), np.ones(1)
 
+    def _build_table(self, P: int, nu_max: int) -> MomentTable:
+        self.tau_through(P)  # one tau table of exactly the table's reach
+        return super()._build_table(P, nu_max)
 
-def cusp_form_delta(coefficient_bound: int = 2000) -> DeltaFamily:
-    return DeltaFamily(coefficient_bound)
+
+def cusp_form_delta() -> DeltaFamily:
+    return DeltaFamily()
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +664,6 @@ class SymLiftFamily(Family):
             raise ValueError("power must be positive")
         self.base = base
         self.power = power
-        self.prime_limit = base.prime_limit
         self.family_id = f"sym{power}({base.family_id})"
         self.degree = power + 1
 
@@ -896,9 +899,7 @@ class KroneckerTwist(Family):
         return iter((self.d,))
 
     def local_coefficients(self, member, p, nu_max):
-        chi = kronecker_symbol(self.d, p)
-        b = np.array([float(chi**nu) for nu in range(1, nu_max + 1)])
-        return LocalCoefficients(p=p, degree=1, b=b)
+        return _kronecker_coefficients(self.d, p, nu_max)
 
     def log_conductor(self, member) -> float:
         return math.log(abs(self.d))
@@ -927,8 +928,7 @@ class CharacterTwist(Family):
         return iter((self.char.index,))
 
     def local_coefficients(self, member, p, nu_max):
-        b = np.array([self.char.power_value(p, nu) for nu in range(1, nu_max + 1)])
-        return LocalCoefficients(p=p, degree=1, b=b)
+        return _character_coefficients(self.char, p, nu_max)
 
     def log_conductor(self, member) -> float:
         return math.log(self.char.modulus)

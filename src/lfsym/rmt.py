@@ -59,7 +59,7 @@ class TestFunction:
     """An even Schwartz test function with band-limited Fourier transform.
 
     Attributes:
-        sigma: Support radius of the Fourier transform.
+        sigma: Support radius of the Fourier transform, finite and positive.
         phi: Evaluator for phi(x); accepts real/complex scalars and arrays.
         phi_hat: Evaluator for the Fourier transform, zero outside (-sigma, sigma).
         phi0: phi(0), exact.
@@ -77,6 +77,10 @@ class TestFunction:
     hat_knots: tuple[float, ...] = ()
     label: str = "testfn"
 
+    def __post_init__(self) -> None:
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+
 
 def _sinc(z):
     # sin(pi z) / (pi z); np.sinc handles arrays, complex input and z = 0
@@ -88,8 +92,6 @@ def fejer_test_function(sigma: float) -> TestFunction:
 
     phi(0) = sigma and phi_hat(0) = 1.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
 
     def phi(x):
         return sigma * _sinc(sigma * np.asarray(x)) ** 2
@@ -115,8 +117,6 @@ def fejer_squared_test_function(sigma: float) -> TestFunction:
     phi(0) = sigma^2, phi_hat(0) = 2*sigma/3, and phi_hat is C^1 (piecewise
     cubic with knots at sigma and 2*sigma).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
 
     def phi(x):
         return (sigma * _sinc(sigma * np.asarray(x)) ** 2) ** 2
@@ -191,10 +191,13 @@ def one_level_prediction(
     (r forced eigenvalues at the center).
 
     Raises:
-        ValueError: If the support radius is >= 1.
+        ValueError: If the support radius is not below 1 or the rank is not
+            finite.
     """
-    if phi.sigma >= 1.0:
+    if not phi.sigma < 1.0:
         raise ValueError("one-level prediction requires support radius < 1")
+    if not math.isfinite(rank):
+        raise ValueError(f"rank must be finite, got {rank}")
     base = phi.phi_hat0 + rank * phi.phi0
     if group.is_orthogonal:
         return base + 0.5 * phi.phi0
@@ -219,7 +222,7 @@ def two_level_prediction(
     """
     if not group.is_orthogonal:
         raise ValueError("two-level discriminator is for orthogonal groups")
-    if f1.sigma + f2.sigma >= 1.0:
+    if not f1.sigma + f2.sigma < 1.0:
         raise ValueError("support violation: need sigma1 + sigma2 < 1")
     s = min(f1.sigma, f2.sigma)
     knots = sorted(set(k for k in f1.hat_knots + f2.hat_knots if 0 < k < s) | {s})

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 
+MIN_MEMBERS = 2  # a singleton cannot average: see family_constant
+
+
 def _support_bound(sigma: float, log_r: float, nu: int, P: int) -> int:
     """Largest prime that can contribute: phi_hat(nu log p / log R) != 0."""
     # capped before exp: past log P the bound is P, and exp could overflow
@@ -192,7 +195,6 @@ class ConstantConfig:
     prime_cutoff: int
     tolerance: float = 0.2
     log_r: Optional[float] = None
-    min_members: int = 2
     nu_max: int = 2
 
 
@@ -240,7 +242,7 @@ def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
     c comes from the calibrated second-moment average and is classified
     against {-1, 0, +1}: the estimate must fall within the tolerance of one
     candidate with both others at least twice the tolerance away.  Families
-    smaller than ``min_members`` are never confidently classified (a
+    smaller than ``MIN_MEMBERS`` are never confidently classified (a
     singleton cannot average).  epsilon is 0 whenever the classification is
     unitary or symplectic and unknown otherwise; r is the calibrated
     first-moment estimate.  The density sums ``config.nu_max`` harmonics
@@ -274,9 +276,7 @@ def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
     ps, w1_total = _first_moment(t, hats[0], log_r)
     rank = ps / (2.0 * w1_total) if w1_total > 0 else float("nan")
 
-    c_class = (
-        _classify(c_est, config.tolerance) if size >= config.min_members else None
-    )
+    c_class = _classify(c_est, config.tolerance) if size >= MIN_MEMBERS else None
     breakdown, bad_prime_mass = _density_breakdown(
         t, hats[: config.nu_max], log_r, size
     )

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lfsym import ecgeom
+from lfsym import ecgeom, families
 from lfsym.cli import (
     CONSTANT_COLUMNS,
     DENSITY_COLUMNS,
@@ -19,7 +19,7 @@ from lfsym.cli import (
     main,
     run_families,
 )
-from lfsym.families import Family
+from lfsym.families import Family, ramanujan_tau_table
 
 SMALL_CONFIG = textwrap.dedent(
     """
@@ -72,7 +72,7 @@ class TestConfig:
         data = {
             "run": {"primes": 100, "sigma": 1.0},
             "families": [
-                {"id": "dd", "kind": "delta", "bound": 200},
+                {"id": "dd", "kind": "delta"},
                 {"id": "lift", "kind": "sym_lift", "base": "dd", "power": 2},
             ],
         }
@@ -346,7 +346,8 @@ DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
         (["constants"], {"run": {"log_r": 0}, "families": [DIRICHLET_7]}),
         (["constants"], {"families": [{"id": "q", "kind": "quadratic",
                                        "d_min": 10, "d_max": 20, "stride": 0}]}),
-        (["constants"], {"families": [{"id": "dd", "kind": "delta", "bound": 0}]}),
+        # delta takes no options: tau follows the reach of the prime sums
+        (["constants"], {"families": [{"id": "dd", "kind": "delta", "bound": 2000}]}),
         (["constants"], {"families": [DIRICHLET_7, {
             "id": "x", "kind": "convolve", "left": "d", "right": "d",
             "collisions": "ec-isomorphism"}]}),
@@ -355,10 +356,10 @@ DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
                                        "d_min": 0, "d_max": 2}]}),
         # delta x delta excludes its only pair
         (["constants"], {"run": {"log_r": 4.0, "primes": 50}, "families": [
-            {"id": "dd", "kind": "delta", "bound": 60},
+            {"id": "dd", "kind": "delta"},
             {"id": "x", "kind": "convolve", "left": "dd", "right": "dd"}]}),
         (["density"], {"run": {"log_r": 4.0, "primes": 50}, "families": [
-            {"id": "dd", "kind": "delta", "bound": 60},
+            {"id": "dd", "kind": "delta"},
             {"id": "x", "kind": "convolve", "left": "dd", "right": "dd"}]}),
         # imprimitive characters: log |d| would not be their log-conductor
         (["constants"], {"twist": "kronecker 9", "primes": 50}),
@@ -379,6 +380,10 @@ DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
         (["density"], {"run": {"primes": 50}, "families": [DIRICHLET_7, {
             "id": "x", "kind": "convolve", "left": "d", "right": "d",
             "colisions": "none"}]}),
+        # NaN fails every comparison, so the guards must be written for it
+        (["rmt-table", "--sigma", "nan"], None),
+        (["rmt-table", "--ranks", "nan"], None),
+        (["rmt-table", "--ranks", "inf"], None),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
@@ -419,22 +424,70 @@ def test_demo_output_matches_golden_csv(command, capsys):
 
 @pytest.mark.parametrize("command", ["constants", "density"])
 def test_hecke_output_matches_golden_csv(command, capsys):
-    # Delta, its lifts, a delta twist and convolutions that exclude pairs
-    assert main([command, "--config", str(GOLDEN / "hecke_p300.ini")]) == 0
+    # Delta, its lifts, a delta twist and convolutions that exclude pairs;
+    # with two threads, several families grow Delta's tau table at once
     expected = (GOLDEN / f"hecke_p300_{command}.csv").read_text()
-    assert capsys.readouterr().out == expected
+    for threads in ("1", "2"):
+        config = str(GOLDEN / "hecke_p300.ini")
+        assert main([command, "--config", config, "--threads", threads]) == 0
+        assert capsys.readouterr().out == expected, threads
 
 
-def test_delta_bound_at_the_support_edge(tmp_path, capsys):
+def test_delta_tau_reaches_the_support_edge(tmp_path, capsys, monkeypatch):
     # R = 100.5: phi_hat(log p / log R) vanishes from p = 101 on, so the
-    # sums read tau(p) up to p = 97 only, within the bound
+    # sums read tau(p) up to p = 97 only
+    calls = []
+
+    def counted(n_max):
+        calls.append(n_max)
+        return ramanujan_tau_table(n_max)
+
+    monkeypatch.setattr(families, "ramanujan_tau_table", counted)
     path = tmp_path / "edge.ini"
     path.write_text(
-        "[run]\nprimes = 500\nlog_r = 4.61015\n\n"
-        "[family dd]\nkind = delta\nbound = 100\n"
+        "[run]\nprimes = 500\nlog_r = 4.61015\n\n[family dd]\nkind = delta\n"
     )
     assert main(["constants", "--config", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("dd,1,500,")
+    assert calls == [97]
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("kind = delta\nbound = 2000", "unknown option 'bound'"),
+        ("kind = twist\nbase = q\ntwist = delta 2000", "bad twist spec 'delta 2000'"),
+    ],
+    ids=["bound", "twist"],
+)
+def test_delta_takes_no_bound(option, message, tmp_path, capsys):
+    path = tmp_path / "bound.ini"
+    path.write_text(
+        "[run]\nprimes = 50\n[family q]\nkind = quadratic\nd_min = 10\n"
+        f"d_max = 40\n[family dd]\n{option}\n"
+    )
+    assert main(["constants", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: family 'dd': {message}")
+
+
+def test_delta_twist_reads_tau_past_the_old_default_bound(tmp_path, capsys):
+    # the prime sums reach p = 2477, past the 2000 coefficients a delta
+    # family used to hold; Delta x an orthogonal family is symplectic
+    path = tmp_path / "dec.ini"
+    path.write_text(
+        "[run]\nprimes = 2500\n"
+        "[family ec]\nkind = elliptic\na_poly = 0 1\nb_poly = 1\n"
+        "t_min = 500\nt_max = 600\n"
+        "[family dec]\nkind = twist\ntwist = delta\nbase = ec\n"
+    )
+    assert main(["constants", "--config", str(path)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["family_id"] for row in rows] == ["ec", "dec"]
+    assert rows[1]["c_class"] == "1"
+    assert float(rows[1]["c_est"]) == pytest.approx(1.0907, abs=1e-4)
 
 
 def _family_classes(cls):

@@ -235,28 +235,33 @@ class TestDeltaFamily:
             assert tau[m * n - 1] == tau[m - 1] * tau[n - 1]
 
     def test_normalized_second_coefficient(self):
-        fam = cusp_form_delta(100)
+        fam = cusp_form_delta()
         assert fam.hecke_eigenvalue("delta", 2) == pytest.approx(
             -24 / 2**5.5, abs=1e-10
         )
         assert fam.hecke_eigenvalue("delta", 2) == pytest.approx(-0.5303, abs=1e-4)
 
     def test_deligne_bound(self):
-        fam = cusp_form_delta(100)
+        tau = cusp_form_delta().tau_through(100)
         for p in [int(q) for q in sieve_primes(100).primes]:
-            assert abs(fam.tau[p - 1]) <= 2 * p**5.5
+            assert abs(tau[p - 1]) <= 2 * p**5.5
 
-    def test_range_error(self):
-        fam = cusp_form_delta(50)
-        with pytest.raises(ValueError):
-            fam.hecke_eigenvalue("delta", 101)
+    def test_tau_grows_when_a_read_passes_its_end(self):
+        fam = cusp_form_delta()
+        assert fam.tau == []
+        assert fam.hecke_eigenvalue("delta", 7) == pytest.approx(-16744 / 7**5.5)
+        assert len(fam.tau) == 7
+        # at least doubled, and exact at the new end
+        assert fam.hecke_eigenvalue("delta", 11) == pytest.approx(534612 / 11**5.5)
+        assert len(fam.tau) == 14
+        assert fam.tau == ramanujan_tau_table(14)
 
     def test_moments_match_member_loop(self):
-        assert_moments_match_loop(cusp_form_delta(60), [2, 3, 5, 59], 4)
+        assert_moments_match_loop(cusp_form_delta(), [2, 3, 5, 59], 4)
 
     def test_deligne_violation_rejected(self, monkeypatch):
-        fam = cusp_form_delta(10)
-        tau = list(fam.tau)
+        fam = cusp_form_delta()
+        tau = list(fam.tau_through(10))
         tau[4] = 3 * 5**6  # tau(5) beyond 2 * 5^5.5
         monkeypatch.setattr(fam, "tau", tau)
         with pytest.raises(ValueError, match="tau"):
@@ -264,7 +269,7 @@ class TestDeltaFamily:
 
     def test_log_conductor_from_gamma_shift(self):
         # GammaC(s + 11/2) contributes (11/2)(13/2)/4
-        fam = cusp_form_delta(10)
+        fam = cusp_form_delta()
         assert fam.log_conductor("delta") == pytest.approx(
             math.log(5.5 * 6.5 / 4)
         )
@@ -290,7 +295,7 @@ class TestSymLift:
             assert_moments_match_loop(sym_lift(base, M), [5, 11], 4)
 
     def test_delta_lift_moments_match_member_loop(self):
-        assert_moments_match_loop(sym_lift(cusp_form_delta(60), 3), [2, 7, 59], 4)
+        assert_moments_match_loop(sym_lift(cusp_form_delta(), 3), [2, 7, 59], 4)
 
     def test_conductor_scaling_even_odd(self):
         base = elliptic_family(EC1)
@@ -305,7 +310,7 @@ class TestSymLift:
     def test_delta_lift_uses_exact_gamma_data(self):
         from lfsym.weil import disc, log_analytic_conductor, sym_power
 
-        lifted = sym_lift(cusp_form_delta(50), 4)
+        lifted = sym_lift(cusp_form_delta(), 4)
         assert lifted.log_conductor("delta") == pytest.approx(
             log_analytic_conductor(sym_power(disc(12), 4))
         )
@@ -446,7 +451,7 @@ class TestTwists:
         assert mt.sums[1] == pytest.approx(chi2 * mb.sums[1])
 
     def test_delta_twist_square_coefficient(self):
-        tw = cusp_form_delta(60)
+        tw = cusp_form_delta()
         for p in (2, 3, 5):
             lc = tw.local_coefficients("delta", p, 2)
             a = tw.hecke_eigenvalue("delta", p)
@@ -465,7 +470,7 @@ class TestTwists:
         [
             lambda: kronecker_twist(5),
             lambda: character_twist(7, 1),
-            lambda: cusp_form_delta(60),
+            cusp_form_delta,
         ],
         ids=["kronecker", "character", "delta"],
     )
@@ -527,7 +532,7 @@ ROW_COUNT_FAMILIES = {
     "elliptic-degree-2": lambda: elliptic_family(
         EllipticFamilySpec((0, 1), (1, 0, 1), 200, 240)
     ),
-    "delta": lambda: cusp_form_delta(200),
+    "delta": cusp_form_delta,
     "sym-lift": lambda: sym_lift(elliptic_family(EC1), 2),
     "convolution": lambda: convolve(elliptic_family(EC1), elliptic_family(EC1)),
     "twist": lambda: twist_by_fixed(kronecker_twist(5), elliptic_family(EC1)),
@@ -615,7 +620,7 @@ DERIVED_FAMILIES = {
     "ec-isomorphism-pair": lambda: convolve(
         elliptic_family(EC1), elliptic_family(EC1_SCALED)
     ),
-    "delta-x-delta": lambda: convolve(cusp_form_delta(200), cusp_form_delta(200)),
+    "delta-x-delta": lambda: convolve(cusp_form_delta(), cusp_form_delta()),
     "nested": lambda: convolve(
         twist_by_fixed(kronecker_twist(5), elliptic_family(EC1)),
         dirichlet_family(7),

@@ -81,8 +81,6 @@ def families(draw, ident, ids):
             t_min=draw(number(st.just(lo))),
             t_max=hi,
         )
-    elif kind == "delta":
-        options["bound"] = draw(number(st.integers(-2, 60)))
     elif kind == "sym_lift":
         options.update(base=draw(references), power=draw(number(st.integers(-1, 4))))
     elif kind == "convolve":

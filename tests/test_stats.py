@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lfsym import families
 from lfsym.ecgeom import EllipticFamilySpec
 from lfsym.families import (
     convolve,
@@ -9,6 +10,7 @@ from lfsym.families import (
     dirichlet_family,
     elliptic_family,
     quadratic_family,
+    ramanujan_tau_table,
     sym_lift,
 )
 from lfsym.rmt import fejer_test_function, zero_test_function
@@ -82,15 +84,20 @@ class TestPrimeSquareSum:
         assert res.bad_mass > 0
 
 
-def test_delta_bound_names_the_last_prime_read():
-    # sigma = 1 and R = e^10 weight every prime up to the cutoff 500
-    cfg = ConstantConfig(fejer_test_function(1.0), prime_cutoff=500, log_r=10.0)
-    with pytest.raises(ValueError) as info:
-        family_constant(cusp_form_delta(100), cfg)
-    assert str(info.value) == (
-        "prime sums reach p = 499, beyond its coefficient bound 100; "
-        "raise the delta bound to at least 499"
-    )
+def test_delta_computes_tau_as_far_as_the_prime_sums_read(monkeypatch):
+    calls = []
+
+    def counted(n_max):
+        calls.append(n_max)
+        return ramanujan_tau_table(n_max)
+
+    monkeypatch.setattr(families, "ramanujan_tau_table", counted)
+    fam = cusp_form_delta()
+    assert calls == []
+    # R = 8.9, Delta's analytic conductor: phi_hat(log p / log R) vanishes
+    # from p = 11 on, so one table reaches p = 7 and no further
+    family_constant(fam, ConstantConfig(PHI_ONE, prime_cutoff=500))
+    assert calls == [7]
 
 
 class TestPNTPrimeSum:
@@ -193,7 +200,7 @@ class TestFamilyConstantClassification:
         assert fc.epsilon is None  # family does not supply signs
 
     def test_singleton_indeterminate(self):
-        fam = sym_lift(cusp_form_delta(600), 2)
+        fam = sym_lift(cusp_form_delta(), 2)
         fc = family_constant(
             fam, ConstantConfig(phi=PHI_ONE, prime_cutoff=500, tolerance=0.2)
         )
@@ -245,7 +252,7 @@ class TestFunctorialLifts:
         from lfsym.families import cusp_form_delta, twist_by_fixed
 
         fc = family_constant(
-            twist_by_fixed(cusp_form_delta(700), lift_base_family), LIFT_CFG
+            twist_by_fixed(cusp_form_delta(), lift_base_family), LIFT_CFG
         )
         assert fc.c_class == 1
 
