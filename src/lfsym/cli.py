@@ -134,7 +134,7 @@ FAMILY_OPTIONS = {
     "elliptic": {"a_poly", "b_poly", "t_min", "t_max"},
     "delta": set(),
     "sym_lift": {"base", "power"},
-    "convolve": {"left", "right", "collisions"},
+    "convolve": {"left", "right"},
     "twist": {"base", "twist"},
 }
 
@@ -174,9 +174,7 @@ def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
             left, right = opt["left"], opt["right"]
             if left not in built or right not in built:
                 raise _Unresolved(left)
-            return fam_mod.convolve(
-                built[left], built[right], opt.get("collisions", "auto")
-            )
+            return fam_mod.convolve(built[left], built[right])
         if kind == "twist":
             base = opt["base"]
             if base not in built:

@@ -2,10 +2,11 @@
 
 Curves are short Weierstrass models y^2 = x^3 + A x + B over Q, and
 one-parameter families substitute integer polynomials A(T), B(T).  Provides
-exact curve invariants, a capped conductor proxy, Rankin-Selberg conductor
-bounds, average log-conductors over parameter boxes, and the two family
-statistics driven by counting points over F_p: the Nagao rank sum and the
-second-moment sum over a complete residue system.
+exact curve invariants, minimal models (which decide isomorphism over Q), a
+capped conductor proxy, Rankin-Selberg conductor bounds, average
+log-conductors over parameter boxes, and the two family statistics driven
+by counting points over F_p: the Nagao rank sum and the second-moment sum
+over a complete residue system.
 
 Both statistics, and the elliptic families, read the Frobenius traces a_t(p)
 of every residue t mod p from one table, ``ap_residue_table``, built on one of
@@ -51,6 +52,7 @@ __all__ = [
     "CurveInvariants",
     "EllipticFamilySpec",
     "invariants",
+    "minimal_model",
     "conductor_proxy",
     "rs_conductor_bounds",
     "FamilyConductors",
@@ -95,31 +97,33 @@ def invariants(A: int, B: int) -> CurveInvariants:
     return CurveInvariants(A=A, B=B, Delta=delta, c4=-48 * A, c6=-864 * B, j=j)
 
 
-def _minimalize_ge5(A: int, B: int) -> tuple[int, int]:
-    """Divide out twists (A, B) -> (A/p^4, B/p^6) at primes p >= 5.
+def minimal_model(A: int, B: int) -> tuple[int, int]:
+    """The minimal integral short Weierstrass model isomorphic to (A, B).
 
-    A prime with p^4 | A and p^6 | B divides gcd(A, B) to at least the fourth
-    power, so the candidates are read off the factorization of the gcd, and
-    nothing is factored when it is below 5^4.
+    Divides out (A, B) -> (A/p^4, B/p^6) at every prime p while p^4 | A and
+    p^6 | B.  Models of one curve over Q are (u^4 A, u^6 B) for rational u,
+    and if two of them are both minimal then v_p(u) = 0 at every p, so two
+    nonsingular models have the same minimal model exactly when they are
+    isomorphic over Q.  A prime that divides out divides gcd(A, B) to at
+    least the fourth power, so the candidates are read off the factorization
+    of the gcd, and nothing is factored when it is below 2^4.
     """
     g = math.gcd(A, B)
-    if g < 5**4:
+    if g < 2**4:
         return A, B
     for p, e in factorize(g).items():
-        if p < 5 or e < 4:
+        if e < 4:
             continue
         p4, p6 = p**4, p**6
         while A % p4 == 0 and B % p6 == 0:
             A //= p4
             B //= p6
-            if A == 0 or B == 0:
-                break
     return A, B
 
 
 def _conductor_exponents(A: int, B: int) -> dict[int, int]:
     """{p: exponent of p in conductor_proxy(A, B)}, from one factorization."""
-    A, B = _minimalize_ge5(A, B)
+    A, B = minimal_model(A, B)
     delta = -16 * (4 * A**3 + 27 * B**2)
     if delta == 0:
         raise ValueError("singular curve has no conductor")
@@ -138,7 +142,8 @@ def _conductor_exponents(A: int, B: int) -> dict[int, int]:
 def conductor_proxy(A: int, B: int) -> int:
     """Conductor proxy supported on the primes dividing the discriminant.
 
-    After minimalizing at p >= 5, a prime p >= 5 dividing Delta contributes
+    After minimalizing at every prime (``minimal_model``), so that the proxy
+    is an isomorphism invariant, a prime p >= 5 dividing Delta contributes
     exponent 1 when p does not divide c4 (multiplicative reduction) and 2
     otherwise (additive).  Wild exponents are capped at their known maxima
     instead of running Tate's algorithm: 2^8 whenever 2 | Delta (always, as

@@ -1,21 +1,22 @@
 """Families of L-functions presented through their local data.
 
 A family is a finite collection of members, each counted once, each serving
-power-sum coefficients b(p^nu) at every prime, a log-conductor, and a
-bad-prime predicate.  Statistics modules consume families through
-``moment_table``, which stacks the coefficient sums of ``prime_moments``
-over every prime up to a cutoff.  The degree-2 families,
-elliptic curves and the cusp form, share the base ``HeckeFamily``: from
-``trace_distribution``, the distinct normalized traces at p with their
-member counts, it aggregates any coefficient sequence of the members (their
-own, or a symmetric power's) as one matrix-vector product.
+power-sum coefficients b(p^nu) at every prime, a log-conductor, a bad-prime
+predicate and a form key, which names the form a member is: the family and
+the member by default, the minimal model for an elliptic curve.  Statistics
+modules consume families through ``moment_table``, which stacks the
+coefficient sums of ``prime_moments`` over every prime up to a cutoff.  The
+degree-2 families, elliptic curves and the cusp form, share the base
+``HeckeFamily``: from ``trace_distribution``, the distinct normalized traces
+at p with their member counts, it aggregates any coefficient sequence of the
+members (their own, or a symmetric power's) as one matrix-vector product.
 
 Each family keeps the last table it built, so a command computes a family's
 prime rows once, however many statistics and derived families read them:
 one table per family per command.  Derived families contract their
 factors' kept tables instead of recomputing the factors' rows; a
 convolution's (or twist's) rows are the products of its factors' rows,
-less the excluded pairs.
+less the excluded pairs: those of one form, whose product is not cuspidal.
 
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
 characters of fundamental discriminants (the Dirichlet family holds no
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -54,7 +54,7 @@ from .ecgeom import (
     ap_residue_table,
     avg_pair_log_conductor,
     family_conductors,
-    invariants,
+    minimal_model,
     rs_conductor_bounds,
     trace_of_frobenius,
 )
@@ -84,7 +84,6 @@ __all__ = [
     "ramanujan_tau_table",
     "kronecker_twist",
     "character_twist",
-    "curves_isomorphic",
 ]
 
 
@@ -163,6 +162,11 @@ class Family:
 
     def bad_prime(self, member, p: int) -> bool:
         return False
+
+    def form_key(self, member):
+        """The form a member is, by default the member of this family; a
+        convolution excludes the pairs with equal keys."""
+        return (self.family_id, member)
 
     # -- family-level derived data --------------------------------------------
 
@@ -522,6 +526,11 @@ class EllipticFamily(HeckeFamily):
     def log_conductor(self, member) -> float:
         return math.log(self.conductors.proxies[member])
 
+    def form_key(self, member) -> tuple[int, int]:
+        """The minimal model of E_t: equal exactly for curves isomorphic
+        over Q."""
+        return minimal_model(self.spec.A(member), self.spec.B(member))
+
     def bad_prime(self, member, p: int) -> bool:
         return p in (2, 3) or self.spec.discriminant(member) % p == 0
 
@@ -699,99 +708,40 @@ def sym_lift(f: Family, M: int) -> Family:
 # Rankin-Selberg convolutions
 
 
-def _is_kth_power(n: int, k: int) -> bool:
-    if n < 0:
-        return False
-    if n in (0, 1):
-        return True
-    if k % 2 == 0:
-        s = math.isqrt(n)
-        return s * s == n and _is_kth_power(s, k // 2)
-    r = round(n ** (1.0 / k))
-    return any(c >= 0 and c**k == n for c in (r - 1, r, r + 1))
-
-
-def _is_kth_power_fraction(q: Fraction, k: int) -> bool:
-    return q > 0 and _is_kth_power(q.numerator, k) and _is_kth_power(q.denominator, k)
-
-
-def curves_isomorphic(A1: int, B1: int, A2: int, B2: int) -> bool:
-    """Whether two nonsingular short Weierstrass models are isomorphic over Q.
-
-    Isomorphism means (A2, B2) = (u^4 A1, u^6 B1) for rational u; equal
-    j-invariant plus rationality of the scaling factor.
-    """
-    i1, i2 = invariants(A1, B1), invariants(A2, B2)
-    if i1.singular or i2.singular or i1.j != i2.j:
-        return False
-    if A1 == 0:  # j = 0: compare B via a rational sixth power
-        return _is_kth_power_fraction(Fraction(B2, B1), 6)
-    if B1 == 0:  # j = 1728: compare A via a rational fourth power
-        return _is_kth_power_fraction(Fraction(A2, A1), 4)
-    u2 = Fraction(A1 * B2, A2 * B1)
-    if not _is_kth_power_fraction(u2, 2):
-        return False
-    return u2**2 == Fraction(A2, A1) and u2**3 == Fraction(B2, B1)
-
-
 class ConvolutionFamily(Family):
     """Pairs (f, g) with coefficients b_f(p^nu) * b_g(p^nu).
 
-    Pairs flagged by the collision policy (potentially imprimitive
-    convolutions) are excluded.  Aggregated moments use the product
-    structure: the sum over included pairs is the product of the factor sums
-    minus the small excluded correction, so a table's rows are products of
-    the factors' kept rows; ``prime_moments`` is the per-prime oracle.
+    A pair of one form (equal ``form_key``: the same member of one family,
+    or elliptic curves isomorphic over Q) has a non-cuspidal product and is
+    excluded.  Aggregated moments use the product structure: the sum over
+    included pairs is the product of the factor sums minus the small
+    excluded correction, so a table's rows are products of the factors'
+    kept rows; ``prime_moments`` is the per-prime oracle.
 
     The conductor of a pair is q_f^deg(g) q_g^deg(f) (coprime levels); an
     elliptic pair instead takes the midpoint of its Rankin-Selberg conductor
     bounds.  A fixed twist f x G is the case where F = {f} has one member.
     """
 
-    def __init__(self, left: Family, right: Family, collision_policy: str = "auto"):
+    def __init__(self, left: Family, right: Family):
         self.left = left
         self.right = right
         self._ec_pair = isinstance(left, EllipticFamily) and isinstance(
             right, EllipticFamily
         )
-        policy = collision_policy
-        if policy == "auto":
-            if self._ec_pair:
-                policy = "ec-isomorphism"
-            elif left is right or left.family_id == right.family_id:
-                policy = "identity"
-            else:
-                policy = "none"
-        if policy == "ec-isomorphism" and not self._ec_pair:
-            raise ValueError("collision policy 'ec-isomorphism' needs elliptic factors")
-        self.policy = policy
-        self.excluded: list[tuple] = self._collisions()
+        # right members outer, left inner: _less_excluded subtracts in this
+        # order, so it fixes the bits of the sums
+        by_key: dict = {}
+        for f in left.iter_members():
+            by_key.setdefault(left.form_key(f), []).append(f)
+        self.excluded: list[tuple] = [
+            (f, g)
+            for g in right.iter_members()
+            for f in by_key.get(right.form_key(g), ())
+        ]
         self._excluded_set = set(self.excluded)
         self.family_id = f"({left.family_id})x({right.family_id})"
         self.degree = left.degree * right.degree
-
-    def _collisions(self) -> list[tuple]:
-        if self.policy == "none":
-            return []
-        if self.policy == "identity":
-            lset = {m for m in self.left.iter_members()}
-            return [(m, m) for m in self.right.iter_members() if m in lset]
-        if self.policy == "ec-isomorphism":
-            lspec = self.left.spec
-            rspec = self.right.spec
-            by_j: dict = {}
-            for t in self.left.iter_members():
-                by_j.setdefault(lspec.j_invariant(t), []).append(t)
-            out = []
-            for s in self.right.iter_members():
-                j = rspec.j_invariant(s)
-                for t in by_j.get(j, ()):
-                    if curves_isomorphic(
-                        lspec.A(t), lspec.B(t), rspec.A(s), rspec.B(s)
-                    ):
-                        out.append((t, s))
-            return out
-        raise ValueError(f"unknown collision policy {self.policy!r}")
 
     def iter_members(self) -> Iterator[tuple]:
         for f in self.left.iter_members():
@@ -870,9 +820,9 @@ class ConvolutionFamily(Family):
         return MomentTable(lt.primes, lt.log_p, good, total, sums)
 
 
-def convolve(f: Family, g: Family, collision_policy: str = "auto") -> Family:
-    """Rankin-Selberg convolution family with collision exclusion."""
-    return ConvolutionFamily(f, g, collision_policy)
+def convolve(f: Family, g: Family) -> Family:
+    """Rankin-Selberg convolution family, less the pairs of one form."""
+    return ConvolutionFamily(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -947,14 +897,11 @@ def character_twist(modulus: int, index: int) -> CharacterTwist:
 
 
 class TwistedFamily(ConvolutionFamily):
-    """``convolve(h, g, "none")``: the one-member family h against all of g.
+    """``convolve(h, g)``: the one-member family h against all of g.
 
     Adds no behaviour; the class keeps a twisted family's kind nameable for
     per-class tooling (the benchmark tracer).
     """
-
-    def __init__(self, h: Family, g: Family):
-        super().__init__(h, g, "none")
 
 
 def twist_by_fixed(h: Family, g: Family) -> TwistedFamily:

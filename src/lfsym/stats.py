@@ -164,7 +164,9 @@ def _density_breakdown(
         live &= w != 0
         p, lp = t.primes[live], t.log_p[live]
         b = t.sums[live, nu - 1].real
-        terms[nu] = float(np.sum(b * lp / (p ** (nu / 2.0) * log_r) * w[live]))
+        # a huge log R overflows the denominator to inf, the term's limit 0
+        with np.errstate(over="ignore"):
+            terms[nu] = float(np.sum(b * lp / (p ** (nu / 2.0) * log_r) * w[live]))
     scaled = {nu: -2.0 * v / size for nu, v in terms.items()}
     breakdown = {
         1: scaled.get(1, 0.0),

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -384,6 +385,14 @@ DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
         (["rmt-table", "--sigma", "nan"], None),
         (["rmt-table", "--ranks", "nan"], None),
         (["rmt-table", "--ranks", "inf"], None),
+        # a convolution's excluded pairs follow from its factors: no option
+        (["constants"], {"families": [DIRICHLET_7, {
+            "id": "x", "kind": "convolve", "left": "d", "right": "d",
+            "collisions": "auto"}]}),
+        # Delta twisted by Delta excludes its only pair, like delta x delta
+        (["constants"], {"run": {"log_r": 4.0, "primes": 50}, "families": [
+            {"id": "dd", "kind": "delta"},
+            {"id": "t", "kind": "twist", "base": "dd", "twist": "delta"}]}),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
@@ -399,6 +408,26 @@ def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+def test_density_at_huge_log_r_warns_nothing(tmp_path, capsys):
+    # p^(nu/2) log R overflows to inf, and the term it divides is then 0
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "run": {"log_r": 1e300, "nu_max": 12, "primes": 50},
+        "families": [DIRICHLET_7],
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "family_id,sigma,P,c_est,c_class,r_est,eps,D1_emp,D1_pred,nu3_tail,"
+        "d1_bad_mass\n"
+        "d,1,50,0.0366251451279,0,0.132615197479,0,1,1.13261519748,"
+        "-6.50450941805e-301,0.377964473009\n"
+    )
+    assert captured.err == ""
 
 
 GOLDEN = ROOT / "tests" / "golden"

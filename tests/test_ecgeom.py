@@ -17,6 +17,7 @@ from lfsym.ecgeom import (
     invariants,
     j_collision_count,
     michel_moment,
+    minimal_model,
     nagao_sum,
     residue_trace_sum,
     rs_conductor_bounds,
@@ -89,38 +90,60 @@ class TestConductorProxy:
             if A == 0 and B == 0:
                 return A, B
             if A == 0:
-                cands = [p for p, e in factorize(B).items() if p >= 5 and e >= 6]
+                cands = [p for p, e in factorize(B).items() if e >= 6]
             elif B == 0:
-                cands = [p for p, e in factorize(A).items() if p >= 5 and e >= 4]
+                cands = [p for p, e in factorize(A).items() if e >= 4]
             else:
                 cands = [
-                    p
-                    for p, e in factorize(A).items()
-                    if p >= 5 and e >= 4 and B % p**6 == 0
+                    p for p, e in factorize(A).items() if e >= 4 and B % p**6 == 0
                 ]
             for p in cands:
                 while A % p**4 == 0 and B % p**6 == 0:
                     A //= p**4
                     B //= p**6
-                    if A == 0 or B == 0:
-                        break
             return A, B
 
-        values = {0, 1, -1, 2, 3, -7, 12, 625, 2401, 14641}
-        for p in (5, 7, 11):
+        values = {0, 1, -1, 2, 3, -7, 12, 16, 81, 625, 2401, 14641}
+        for p in (2, 3, 5, 7, 11):
             values |= {p**4, -(p**4), 2 * p**4, p**6, -3 * p**6, p**8, p**12, 6 * p**12}
         values.add(5**4 * 7**6)
         values.add(5**6 * 7**4)
+        values.add(2**6 * 3**4)
         for A in sorted(values):
             for B in sorted(values):
-                assert ecgeom._minimalize_ge5(A, B) == old_rule(A, B), (A, B)
+                assert minimal_model(A, B) == old_rule(A, B), (A, B)
 
     def test_no_factoring_for_small_gcd(self, monkeypatch):
         calls = []
         monkeypatch.setattr(ecgeom, "factorize", lambda n: calls.append(n) or {})
-        assert ecgeom._minimalize_ge5(2000, 1) == (2000, 1)
-        assert ecgeom._minimalize_ge5(5**4, 2) == (5**4, 2)
+        assert minimal_model(2000, 1) == (2000, 1)
+        assert minimal_model(5**4, 2) == (5**4, 2)
+        assert minimal_model(0, 15) == (0, 15)
         assert calls == []
+
+    def test_minimalized_at_every_prime(self):
+        # 81 = 3^4, 729 = 3^6: the model is (1, 1) rescaled by u = 3
+        assert conductor_proxy(81, 729) == conductor_proxy(1, 1)
+        # j = 0: every power of 5^6 divides out, not just the first
+        assert conductor_proxy(0, 2 * 5**12) == conductor_proxy(0, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        A=st.integers(-10**6, 10**6),
+        B=st.integers(-10**6, 10**6),
+        a=st.sampled_from([2, 3, 5, 6, 25]),
+        zero=st.sampled_from([None, "A", "B"]),
+    )
+    def test_proxy_and_model_are_isomorphism_invariants(self, A, B, a, zero):
+        if zero == "A":
+            A = 0
+        elif zero == "B":
+            B = 0
+        if 4 * A**3 + 27 * B**2 == 0:
+            return
+        scaled = (A * a**4, B * a**6)
+        assert minimal_model(*scaled) == minimal_model(A, B)
+        assert conductor_proxy(*scaled) == conductor_proxy(A, B)
 
 
 class TestRSBounds:

@@ -5,15 +5,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfsym import families
 from lfsym.arith import characters_mod, kronecker_symbol, sieve_primes
-from lfsym.ecgeom import EllipticFamilySpec, ap_residue_table, trace_of_frobenius
+from lfsym.ecgeom import (
+    EllipticFamilySpec,
+    ap_residue_table,
+    minimal_model,
+    trace_of_frobenius,
+)
 from lfsym.families import (
     PrimeMoments,
     character_twist,
     convolve,
-    curves_isomorphic,
     cusp_form_delta,
     dirichlet_family,
     elliptic_family,
@@ -327,6 +333,10 @@ class TestSymLift:
             sym_lift(twisted, 2)
 
 
+def curves_isomorphic(A1, B1, A2, B2):
+    return minimal_model(A1, B1) == minimal_model(A2, B2)
+
+
 class TestCurvesIsomorphic:
     def test_identical(self):
         assert curves_isomorphic(3, 5, 3, 5)
@@ -345,6 +355,22 @@ class TestCurvesIsomorphic:
         assert curves_isomorphic(0, 2, 0, 2 * 64)  # u = 2: B scales by 2^6
         assert not curves_isomorphic(0, 2, 0, 2 * 32)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        A=st.integers(-10**4, 10**4),
+        B=st.integers(-10**4, 10**4),
+        a=st.integers(1, 30),
+        b=st.integers(1, 30),
+        d=st.sampled_from([-7, -3, -1, 2, 3, 5, 6, 10, 15, -30]),
+    )
+    def test_rescalings_isomorphic_twists_not(self, A, B, a, b, d):
+        if 4 * A**3 + 27 * B**2 == 0:
+            return
+        assert curves_isomorphic(A * a**4, B * a**6, A * b**4, B * b**6)
+        # (A, 0) twisted by d = -1 is the same curve: y -> i y, x -> -x
+        if A * B != 0:
+            assert not curves_isomorphic(A, B, A * d**2, B * d**3)
+
 
 class TestConvolution:
     def test_degree(self):
@@ -360,8 +386,7 @@ class TestConvolution:
         f = elliptic_family(EllipticFamilySpec((0, 1), (1,), 10, 30))
         g = elliptic_family(EllipticFamilySpec((0, 1), (1,), 10, 30))
         conv = convolve(f, g)
-        assert conv.policy == "ec-isomorphism"
-        assert set(conv.excluded) == {(t, t) for t in f.members_list}
+        assert conv.excluded == [(t, t) for t in f.members_list]
         assert conv.size() == 20 * 20 - 20
 
     def test_coefficients_multiply(self):
@@ -409,7 +434,7 @@ class TestConvolution:
     def test_identity_policy_for_character_families(self):
         f = dirichlet_family(11)
         conv = convolve(f, f)
-        assert conv.policy == "identity"
+        assert conv.excluded == [(k, k) for k in range(9)]
         assert conv.size() == 9 * 9 - 9
 
     def test_log_conductor_midpoint(self):
@@ -478,7 +503,8 @@ class TestTwists:
         h = make_twist()
         base = elliptic_family(EllipticFamilySpec((0, 1), (1,), 20, 45))
         twisted = twist_by_fixed(h, base)
-        conv = convolve(h, base, "none")
+        conv = convolve(h, base)
+        assert twisted.excluded == conv.excluded == []
         assert list(twisted.iter_members()) == list(conv.iter_members())
         a, b = twisted.moment_table(59, 4), conv.moment_table(59, 4)
         for field in ("primes", "good", "total", "sums"):
@@ -633,9 +659,10 @@ class TestDerivedTables:
     def test_table_equals_prime_moments_oracle(self, kind):
         fam = DERIVED_FAMILIES[kind]()
         if kind == "identity-self-convolution":
-            assert fam.policy == "identity" and fam.excluded
+            members = list(fam.left.iter_members())
+            assert fam.excluded == [(d, d) for d in members]
         if kind == "ec-isomorphism-pair":
-            assert fam.policy == "ec-isomorphism" and len(fam.excluded) == 20
+            assert fam.excluded == [(t, t) for t in range(2020, 2040)]
         table = fam.moment_table(199, 6)
         primes, good, total, sums = stacked_prime_moments(fam, 199, 6)
         assert np.array_equal(table.primes, primes)

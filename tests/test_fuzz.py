@@ -85,10 +85,6 @@ def families(draw, ident, ids):
         options.update(base=draw(references), power=draw(number(st.integers(-1, 4))))
     elif kind == "convolve":
         options.update(left=draw(references), right=draw(references))
-        if draw(st.booleans()):
-            options["collisions"] = draw(
-                st.sampled_from(["auto", "none", "identity", "ec-isomorphism", "x"])
-            )
     elif kind == "twist":
         options.update(base=draw(references), twist=draw(twists()))
     # drop one option now and then: missing keys must be reported too
