@@ -23,7 +23,6 @@ from .ecgeom import (
     avg_log_conductor,
     conductor_proxy,
     invariants,
-    j_collision_count,
     michel_moment,
     nagao_sum,
     rs_conductor_bounds,

@@ -73,8 +73,11 @@ class RunSettings:
         """Reject settings no experiment can run with."""
         if self.primes < 2:
             raise ConfigError(f"primes must be at least 2, got {self.primes}")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
+        # NaN fails every comparison, so each guard asks for the valid case
+        for name in ("sigma", "tolerance", "check_tolerance"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.nu_max < 1:
             raise ConfigError(f"nu_max must be at least 1, got {self.nu_max}")
         if self.threads < 1:
@@ -240,6 +243,12 @@ def _config_from_dict(data: dict) -> ExperimentConfig:
         raw = dict(raw)
         ident = raw.pop("id")
         kind = raw.pop("kind")
+        # the id is a CSV field of every output row, written unquoted
+        if not isinstance(ident, str) or not ident or set(ident) & set(',"\r\n'):
+            raise ConfigError(
+                f"family id {ident!r} must be a nonempty string without "
+                "commas, double quotes or line breaks"
+            )
         decls.append(FamilyDecl(ident=ident, kind=kind, options=raw))
     if len({d.ident for d in decls}) != len(decls):
         raise ConfigError("duplicate family ids")
@@ -682,9 +691,12 @@ def _dispatch(args) -> int:
         for ref in (args.left, args.right):
             if ref not in ids:
                 raise ConfigError(f"unknown family id {ref!r}")
+        ident = f"{args.left}x{args.right}"
+        if ident in ids:
+            raise ConfigError(f"family id {ident!r} is already declared")
         config.declarations.append(
             FamilyDecl(
-                ident=f"{args.left}x{args.right}",
+                ident=ident,
                 kind="convolve",
                 options={"left": args.left, "right": args.right},
             )

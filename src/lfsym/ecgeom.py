@@ -61,7 +61,6 @@ __all__ = [
     "avg_log_conductor",
     "nagao_sum",
     "michel_moment",
-    "j_collision_count",
     "ap_residue_table",
     "trace_of_frobenius",
     "affine_point_count",
@@ -190,9 +189,6 @@ class EllipticFamilySpec:
     def discriminant(self, t: int) -> int:
         return -16 * (4 * self.A(t) ** 3 + 27 * self.B(t) ** 2)
 
-    def j_invariant(self, t: int) -> Optional[Fraction]:
-        return invariants(self.A(t), self.B(t)).j
-
     @property
     def t_range(self) -> range:
         return range(self.t_min, self.t_max)
@@ -208,7 +204,7 @@ class EllipticFamilySpec:
         t = 0
         checked = 0
         while checked < 6 * degree + 2:
-            j = self.j_invariant(t)
+            j = invariants(self.A(t), self.B(t)).j
             if j is not None:
                 seen.add(j)
                 checked += 1
@@ -404,37 +400,6 @@ def michel_moment(spec: EllipticFamilySpec, p: int) -> int:
         raise ValueError("second-moment asymptotics require non-constant j")
     a = ap_residue_table(spec, p)
     return int(np.dot(a, a))
-
-
-def j_collision_count(
-    F: EllipticFamilySpec, G: EllipticFamilySpec, sample_cap: int = 100
-) -> tuple[int, list[tuple[int, int]]]:
-    """Number of (t, s) pairs with j_F(t) = j_G(s), by exact rational equality.
-
-    Singular fibers never match.  Returns the count and a sample of pairs
-    capped at ``sample_cap``.
-
-    Raises:
-        ValueError: If either family has constant j-invariant.
-    """
-    if F.j_is_constant() or G.j_is_constant():
-        raise ValueError("collision counting requires non-constant j on both sides")
-    by_j: dict[Fraction, list[int]] = {}
-    for t in F.t_range:
-        j = F.j_invariant(t)
-        if j is not None:
-            by_j.setdefault(j, []).append(t)
-    count = 0
-    sample: list[tuple[int, int]] = []
-    for s in G.t_range:
-        j = G.j_invariant(s)
-        if j is None:
-            continue
-        for t in by_j.get(j, ()):
-            count += 1
-            if len(sample) < sample_cap:
-                sample.append((t, s))
-    return count, sample
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 A family is a finite collection of members, each counted once, each serving
 power-sum coefficients b(p^nu) at every prime, a log-conductor, a bad-prime
-predicate and a form key, which names the form a member is: the family and
-the member by default, the minimal model for an elliptic curve.  Statistics
+predicate, and a form key with the key of its dual.  A key names the form in
+any family that holds it: ("kronecker", d) for a quadratic character, also of
+prime modulus, ("dirichlet", m, j) for another chi_j mod m, the minimal model
+for an elliptic curve, and by default the family and the member.  Statistics
 modules consume families through ``moment_table``, which stacks the
 coefficient sums of ``prime_moments`` over every prime up to a cutoff.  The
 degree-2 families, elliptic curves and the cusp form, share the base
@@ -16,7 +18,7 @@ prime rows once, however many statistics and derived families read them:
 one table per family per command.  Derived families contract their
 factors' kept tables instead of recomputing the factors' rows; a
 convolution's (or twist's) rows are the products of its factors' rows,
-less the excluded pairs: those of one form, whose product is not cuspidal.
+less the pairs (f, g) with g the dual of f, whose product is not cuspidal.
 
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
 characters of fundamental discriminants (the Dirichlet family holds no
@@ -165,8 +167,12 @@ class Family:
 
     def form_key(self, member):
         """The form a member is, by default the member of this family; a
-        convolution excludes the pairs with equal keys."""
+        convolution excludes each pair (f, g) in which g's key is f's dual key."""
         return (self.family_id, member)
+
+    def dual_key(self, member):
+        """The key of the member's contragredient, by default its own key."""
+        return self.form_key(member)
 
     # -- family-level derived data --------------------------------------------
 
@@ -271,6 +277,15 @@ class Family:
 # Dirichlet characters of prime modulus
 
 
+def _character_key(m: int, j: int) -> tuple:
+    """The key of chi_j mod a prime m, for any j; the quadratic (.|m) is the
+    Kronecker character of m* = +-m = 1 mod 4 and takes its key."""
+    j %= m - 1
+    if 2 * j == m - 1:
+        return ("kronecker", m if m % 4 == 1 else -m)
+    return ("dirichlet", m, j)
+
+
 def _character_coefficients(chi, p: int, nu_max: int) -> LocalCoefficients:
     """b(p^nu) = chi(p)^nu of one Dirichlet character, nu = 1..nu_max."""
     b = np.array([chi.power_value(p, nu) for nu in range(1, nu_max + 1)])
@@ -303,6 +318,12 @@ class DirichletFamily(Family):
 
     def bad_prime(self, member, p: int) -> bool:
         return p % self.modulus == 0
+
+    def form_key(self, member) -> tuple:
+        return _character_key(self.modulus, member + 1)
+
+    def dual_key(self, member) -> tuple:
+        return _character_key(self.modulus, -(member + 1))
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
         m = self.modulus
@@ -400,6 +421,9 @@ class QuadraticFamily(Family):
 
     def bad_prime(self, member, p: int) -> bool:
         return member % p == 0
+
+    def form_key(self, member) -> tuple:
+        return ("kronecker", member)
 
     def average_log_conductor(self) -> float:
         return float(self._log_d.mean())
@@ -711,8 +735,9 @@ def sym_lift(f: Family, M: int) -> Family:
 class ConvolutionFamily(Family):
     """Pairs (f, g) with coefficients b_f(p^nu) * b_g(p^nu).
 
-    A pair of one form (equal ``form_key``: the same member of one family,
-    or elliptic curves isomorphic over Q) has a non-cuspidal product and is
+    A pair (f, g) whose g is the dual of f (g's ``form_key`` is f's
+    ``dual_key``: a character and its conjugate, held by any families, or
+    elliptic curves isomorphic over Q) has a non-cuspidal product and is
     excluded.  Aggregated moments use the product structure: the sum over
     included pairs is the product of the factor sums minus the small
     excluded correction, so a table's rows are products of the factors'
@@ -733,7 +758,7 @@ class ConvolutionFamily(Family):
         # order, so it fixes the bits of the sums
         by_key: dict = {}
         for f in left.iter_members():
-            by_key.setdefault(left.form_key(f), []).append(f)
+            by_key.setdefault(left.dual_key(f), []).append(f)
         self.excluded: list[tuple] = [
             (f, g)
             for g in right.iter_members()
@@ -857,6 +882,9 @@ class KroneckerTwist(Family):
     def bad_prime(self, member, p: int) -> bool:
         return self.d % p == 0
 
+    def form_key(self, member) -> tuple:
+        return ("kronecker", self.d)
+
 
 class CharacterTwist(Family):
     """The single Dirichlet character char, a one-member family.
@@ -885,6 +913,12 @@ class CharacterTwist(Family):
 
     def bad_prime(self, member, p: int) -> bool:
         return p % self.char.modulus == 0
+
+    def form_key(self, member) -> tuple:
+        return _character_key(self.char.modulus, self.char.index)
+
+    def dual_key(self, member) -> tuple:
+        return _character_key(self.char.modulus, -self.char.index)
 
 
 def kronecker_twist(d: int) -> KroneckerTwist:

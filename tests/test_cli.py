@@ -326,6 +326,7 @@ TWIST_CONFIG = textwrap.dedent(
 
 
 DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
+QUADRATIC_1_60 = {"id": "q", "kind": "quadratic", "d_min": 1, "d_max": 60}
 
 
 @pytest.mark.parametrize(
@@ -393,12 +394,31 @@ DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
         (["constants"], {"run": {"log_r": 4.0, "primes": 50}, "families": [
             {"id": "dd", "kind": "delta"},
             {"id": "t", "kind": "twist", "base": "dd", "twist": "delta"}]}),
+        # tolerances: NaN fails every comparison, so --check could never fail
+        (["constants"], {"run": {"tolerance": "nan"}, "families": [DIRICHLET_7]}),
+        (["constants"], {"run": {"tolerance": -1}, "families": [DIRICHLET_7]}),
+        (["density", "--check"], {"run": {"primes": 200, "check_tolerance": "nan"},
+                                  "families": [QUADRATIC_1_60]}),
+        (["density"], {"run": {"check_tolerance": 0}, "families": [DIRICHLET_7]}),
+        # a family id is an unquoted CSV field
+        pytest.param(["constants"], "[run]\nprimes = 50\n[family q,x]\n"
+                     "kind = quadratic\nd_min = 1\nd_max = 60\n", id="ini-comma-id"),
+        (["constants"], {"families": [dict(DIRICHLET_7, id="a\nb")]}),
+        (["constants"], {"families": [dict(DIRICHLET_7, id="")]}),
+        (["constants"], {"families": [dict(DIRICHLET_7, id='"d"')]}),
+        (["constants"], {"families": [dict(DIRICHLET_7, id=7)]}),
+        # the convolution's id is already declared
+        (["convolve", "--left", "a", "--right", "b"], {"run": {"primes": 50},
+            "families": [dict(DIRICHLET_7, id="a"), dict(QUADRATIC_1_60, id="b"),
+                         dict(QUADRATIC_1_60, id="axb")]}),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "bad.ini"
-        if "families" in config:
+        if isinstance(config, str):
+            path.write_text(config)
+        elif "families" in config:
             path.write_text(json.dumps(config))
         else:
             path.write_text(TWIST_CONFIG.format(**config))
@@ -460,6 +480,15 @@ def test_hecke_output_matches_golden_csv(command, capsys):
         config = str(GOLDEN / "hecke_p300.ini")
         assert main([command, "--config", config, "--threads", threads]) == 0
         assert capsys.readouterr().out == expected, threads
+
+
+@pytest.mark.parametrize("command", ["constants", "density"])
+def test_forms_output_matches_golden_csv(command, capsys):
+    # characters held by two families: each convolution and twist drops the
+    # pairs of a character and its conjugate
+    config = str(GOLDEN / "forms_p300.ini")
+    assert main([command, "--config", config]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"forms_p300_{command}.csv").read_text()
 
 
 def test_delta_tau_reaches_the_support_edge(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from lfsym.ecgeom import (
     avg_log_conductor,
     conductor_proxy,
     invariants,
-    j_collision_count,
     michel_moment,
     minimal_model,
     nagao_sum,
@@ -320,34 +319,6 @@ class TestMichel:
     def test_constant_j_rejected(self):
         with pytest.raises(ValueError):
             michel_moment(SPEC_T0(0, 1), 7)
-
-
-class TestJCollisions:
-    def test_identical_families_have_diagonal(self):
-        f = SPEC_T1(10, 20)
-        count, pairs = j_collision_count(f, f)
-        assert count >= 10
-        diag = [(t, t) for t in range(10, 20)]
-        assert set(diag) <= set(pairs)
-
-    def test_disjoint_images(self):
-        # 4t^3 = s^3 has no rational solutions, so j-images are disjoint
-        count, pairs = j_collision_count(SPEC_T1(10, 20), SPEC_T2(10, 20))
-        assert count == 0 and pairs == []
-
-    def test_exhaustive_oracle(self):
-        F, G = SPEC_T1(10, 20), SPEC_T2(10, 20)
-        oracle = sum(
-            1
-            for t in range(10, 20)
-            for s in range(10, 20)
-            if F.j_invariant(t) is not None and F.j_invariant(t) == G.j_invariant(s)
-        )
-        assert j_collision_count(F, G)[0] == oracle
-
-    def test_constant_j_rejected(self):
-        with pytest.raises(ValueError):
-            j_collision_count(SPEC_T0(0, 5), SPEC_T1(0, 5))
 
 
 def brute_avg_log_conductor(F, G):

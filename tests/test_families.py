@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfsym import families
-from lfsym.arith import characters_mod, kronecker_symbol, sieve_primes
+from lfsym.arith import (
+    characters_mod,
+    dirichlet_character,
+    kronecker_symbol,
+    sieve_primes,
+)
 from lfsym.ecgeom import (
     EllipticFamilySpec,
     ap_residue_table,
@@ -432,9 +437,11 @@ class TestConvolution:
         assert calls == [5, 7, 11]
 
     def test_identity_policy_for_character_families(self):
+        # chi_j chi_k is trivial when j + k = 0 mod 10: member k (index k + 1)
+        # meets member 8 - k, and the quadratic member 4 meets itself
         f = dirichlet_family(11)
         conv = convolve(f, f)
-        assert conv.excluded == [(k, k) for k in range(9)]
+        assert conv.excluded == [(8 - k, k) for k in range(9)]
         assert conv.size() == 9 * 9 - 9
 
     def test_log_conductor_midpoint(self):
@@ -549,6 +556,102 @@ class TestTwists:
         for d in (-8, -4, -3, 5, 8, 12):
             assert kronecker_twist(d).d == d
         assert character_twist(7, 3).char.index == 3
+
+
+# one-member character families, Dirichlet members and quadratic members,
+# among which (.|5) = chi_2 mod 5 = (5|.), (.|7) = chi_3 mod 7 = (-7|.) and
+# chi_1 mod 7, chi_5 mod 7 are conjugate
+CHARACTER_MEMBERS = (
+    [(kronecker_twist(d), d) for d in (-7, -4, 5, 8)]
+    + [(character_twist(m, j), j) for m, j in ((5, 2), (7, 1), (7, 3), (7, 5))]
+    + [
+        (fam, member)
+        for fam in [*map(dirichlet_family, (3, 5, 7, 13)), quadratic_family((-20, 30))]
+        for member in fam.iter_members()
+    ]
+)
+
+
+def character_pairs():
+    """(family, member, b(p) at every prime p < 300) for every pair of
+    CHARACTER_MEMBERS; characters of these conductors agree at every such
+    prime exactly when they are equal."""
+    primes = sieve_primes(300).primes.tolist()
+    rows = [
+        (fam, f, np.array([fam.local_coefficients(f, p, 1).b[0] for p in primes]))
+        for fam, f in CHARACTER_MEMBERS
+    ]
+    return [(a, b) for a in rows for b in rows]
+
+
+class TestFormKeys:
+    def test_equal_keys_iff_equal_characters(self):
+        for (fam, f, u), (gam, g, v) in character_pairs():
+            same = np.allclose(u, v)
+            assert (fam.form_key(f) == gam.form_key(g)) == same, (fam, f, gam, g)
+
+    def test_dual_key_is_the_conjugates_key(self):
+        for (fam, f, u), (gam, g, v) in character_pairs():
+            dual = np.allclose(np.conj(u), v)
+            assert (fam.dual_key(f) == gam.form_key(g)) == dual, (fam, f, gam, g)
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 11, 13, 101])
+    def test_quadratic_character_of_prime_modulus_is_kronecker(self, m):
+        m_star = m if m % 4 == 1 else -m
+        chi = dirichlet_character(m, (m - 1) // 2)
+        member = (m - 1) // 2 - 1
+        assert dirichlet_family(m).form_key(member) == ("kronecker", m_star)
+        assert kronecker_twist(m_star).form_key(m_star) == ("kronecker", m_star)
+        for a in range(1, m):
+            assert kronecker_symbol(m_star, a) == pytest.approx(chi(a))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([3, 5, 7, 11, 13]))
+    def test_excluded_pairs_are_those_of_trivial_product(self, m):
+        chars = [dirichlet_character(m, j) for j in range(1, m - 1)]
+        trivial = {
+            (j, k)
+            for j, a in enumerate(chars)
+            for k, b in enumerate(chars)
+            if np.allclose((a.values * b.values)[1:], 1)
+        }
+        conv = convolve(dirichlet_family(m), dirichlet_family(m))
+        assert set(conv.excluded) == trivial
+
+    @pytest.mark.parametrize(
+        "make, excluded",
+        [
+            (
+                lambda: convolve(dirichlet_family(7), dirichlet_family(7)),
+                [(4, 0), (3, 1), (2, 2), (1, 3), (0, 4)],
+            ),
+            (
+                lambda: twist_by_fixed(kronecker_twist(5), quadratic_family((1, 20))),
+                [(5, 5)],
+            ),
+            (
+                lambda: convolve(
+                    quadratic_family((1, 20)), quadratic_family((10, 40))
+                ),
+                [(12, 12), (13, 13), (17, 17)],
+            ),
+            (
+                lambda: convolve(dirichlet_family(5), quadratic_family((1, 20))),
+                [(1, 5)],
+            ),
+            (
+                lambda: convolve(dirichlet_family(7), quadratic_family((-10, 0))),
+                [(2, -7)],
+            ),
+        ],
+        ids=["dirichlet-self", "kronecker-twist", "quadratic-windows",
+             "dirichlet-quadratic", "dirichlet-negative-quadratic"],
+    )
+    def test_one_form_in_two_families_is_excluded(self, make, excluded):
+        conv = make()
+        assert conv.excluded == excluded
+        assert conv.size() == conv.left.size() * conv.right.size() - len(excluded)
+        assert_moments_match_loop(conv, [2, 3, 5, 7, 11], 3)
 
 
 ROW_COUNT_FAMILIES = {

@@ -101,7 +101,7 @@ def configs(draw):
         ("primes", mostly(st.integers(2, 50), st.integers(-2, 1))),
         ("sigma", mostly(st.sampled_from([0.3, 1.0, 2.5, 1e6, 1e300]), st.just(0.0))),
         ("nu_max", mostly(st.integers(1, 12), st.integers(-1, 0))),
-        ("tolerance", st.sampled_from([0.2, 0.0, -1.0])),
+        ("tolerance", mostly(st.just(0.2), st.sampled_from([0.0, -1.0]))),
         ("threads", mostly(st.integers(1, 2), st.just(0))),
         ("log_r", mostly(st.sampled_from([4.0, 0.5, 1e300]), st.just(-1.0))),
     ):
