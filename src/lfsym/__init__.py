@@ -25,6 +25,7 @@ from .ecgeom import (
     invariants,
     michel_moment,
     nagao_sum,
+    residue_moments,
     rs_conductor_bounds,
     trace_of_frobenius,
 )

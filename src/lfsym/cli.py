@@ -8,10 +8,12 @@ Subcommands:
     rmt-table   closed-form density predictions on a (group, sigma, rank) grid
     ec-scan     per-prime second-moment ratios and rank partial sums
 
-Configs are flat key-table INI files ([run] section plus one [family ID]
-section per family); JSON with the same shape is accepted, and a key outside
-``RunSettings`` or ``FAMILY_OPTIONS`` is an error.  Output is
-deterministic: fixed row order, floats printed with 12 significant digits.
+Configs are flat key-table UTF-8 INI files ([run] section plus one
+[family ID] section per family); JSON with the same shape ("run" and
+"families") is accepted.  Any other section or top-level key, a key outside
+``RunSettings`` or ``FAMILY_OPTIONS``, and an integer field given anything
+but an integer are errors.  Output is deterministic: fixed row order, floats
+printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import families as fam_mod
 from . import rmt, stats, weil
 from .arith import sieve_primes
-from .ecgeom import EllipticFamilySpec, ap_residue_table
+from .ecgeom import EllipticFamilySpec, residue_moments
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -131,6 +135,14 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in str(text).replace(",", " ").split())
 
 
+def _int(value, name: str) -> int:
+    """An integer field, from a JSON integer or the text of one; a bool or a
+    JSON float is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 FAMILY_OPTIONS = {
     "dirichlet": {"modulus"},
     "quadratic": {"d_min", "d_max", "stride"},
@@ -152,18 +164,18 @@ def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
             raise ConfigError(f"family {decl.ident!r}: unknown option {key!r}")
     try:
         if kind == "dirichlet":
-            return fam_mod.dirichlet_family(int(opt["modulus"]))
+            return fam_mod.dirichlet_family(_int(opt["modulus"], "modulus"))
         if kind == "quadratic":
             return fam_mod.quadratic_family(
-                (int(opt["d_min"]), int(opt["d_max"])),
-                stride=int(opt.get("stride", 1)),
+                (_int(opt["d_min"], "d_min"), _int(opt["d_max"], "d_max")),
+                stride=_int(opt.get("stride", 1), "stride"),
             )
         if kind == "elliptic":
             spec = EllipticFamilySpec(
                 a_coeffs=_ints(opt["a_poly"]),
                 b_coeffs=_ints(opt["b_poly"]),
-                t_min=int(opt["t_min"]),
-                t_max=int(opt["t_max"]),
+                t_min=_int(opt["t_min"], "t_min"),
+                t_max=_int(opt["t_max"], "t_max"),
             )
             return fam_mod.elliptic_family(spec)
         if kind == "delta":
@@ -172,7 +184,7 @@ def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
             base = opt["base"]
             if base not in built:
                 raise _Unresolved(base)
-            return fam_mod.sym_lift(built[base], int(opt["power"]))
+            return fam_mod.sym_lift(built[base], _int(opt["power"], "power"))
         if kind == "convolve":
             left, right = opt["left"], opt["right"]
             if left not in built or right not in built:
@@ -208,8 +220,8 @@ def load_config(path: str) -> ExperimentConfig:
     Raises:
         ConfigError: If the file is malformed or a value has the wrong type.
     """
-    text = Path(path).read_text()
     try:
+        text = Path(path).read_text(encoding="utf-8")
         if path.endswith(".json") or text.lstrip().startswith("{"):
             return _config_from_dict(json.loads(text))
         parser = configparser.ConfigParser()
@@ -217,10 +229,14 @@ def load_config(path: str) -> ExperimentConfig:
         data: dict = {"run": dict(parser["run"]) if "run" in parser else {}}
         data["families"] = []
         for section in parser.sections():
-            if section.startswith("family"):
-                ident = section.split(None, 1)[1] if " " in section else section
-                opts = dict(parser[section])
-                data["families"].append({"id": ident, **opts})
+            if section == "run":
+                continue
+            parts = section.split(None, 1)
+            if len(parts) != 2 or parts[0] != "family":
+                raise ConfigError(
+                    f"unknown section [{section}]: expected [run] or [family ID]"
+                )
+            data["families"].append({"id": parts[1], **parser[section]})
         return _config_from_dict(data)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
@@ -229,14 +245,17 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _config_from_dict(data: dict) -> ExperimentConfig:
+    for key in data:
+        if key not in ("run", "families"):
+            raise ConfigError(f"unknown top-level key {key!r}")
     defaults = vars(RunSettings())
     values = {}
     for key, value in data.get("run", {}).items():
         if key not in defaults:
             raise ConfigError(f"unknown run key {key!r}")
         # log_r, the one field that defaults to None, holds a float
-        cast = float if defaults[key] is None else type(defaults[key])
-        values[key] = cast(value)
+        is_int = isinstance(defaults[key], int)
+        values[key] = _int(value, key) if is_int else float(value)
     run = RunSettings(**values)
     decls = []
     for raw in data.get("families", []):
@@ -555,7 +574,7 @@ def rmt_table(sigmas: list[float], ranks: list[float]) -> list[dict]:
 
 def ec_scan(spec: EllipticFamilySpec, prime_cutoff: int) -> list[dict]:
     """Per-prime second-moment ratio and running rank estimate, both from
-    one residue table per prime.
+    the sums of one residue table per prime (``residue_moments``).
 
     Raises:
         ValueError: If j is constant or undefined (Delta = 0), or
@@ -563,24 +582,19 @@ def ec_scan(spec: EllipticFamilySpec, prime_cutoff: int) -> list[dict]:
     """
     if spec.j_is_constant():
         raise ValueError("second-moment asymptotics require non-constant j")
-    rows = []
     table = sieve_primes(prime_cutoff)
-    running = 0.0
-    for p, lp in zip(table.primes, table.log_p):
-        p = int(p)
-        if p < 5:
-            continue
-        a = ap_residue_table(spec, p)
-        moment = int(a @ a)
-        running += lp / p * int(a.sum())
-        rows.append(
-            {
-                "p": str(p),
-                "michel_ratio": fmt(moment / p**2),
-                "nagao_partial": fmt(-running / p),
-            }
-        )
-    return rows
+    keep = table.primes >= 5
+    primes = table.primes[keep]
+    first, second = residue_moments(spec, primes)
+    running = np.cumsum(table.log_p[keep] / primes * first)
+    return [
+        {
+            "p": str(p),
+            "michel_ratio": fmt(moment / p**2),
+            "nagao_partial": fmt(-total / p),
+        }
+        for p, moment, total in zip(primes.tolist(), second.tolist(), running)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ log-conductors over parameter boxes, and the two family statistics driven
 by counting points over F_p: the Nagao rank sum and the second-moment sum
 over a complete residue system.
 
-Both statistics, and the elliptic families, read the Frobenius traces a_t(p)
-of every residue t mod p from one table, ``ap_residue_table``, built on one of
-two paths chosen by the degrees of A(T) and B(T):
+Both statistics, ``ec-scan`` and the elliptic families read the Frobenius
+traces a_t(p) of every residue t mod p from one table, ``ap_residue_table``;
+the statistics and ``ec-scan`` read them through one pass,
+``residue_moments``, which keeps the exact sums sum_t a_t(p) and
+sum_t a_t(p)^2 of one table per prime.  The table is built on one of two
+paths chosen by the degrees of A(T) and B(T):
 
 * degree <= 1 in both: f(t, x) = F0(x) + t F1(x) with F0 = x^3 + a0 x + b0
   and F1 = a1 x + b1, so
@@ -59,6 +62,7 @@ __all__ = [
     "family_conductors",
     "avg_pair_log_conductor",
     "avg_log_conductor",
+    "residue_moments",
     "nagao_sum",
     "michel_moment",
     "ap_residue_table",
@@ -273,25 +277,9 @@ def ap_residue_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     """
     if p < 5:
         raise ValueError("residue tables require p >= 5")
-    parts = _linear_parts(spec, p)
-    if parts is None:
-        return _ap_grid_table(spec, p)
-    return _ap_correlation_table(*parts, p)
-
-
-def _linear_parts(
-    spec: EllipticFamilySpec, p: int
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(F0(x), F1(x)) mod p for x = 0..p-1, where x^3 + A(t) x + B(t) =
-    F0(x) + t F1(x); None unless A and B have degree <= 1."""
     if len(spec.a_coeffs) > 2 or len(spec.b_coeffs) > 2:
-        return None
-    a0, a1 = (tuple(spec.a_coeffs) + (0, 0))[:2]
-    b0, b1 = (tuple(spec.b_coeffs) + (0, 0))[:2]
-    x = np.arange(p, dtype=np.int64)
-    f0 = ((x * x % p) * x + a0 % p * x + b0 % p) % p
-    f1 = (a1 % p * x + b1 % p) % p
-    return f0, f1
+        return _ap_grid_table(spec, p)
+    return _ap_correlation_table(spec, p)
 
 
 def _inverse_mod(v: np.ndarray, p: int) -> np.ndarray:
@@ -307,8 +295,14 @@ def _inverse_mod(v: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _ap_correlation_table(f0: np.ndarray, f1: np.ndarray, p: int) -> np.ndarray:
-    """a_t(p) = -sum_{F1=0} chi(F0) - sum_u h[u] chi(t + u), by real FFT."""
+def _ap_correlation_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
+    """a_t(p) = -sum_{F1=0} chi(F0) - sum_u h[u] chi(t + u), by real FFT,
+    where x^3 + A(t) x + B(t) = F0(x) + t F1(x) (degree <= 1 in T)."""
+    a0, a1 = (tuple(spec.a_coeffs) + (0, 0))[:2]
+    b0, b1 = (tuple(spec.b_coeffs) + (0, 0))[:2]
+    x = np.arange(p, dtype=np.int64)
+    f0 = ((x * x % p) * x + a0 % p * x + b0 % p) % p
+    f1 = (a1 % p * x + b1 % p) % p
     chi = legendre_table(p)
     root = f1 == 0
     fixed = int(chi[f0[root]].sum())
@@ -347,21 +341,24 @@ def _ap_grid_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     return out
 
 
-def residue_trace_sum(spec: EllipticFamilySpec, p: int) -> int:
-    """Exact sum_{t mod p} a_t(p).
+def residue_moments(
+    spec: EllipticFamilySpec, primes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sum_{t mod p} a_t(p) and sum_{t mod p} a_t(p)^2 at each prime.
 
-    When A and B have degree <= 1 in T, summing the identity of
-    ``ap_residue_table`` over t kills the correlation term (chi sums to 0
-    over a complete residue system), leaving -p sum_{F1(x)=0} chi(F0(x)).
-    Higher-degree families sum the full residue table.
+    Returns two int64 arrays aligned with primes, from one
+    ``ap_residue_table`` per prime, only one of them alive at a time.
+
+    Raises:
+        ValueError: If a prime is below 5, or a table fails its checks.
     """
-    if p < 5:
-        raise ValueError("requires p >= 5")
-    parts = _linear_parts(spec, p)
-    if parts is None:
-        return int(ap_residue_table(spec, p).sum())
-    f0, f1 = parts
-    return -p * int(legendre_table(p)[f0[f1 == 0]].sum())
+    first = np.zeros(len(primes), dtype=np.int64)
+    second = np.zeros(len(primes), dtype=np.int64)
+    for i, p in enumerate(primes):
+        a = ap_residue_table(spec, int(p))
+        first[i] = a.sum()
+        second[i] = a @ a
+    return first, second
 
 
 def nagao_sum(spec: EllipticFamilySpec, X: int) -> float:
@@ -377,13 +374,11 @@ def nagao_sum(spec: EllipticFamilySpec, X: int) -> float:
     if X < 11:
         raise ValueError("cutoff too small")
     table = sieve_primes(X)
-    acc = 0.0
-    for p, lp in zip(table.primes, table.log_p):
-        p = int(p)
-        if p < 5:
-            continue
-        acc += lp / p * residue_trace_sum(spec, p)
-    return -acc / X
+    keep = table.primes >= 5
+    primes = table.primes[keep]
+    first, _ = residue_moments(spec, primes)
+    # cumsum adds in prime order, as a running total would
+    return -np.cumsum(table.log_p[keep] / primes * first)[-1] / X
 
 
 def michel_moment(spec: EllipticFamilySpec, p: int) -> int:
@@ -398,8 +393,7 @@ def michel_moment(spec: EllipticFamilySpec, p: int) -> int:
         raise ValueError("second moment requires p >= 5")
     if spec.j_is_constant():
         raise ValueError("second-moment asymptotics require non-constant j")
-    a = ap_residue_table(spec, p)
-    return int(np.dot(a, a))
+    return int(residue_moments(spec, [p])[1][0])
 
 
 @dataclass(frozen=True)

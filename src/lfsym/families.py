@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -114,7 +114,7 @@ class MomentTable:
     Row i describes primes[i]: good[i] and total[i] are its good and total
     weights, and sums[i, nu-1] its good-member sum of b(p^nu)
     (complex128).  Every prime-side statistic is a masked contraction of
-    these rows against test-function weights.
+    these rows against test-function weights.  The arrays are read-only.
     """
 
     primes: np.ndarray
@@ -122,6 +122,15 @@ class MomentTable:
     good: np.ndarray
     total: np.ndarray
     sums: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
+    def extended(self, rows: MomentTable) -> MomentTable:
+        """This table followed by the rows of later primes."""
+        pairs = ((getattr(self, f.name), getattr(rows, f.name)) for f in fields(self))
+        return MomentTable(*map(np.concatenate, pairs))
 
 
 def _weighted_moments(
@@ -209,9 +218,10 @@ class Family:
         The family keeps the last table it built.  A request with a cutoff
         and a column count no larger than the kept ones is answered by a
         slice of it, bit-identical to a fresh build: a row does not depend on
-        the cutoff, nor its first columns on nu_max.  Any other request
-        builds a new table, checks it and keeps it in place of the old one.
-        Concurrent callers wait for one build.  The arrays are read-only.
+        the cutoff, nor its first columns on nu_max.  A larger cutoff appends
+        the rows of the new primes to the kept table; more columns build a
+        new table in its place.  New rows are checked before they are kept.
+        Concurrent callers wait for one build.
 
         Raises:
             ValueError: If a prime p <= P has more good than total weight, or
@@ -219,8 +229,12 @@ class Family:
         """
         with self._table_lock():
             kept = self._kept
-            if kept is None or P > kept[0] or nu_max > kept[1].sums.shape[1]:
-                kept = self._kept = (P, self._checked(self._build_table(P, nu_max)))
+            if kept is None or nu_max > kept[1].sums.shape[1]:
+                kept = self._kept = (P, self._checked(self._build_table(0, P, nu_max)))
+            elif P > kept[0]:
+                cutoff, old = kept
+                rows = self._checked(self._build_table(cutoff, P, old.sums.shape[1]))
+                kept = self._kept = (P, old.extended(rows))
         t = kept[1]
         n = int(np.searchsorted(t.primes, P, side="right"))
         return MomentTable(
@@ -231,10 +245,10 @@ class Family:
         with _LOCK_GUARD:
             return self.__dict__.setdefault("_lock", threading.Lock())
 
-    def _build_table(self, P: int, nu_max: int) -> MomentTable:
-        """One ``prime_moments`` call at every prime p <= P, stacked."""
+    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
+        """One ``prime_moments`` call at every prime lo < p <= P, stacked."""
         table = sieve_primes(max(P, 2))
-        keep = table.primes <= P
+        keep = (table.primes > lo) & (table.primes <= P)
         primes, log_p = table.primes[keep], table.log_p[keep]
         moments = [self.prime_moments(int(p), nu_max) for p in primes]
         good = np.array([m.good_weight for m in moments], dtype=float)
@@ -245,7 +259,7 @@ class Family:
         )
 
     def _checked(self, t: MomentTable) -> MomentTable:
-        """t with read-only arrays, once its weights and sums pass the guards."""
+        """t, once its weights and sums pass the guards."""
         over = np.flatnonzero(t.good > t.total)
         if len(over):
             i = over[0]
@@ -265,8 +279,6 @@ class Family:
                 f"degree * good weight = {self.degree * t.good[i]} at "
                 f"p = {t.primes[i]}"
             )
-        for a in (t.primes, t.log_p, t.good, t.total, t.sums):
-            a.setflags(write=False)
         return t
 
     def __repr__(self) -> str:
@@ -674,9 +686,9 @@ class DeltaFamily(HeckeFamily):
             raise ValueError(f"tau({p}) beyond 2 p^(11/2)")
         return np.array([value]), np.ones(1)
 
-    def _build_table(self, P: int, nu_max: int) -> MomentTable:
+    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
         self.tau_through(P)  # one tau table of exactly the table's reach
-        return super()._build_table(P, nu_max)
+        return super()._build_table(lo, P, nu_max)
 
 
 def cusp_form_delta() -> DeltaFamily:
@@ -719,6 +731,12 @@ class SymLiftFamily(Family):
         values, weights = self.base.trace_distribution(p)
         btab = sym_power_b_array(values, self.power, nu_max)
         return _weighted_moments(p, btab, weights, self.base.size())
+
+    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
+        # the base's table first, as a convolution reads its factors': its
+        # data then reach P at once (Delta's tau in one call)
+        self.base.moment_table(P, nu_max)
+        return super()._build_table(lo, P, nu_max)
 
 
 def sym_lift(f: Family, M: int) -> Family:
@@ -830,19 +848,21 @@ class ConvolutionFamily(Family):
         )
         return PrimeMoments(p, good, total, sums)
 
-    def _build_table(self, P: int, nu_max: int) -> MomentTable:
-        """``prime_moments`` at every prime p <= P, from the factors' tables."""
+    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
+        """``prime_moments`` at every prime lo < p <= P, from the factors'
+        tables."""
         lt = self.left.moment_table(P, nu_max)
         rt = self.right.moment_table(P, nu_max)
-        sums = lt.sums * rt.sums
-        good = lt.good * rt.good
-        total = lt.total * rt.total
+        n = int(np.searchsorted(lt.primes, lo, side="right"))
+        sums = lt.sums[n:] * rt.sums[n:]
+        good = lt.good[n:] * rt.good[n:]
+        total = lt.total[n:] * rt.total[n:]
         if self.excluded:
-            for i, p in enumerate(lt.primes.tolist()):
+            for i, p in enumerate(lt.primes[n:].tolist()):
                 sums[i], good[i], total[i] = self._less_excluded(
                     p, nu_max, sums[i], good[i], total[i]
                 )
-        return MomentTable(lt.primes, lt.log_p, good, total, sums)
+        return MomentTable(lt.primes[n:], lt.log_p[n:], good, total, sums)
 
 
 def convolve(f: Family, g: Family) -> Family:

@@ -326,6 +326,7 @@ TWIST_CONFIG = textwrap.dedent(
 
 
 DIRICHLET_7 = {"id": "d", "kind": "dirichlet", "modulus": 7}
+INI_DIRICHLET_7 = "[run]\nprimes = 50\n[family d]\nkind = dirichlet\nmodulus = 7\n"
 QUADRATIC_1_60 = {"id": "q", "kind": "quadratic", "d_min": 1, "d_max": 60}
 
 
@@ -411,12 +412,36 @@ QUADRATIC_1_60 = {"id": "q", "kind": "quadratic", "d_min": 1, "d_max": 60}
         (["convolve", "--left", "a", "--right", "b"], {"run": {"primes": 50},
             "families": [dict(DIRICHLET_7, id="a"), dict(QUADRATIC_1_60, id="b"),
                          dict(QUADRATIC_1_60, id="axb")]}),
+        # an INI file holds only [run] and [family ID] sections, a JSON file
+        # only the keys run and families
+        pytest.param(["constants"], INI_DIRICHLET_7 + "[famly e]\nkind = delta\n",
+                     id="ini-misspelt-section"),
+        pytest.param(["constants"], INI_DIRICHLET_7 + "[familyx]\nkind = delta\n",
+                     id="ini-section-without-space"),
+        pytest.param(["constants"], INI_DIRICHLET_7 + "[family ]\nkind = delta\n",
+                     id="ini-section-without-id"),
+        pytest.param(["constants"], {"extra": 1, "families": [DIRICHLET_7]},
+                     id="json-extra-top-level-key"),
+        # a file that is not UTF-8
+        pytest.param(["constants"], INI_DIRICHLET_7.encode() + b"# \xff\xfe\n",
+                     id="not-utf-8"),
+        # an integer field takes an integer, never a bool or a float
+        pytest.param(["constants"], {"run": {"primes": 50.9},
+                     "families": [DIRICHLET_7]}, id="float-primes"),
+        pytest.param(["constants"], {"run": {"threads": True},
+                     "families": [DIRICHLET_7]}, id="bool-threads"),
+        pytest.param(["constants"], {"families": [dict(DIRICHLET_7, modulus=7.9)]},
+                     id="float-modulus"),
+        pytest.param(["constants"], {"families": [dict(QUADRATIC_1_60, stride=True)]},
+                     id="bool-stride"),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "bad.ini"
-        if isinstance(config, str):
+        if isinstance(config, bytes):
+            path.write_bytes(config)
+        elif isinstance(config, str):
             path.write_text(config)
         elif "families" in config:
             path.write_text(json.dumps(config))
@@ -510,6 +535,23 @@ def test_delta_tau_reaches_the_support_edge(tmp_path, capsys, monkeypatch):
     assert calls == [97]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_hecke_tau_stops_at_the_last_prime_read(threads, monkeypatch, capsys):
+    # the sums read tau(p) up to p = 293; a read past a kept table appends
+    # rows, and a lift sizes its base's tau once, so tau never runs past it
+    calls = []
+
+    def counted(n_max):
+        calls.append(n_max)
+        return ramanujan_tau_table(n_max)
+
+    monkeypatch.setattr(families, "ramanujan_tau_table", counted)
+    config = str(GOLDEN / "hecke_p300.ini")
+    assert main(["density", "--config", config, "--threads", threads]) == 0
+    assert calls and max(calls) == 293
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "option, message",
     [
@@ -555,8 +597,11 @@ def _family_classes(cls):
 @pytest.mark.parametrize(
     "config, args",
     [(ROOT / "configs" / "demo.ini", ["--primes", "200"])]
-    + [(GOLDEN / f"{name}_smoke_s1.json", []) for name in GOLDEN_WORKLOADS],
-    ids=["demo_p200"] + [f"{name}_smoke_s1" for name in GOLDEN_WORKLOADS],
+    + [(GOLDEN / f"{name}_smoke_s1.json", []) for name in GOLDEN_WORKLOADS]
+    + [(GOLDEN / "hecke_p300.ini", []), (GOLDEN / "forms_p300.ini", [])],
+    ids=["demo_p200"]
+    + [f"{name}_smoke_s1" for name in GOLDEN_WORKLOADS]
+    + ["hecke_p300", "forms_p300"],
 )
 def test_one_moment_table_per_family(config, args, capsys, monkeypatch):
     # every (family, prime) row is computed once per command: derived
@@ -667,23 +712,27 @@ class TestOtherSubcommands:
         assert float(last[2]) > 0.5
 
     def test_ec_scan_matches_golden_csv(self, capsys):
-        argv = ["ec-scan", "--a-poly", "0 1", "--b-poly", "1", "--primes", "200"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out == (GOLDEN / "ec_scan_p200.csv").read_text()
+        # the correlation path (B = 1) and the grid path (B = T^2 + 1)
+        for golden, b_poly in (("ec_scan_p200", "1"), ("ec_scan_quad_p200", "1 0 1")):
+            argv = ["ec-scan", "--a-poly", "0 1", "--b-poly", b_poly, "--primes", "200"]
+            assert main(argv) == 0
+            expected = (GOLDEN / f"{golden}.csv").read_text()
+            assert capsys.readouterr().out == expected, golden
 
     def test_ec_scan_reads_one_table_per_prime(self, monkeypatch, capsys):
         tables, j_checks = [], []
+        residue_table = ecgeom.ap_residue_table
         j_is_constant_of = ecgeom.EllipticFamilySpec.j_is_constant
 
         def table(spec, p):
             tables.append(p)
-            return ecgeom.ap_residue_table(spec, p)
+            return residue_table(spec, p)
 
         def j_is_constant(spec):
             j_checks.append(spec)
             return j_is_constant_of(spec)
 
-        monkeypatch.setattr("lfsym.cli.ap_residue_table", table)
+        monkeypatch.setattr(ecgeom, "ap_residue_table", table)
         monkeypatch.setattr(ecgeom.EllipticFamilySpec, "j_is_constant", j_is_constant)
         assert main(["ec-scan", "--a-poly", "0 1", "--b-poly", "1 0 1"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]

@@ -18,7 +18,7 @@ from lfsym.ecgeom import (
     michel_moment,
     minimal_model,
     nagao_sum,
-    residue_trace_sum,
+    residue_moments,
     rs_conductor_bounds,
     trace_of_frobenius,
 )
@@ -256,27 +256,51 @@ class TestCorrelationTable:
         assert calls == [11]
 
 
-class TestResidueTraceSum:
-    def test_fast_path_matches_grid(self):
-        for spec in (SPEC_T1(0, 1), SPEC_T2(0, 1), SPEC_TT(0, 1), SPEC_T0(0, 1)):
-            for p in [int(q) for q in sieve_primes(60).primes if q >= 5]:
-                assert residue_trace_sum(spec, p) == int(
-                    ap_residue_table(spec, p).sum()
-                )
+def linear_identity_sum(spec, p):
+    """sum_{t mod p} a_t(p) of a family of degree <= 1 in T, in O(p): over a
+    complete residue system the correlation term of the table's identity
+    vanishes (chi sums to 0), leaving -p sum_{F1(x)=0} chi(F0(x))."""
+    a0, a1 = (tuple(spec.a_coeffs) + (0, 0))[:2]
+    b0, b1 = (tuple(spec.b_coeffs) + (0, 0))[:2]
+    chi = legendre(p)
+    return -p * sum(
+        chi[(x**3 + a0 * x + b0) % p] for x in range(p) if (a1 * x + b1) % p == 0
+    )
 
-    def test_quadratic_family_uses_grid(self):
-        spec = EllipticFamilySpec((0, 0, 1), (1,), 0, 1)  # A(T) = T^2
-        for p in (5, 11):
-            assert residue_trace_sum(spec, p) == int(
-                ap_residue_table(spec, p).sum()
-            )
+
+def legendre(p):
+    return [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+
+
+class TestResidueMoments:
+    PRIMES = [int(q) for q in sieve_primes(60).primes if q >= 5]
+
+    def test_linear_identity_matches_table(self):
+        for spec in (SPEC_T1(0, 1), SPEC_T2(0, 1), SPEC_TT(0, 1), SPEC_T0(0, 1)):
+            for p in self.PRIMES:
+                assert linear_identity_sum(spec, p) == int(
+                    ap_residue_table(spec, p).sum()
+                ), (spec, p)
+
+    def test_sums_match_table(self):
+        # a linear and a degree-2 family: the correlation and grid paths
+        for spec in (SPEC_T1(0, 1), SPEC_QUAD(0, 1)):
+            first, second = residue_moments(spec, self.PRIMES)
+            assert first.dtype == second.dtype == np.int64
+            for p, s1, s2 in zip(self.PRIMES, first, second):
+                a = [int(v) for v in ap_residue_table(spec, p)]
+                assert (s1, s2) == (sum(a), sum(v * v for v in a)), p
 
     def test_pure_torsion_family_vanishes(self):
         # y^2 = x^3 + Tx: the x = 0 term contributes chi(0) = 0, all other
         # x-columns cancel over a complete residue system
-        spec = SPEC_T0(0, 1)
-        for p in [int(q) for q in sieve_primes(50).primes if q >= 5]:
-            assert residue_trace_sum(spec, p) == 0
+        primes = [int(q) for q in sieve_primes(50).primes if q >= 5]
+        first, _ = residue_moments(SPEC_T0(0, 1), primes)
+        assert first.tolist() == [0] * len(primes)
+
+    def test_small_prime_rejected(self):
+        with pytest.raises(ValueError):
+            residue_moments(SPEC_T1(0, 1), [5, 3])
 
 
 class TestNagao:

@@ -35,6 +35,8 @@ from lfsym.families import (
     sym_lift,
     twist_by_fixed,
 )
+from lfsym.rmt import fejer_test_function
+from lfsym.stats import ConstantConfig, family_constant
 
 EC1 = EllipticFamilySpec((0, 1), (1,), 2000, 2040)  # y^2 = x^3 + Tx + 1
 EC2 = EllipticFamilySpec((0, 1), (2,), 2000, 2040)  # y^2 = x^3 + Sx + 2
@@ -817,6 +819,70 @@ class TestKeptTable:
                 fam.moment_table(P, nu_max),
                 quadratic_family((100, 300)).moment_table(P, nu_max),
             )
+
+    @pytest.mark.parametrize(
+        "kind", list(ROW_COUNT_FAMILIES) + list(DERIVED_FAMILIES)
+    )
+    def test_table_grown_in_steps_equals_fresh_build(self, kind):
+        build = {**ROW_COUNT_FAMILIES, **DERIVED_FAMILIES}[kind]
+        grown = build()
+        for P in (7, 8, 60, 199):
+            grown.moment_table(P, 4)
+        assert_tables_equal(grown.moment_table(199, 4), build().moment_table(199, 4))
+
+    def test_larger_cutoff_computes_only_new_rows(self, monkeypatch):
+        calls = []
+        prime_moments = families.QuadraticFamily.prime_moments
+
+        def counted(self, p, nu_max):
+            calls.append(p)
+            return prime_moments(self, p, nu_max)
+
+        monkeypatch.setattr(families.QuadraticFamily, "prime_moments", counted)
+        q = quadratic_family((100, 300))
+        qq = convolve(q, q)
+        for P in (30, 97, 200):
+            qq.moment_table(P, 4)
+            q.moment_table(P, 4)
+        assert calls == sieve_primes(200).primes.tolist()
+
+    def test_tables_grown_from_several_threads_equal_fresh_builds(self):
+        def derived_of(q):
+            return [q, twist_by_fixed(kronecker_twist(-4), q), convolve(q, q)]
+
+        derived = derived_of(quadratic_family((100, 300)))
+
+        def work(i):
+            for P in (20 + 7 * i, 120 + 11 * i, 300):
+                derived[i % 3].moment_table(P, 4)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(12)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for fam, fresh in zip(derived, derived_of(quadratic_family((100, 300)))):
+            assert_tables_equal(fam.moment_table(300, 4), fresh.moment_table(300, 4))
+
+    def test_lone_delta_lift_computes_tau_once(self, monkeypatch):
+        # the lift reads its base's table first, so tau is sized once to
+        # the lift's cutoff instead of doubling prime by prime
+        calls = []
+
+        def counted(n_max):
+            calls.append(n_max)
+            return ramanujan_tau_table(n_max)
+
+        monkeypatch.setattr(families, "ramanujan_tau_table", counted)
+        cfg = ConstantConfig(phi=fejer_test_function(1.0), prime_cutoff=500, log_r=6.0)
+        family_constant(sym_lift(cusp_form_delta(), 2), cfg)
+        assert calls == [401]  # the last prime below R = e^6
 
     def test_tables_are_read_only(self):
         table = quadratic_family((100, 300)).moment_table(50, 2)
