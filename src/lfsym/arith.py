@@ -1,10 +1,10 @@
 """Exact integer and character-theoretic primitives.
 
-Provides the prime sieve, Kronecker symbols, integer factorization and
-Dirichlet character tables (prime modulus) shared by the rest of the
-package.  Everything here is exact: character values are stored as
-root-of-unity indices so that orthogonality sums cancel without floating
-tolerance creep.
+Provides the prime sieve, Kronecker symbols, integer factorization,
+primitive-root power tables and Dirichlet character tables (prime modulus)
+shared by the rest of the package.  Everything here is exact: character
+values are stored as root-of-unity indices so that orthogonality sums cancel
+without floating tolerance creep.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "kronecker_symbol",
     "legendre_table",
     "primitive_root",
+    "primitive_root_powers",
     "DirichletCharacter",
     "dirichlet_character",
     "characters_mod",
@@ -81,11 +82,20 @@ def sieve_primes(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, log_p=np.log(primes.astype(float)))
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Sinclair's bases, a deterministic Miller-Rabin set for every n < 2^64
+_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid for n < 3.3e24)."""
+    """Miller-Rabin primality test, deterministic below
+    psi_13 = 3317044064679887385961981.
+
+    Below 2^64 it tests the seven bases 2, 325, 9375, 28178, 450775,
+    9780504, 1795265022, skipping a base that n divides; from 2^64 on it
+    tests the prime bases 2..41, which no composite below psi_13 passes.  At
+    or above psi_13 it is a strong probable-prime test.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -96,8 +106,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # This witness set is deterministic far beyond 64-bit inputs.
-    for a in _SMALL_PRIMES:
+    for a in _BASES_64 if n < 2**64 else _SMALL_PRIMES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -110,20 +122,49 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite, odd, non-prime-power n."""
-    if n % 2 == 0:
-        return 2
+# |x - y| products per gcd in Brent's rho
+_RHO_BATCH = 128
+
+
+def _brent_rho(n: int, c: int, y: int) -> int:
+    """Brent's cycle search for x -> x^2 + c mod n from y: a divisor of n
+    above 1, which is n when this c fails.
+
+    The |x - y| products are accumulated mod n and one gcd is taken per
+    ``_RHO_BATCH`` of them; a batch whose gcd is n is retraced one step at a
+    time, so that a factor it holds together with its cofactor is still
+    found.
+    """
+    g = q = r = 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(_RHO_BATCH, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            k += _RHO_BATCH
+        r *= 2
+    if g == n:
+        # q was coprime to n before this batch, so one of its steps shares a
+        # factor with n
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+    return g
+
+
+def _split(n: int) -> int:
+    """A nontrivial factor of a composite n, by Brent's rho over seeded
+    constants c."""
     rng = random.Random(n)
     while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+        d = _brent_rho(n, rng.randrange(1, n), rng.randrange(2, n))
         if d != n:
             return d
 
@@ -142,8 +183,10 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
     One gcd with the primorial of the primes below 10^4 reveals which of them
-    divide n; only those are divided out.  Miller-Rabin plus Pollard rho
-    split the remaining cofactor.
+    divide n; only those are divided out.  What remains has no prime factor
+    below 10^4, so each of its factors below 10^8 is prime and is recorded
+    without a test; larger ones go to ``is_prime``, and the composite ones
+    are split by Brent's rho.
 
     Raises:
         ValueError: If n == 0.
@@ -174,10 +217,10 @@ def factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
+        if m < _TRIAL_BOUND**2 or is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _pollard_rho(m)
+        d = _split(m)
         stack.append(d)
         stack.append(m // d)
     return out
@@ -299,16 +342,33 @@ class DirichletCharacter:
         return complex(np.exp(2j * np.pi * ((k * nu) % e) / e))
 
 
+def primitive_root_powers(m: int) -> np.ndarray:
+    """int64 array pw of length m - 1 with pw[k] = g^k mod m, for the
+    smallest primitive root g of a prime m >= 3.
+
+    Built by doubling, pw[n + i] = pw[i] * g^n, in O(m) numpy work.  Every
+    unit mod m is one pw[k], so inverses (g^-k = pw[-k mod (m - 1)]),
+    Legendre symbols ((-1)^k) and discrete logs (k) are scatters of it.
+    """
+    e = m - 1
+    pw = np.empty(e, dtype=np.int64)
+    pw[0] = 1
+    n = 1
+    g_n = primitive_root(m)
+    while n < e:
+        step = min(n, e - n)
+        pw[n : n + step] = pw[:step] * g_n % m
+        n += step
+        g_n = g_n * g_n % m
+    return pw
+
+
 @functools.lru_cache(maxsize=4)
 def _discrete_log(m: int) -> np.ndarray:
     """Read-only dlog[a] = k with g^k = a mod m for the smallest primitive
     root g of the prime m (dlog[0] = 0 is never read)."""
-    g = primitive_root(m)
     dlog = np.zeros(m, dtype=np.int64)
-    acc = 1
-    for k in range(m - 1):
-        dlog[acc] = k
-        acc = acc * g % m
+    dlog[primitive_root_powers(m)] = np.arange(m - 1)
     dlog.setflags(write=False)
     return dlog
 

@@ -143,6 +143,14 @@ def _int(value, name: str) -> int:
     return int(value)
 
 
+def _float(value, name: str) -> float:
+    """A float field, from a JSON number or the text of one; a bool is
+    rejected, not read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 FAMILY_OPTIONS = {
     "dirichlet": {"modulus"},
     "quadratic": {"d_min", "d_max", "stride"},
@@ -255,7 +263,7 @@ def _config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown run key {key!r}")
         # log_r, the one field that defaults to None, holds a float
         is_int = isinstance(defaults[key], int)
-        values[key] = _int(value, key) if is_int else float(value)
+        values[key] = _int(value, key) if is_int else _float(value, key)
     run = RunSettings(**values)
     decls = []
     for raw in data.get("families", []):

@@ -18,8 +18,10 @@ paths chosen by the degrees of A(T) and B(T):
 * degree <= 1 in both: f(t, x) = F0(x) + t F1(x) with F0 = x^3 + a0 x + b0
   and F1 = a1 x + b1, so
   a_t(p) = -sum_{F1(x)=0} chi(F0(x)) - sum_u h[u] chi(t + u), where
-  h[u] = sum_{F1(x)!=0, F0(x)/F1(x)=u} chi(F1(x)).  The second sum is a
-  cyclic correlation of two length-p sequences, taken by real FFT in
+  h[u] = sum_{F1(x)!=0, F0(x)/F1(x)=u} chi(F1(x)).  The inverses 1/F1(x)
+  and chi are scattered from one table of the powers g^k of the primitive
+  root, as 1/g^k = g^-k and chi(g^k) = (-1)^k, in O(p).  The second sum is
+  a cyclic correlation of two length-p sequences, taken by real FFT in
   O(p log p).  The float result is rounded to int64 and rejected (ValueError)
   when some entry lies more than 0.25 from an integer or breaks the Hasse
   bound a^2 <= 4p;
@@ -27,12 +29,14 @@ paths chosen by the degrees of A(T) and B(T):
   is also the exact oracle the correlation path is tested against.
 
 Conductors of a family come from one pass, ``family_conductors``, which
-factors each fiber's discriminant once; an elliptic family runs it once, on
-first use, so once per family per command.  The pass keeps each fiber's
-proxy C and the prime-power counts n(p, k), the number of fibers with
-p^k | C.  Since log gcd(C1, C2) = sum of log p over the p^k dividing both,
-the convolution's average over all pairs of two families F and G needs no
-pair loop:
+factors each fiber's discriminant once (``arith.factorize``: a gcd with the
+primorial of the primes below 10^4, then Brent's rho on the composite
+cofactors above 10^8); an elliptic family runs it once, on first use, so
+once per family per command.  The pass keeps each fiber's proxy C and the
+prime-power counts n(p, k), the number of fibers with p^k | C.  Since
+log gcd(C1, C2) = sum of log p over the p^k dividing both, the
+convolution's average over all pairs of two families F and G needs no pair
+loop:
 
     sum_{f, g} log gcd(C_f, C_g) = sum_{p, k} log p * n_F(p, k) * n_G(p, k),
 
@@ -49,7 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import factorize, legendre_table, sieve_primes
+from .arith import factorize, legendre_table, primitive_root_powers, sieve_primes
 
 __all__ = [
     "CurveInvariants",
@@ -266,10 +270,11 @@ def ap_residue_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
 
     The table drives family sums, Nagao sums and second moments, since a_t(p)
     only depends on t mod p.  When A and B have degree <= 1 in T it is a
-    cyclic correlation taken by FFT in O(p log p), rounded to integers and
-    checked for integrality and the Hasse bound; otherwise the (t, x)
-    character-sum grid is summed in chunks, O(p^2).  See the module docstring
-    for the identity.
+    cyclic correlation taken by FFT in O(p log p), with the unit inverses
+    and Legendre symbols it needs read from one primitive-root power table,
+    rounded to integers and checked for integrality and the Hasse bound;
+    otherwise the (t, x) character-sum grid is summed in chunks, O(p^2).
+    See the module docstring for the identity.
 
     Raises:
         ValueError: If p < 5, or if the correlation path yields an entry
@@ -282,17 +287,17 @@ def ap_residue_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     return _ap_correlation_table(spec, p)
 
 
-def _inverse_mod(v: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverse of units v mod a prime p, as v^(p-2) (Fermat)."""
-    out = np.ones_like(v)
-    base = v % p
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+def _unit_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inv, chi) for an odd prime p: inv[u] = u^-1 mod p on the units
+    (inv[0] = 0) and chi[u] = (u|p), both scattered from one power table of
+    the primitive root g, as inv[g^k] = g^-k and chi(g^k) = (-1)^k."""
+    pw = primitive_root_powers(p)
+    inv = np.zeros(p, dtype=np.int64)
+    inv[pw] = np.roll(pw[::-1], 1)
+    chi = np.zeros(p, dtype=np.int64)
+    chi[pw[0::2]] = 1
+    chi[pw[1::2]] = -1
+    return inv, chi
 
 
 def _ap_correlation_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
@@ -303,11 +308,11 @@ def _ap_correlation_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     x = np.arange(p, dtype=np.int64)
     f0 = ((x * x % p) * x + a0 % p * x + b0 % p) % p
     f1 = (a1 % p * x + b1 % p) % p
-    chi = legendre_table(p)
+    inv, chi = _unit_tables(p)
     root = f1 == 0
     fixed = int(chi[f0[root]].sum())
     units = f1[~root]
-    u = f0[~root] * _inverse_mod(units, p) % p
+    u = f0[~root] * inv[units] % p
     h = np.bincount(u, weights=chi[units], minlength=p)
     # sum_u h[u] chi(t + u) as a linear correlation at lags t and t - p,
     # zero-padded to a power of two: numpy's FFT is slow at prime lengths

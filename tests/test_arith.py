@@ -1,18 +1,23 @@
 import math
 import random
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfsym import arith
 from lfsym.arith import (
     characters_mod,
     factorize,
+    is_prime,
     kronecker_symbol,
     legendre_table,
+    primitive_root,
     sieve_primes,
 )
+from lfsym.ecgeom import _unit_tables
 
 
 def trial_division_factorize(n: int) -> dict[int, int]:
@@ -121,6 +126,45 @@ class TestKronecker:
         )
 
 
+# (n, c): at x -> x^2 + c from 2, a batch of |x - y| products holds every
+# prime power of n, so its gcd is n and only the retrace finds the factor
+RHO_BACKTRACK_CASES = [
+    (1_000_003**2, 4),
+    (10_007**3, 1),
+    (10_007**2 * 1_000_003, 47),
+]
+HARD_INPUTS = {
+    1_000_003**2: {1_000_003: 2},
+    10_007**3: {10_007: 3},
+    10_007**2 * 1_000_003: {10_007: 2, 1_000_003: 1},
+    (2**31 - 1) * (2**61 - 1): {2**31 - 1: 1, 2**61 - 1: 1},
+}
+
+
+class TestIsPrime:
+    def test_strong_pseudoprimes_are_composite(self):
+        # psi_12 passes the prime bases 2..37; the other two are strong
+        # pseudoprimes to several small bases
+        assert 318665857834031151167461 == 399165290221 * 798330580441
+        assert not is_prime(318665857834031151167461)
+        assert not is_prime(3825123056546413051)
+        assert not is_prime(3215031751)
+
+    def test_primes_dividing_a_64_bit_base(self):
+        assert 9780504 % 407521 == 0 and 1795265022 % 299210837 == 0
+        assert is_prime(407521)
+        assert is_prime(299210837)
+
+    def test_matches_sieve(self):
+        primes = set(sieve_primes(10**5).primes.tolist())
+        assert [n for n in range(10**5) if is_prime(n)] == sorted(primes)
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(2**89 - 1)
+        assert not is_prime((2**61 - 1) * (2**31 - 1))
+
+
 class TestFactorize:
     def test_known(self):
         assert factorize(496) == {2: 4, 31: 1}
@@ -154,6 +198,47 @@ class TestFactorize:
             assert list(factorize(n).items()) == list(
                 trial_division_factorize(n).items()
             ), n
+
+    def test_hard_inputs(self):
+        for n, expected in HARD_INPUTS.items():
+            assert factorize(n) == expected, n
+
+    @pytest.mark.parametrize("n, c", RHO_BACKTRACK_CASES)
+    def test_brent_retraces_a_batch_that_holds_n(self, n, c, monkeypatch):
+        gcds = []
+
+        def gcd(a, b):
+            gcds.append(math.gcd(a, b))
+            return gcds[-1]
+
+        monkeypatch.setattr(arith, "math", types.SimpleNamespace(gcd=gcd))
+        d = arith._brent_rho(n, c, 2)
+        assert n in gcds
+        assert 1 < d < n and n % d == 0
+
+    def test_tests_and_splits_only_what_it_must(self, monkeypatch):
+        # every cofactor left by the trial primes below 10^4 that is below
+        # 10^8 is prime, so it is never tested; rho splits only the
+        # cofactors that is_prime rejects
+        tested, split = [], []
+        original_is_prime, original_split = arith.is_prime, arith._split
+
+        def counted_test(m):
+            tested.append((m, original_is_prime(m)))
+            return tested[-1][1]
+
+        def counted_split(m):
+            split.append(m)
+            return original_split(m)
+
+        monkeypatch.setattr(arith, "is_prime", counted_test)
+        monkeypatch.setattr(arith, "_split", counted_split)
+        inputs = [*HARD_INPUTS, 2 * 10_007, 9973 * 99_999_989, 3 * 10_007 * 10_009]
+        for n in inputs:
+            factorize(n)
+        assert tested and all(m >= 10**8 for m, _ in tested)
+        assert split == [m for m, prime in tested if not prime]
+        assert {m for m, _ in tested} >= {10_007**2, 2**61 - 1, 10_007 * 10_009}
 
 
 class TestCharacters:
@@ -214,3 +299,35 @@ class TestCharacters:
             characters_mod(9)
         with pytest.raises(ValueError):
             characters_mod(2)
+
+
+POWER_TABLE_PRIMES = [int(p) for p in sieve_primes(2000).primes[1:]] + [9973, 10007]
+
+
+class TestPowerTable:
+    def test_powers_of_the_primitive_root(self):
+        for p in (3, 5, 101, 1999, 10007):
+            g = primitive_root(p)
+            assert arith.primitive_root_powers(p).tolist() == [
+                pow(g, k, p) for k in range(p - 1)
+            ]
+
+    def test_unit_inverses(self):
+        for p in POWER_TABLE_PRIMES:
+            inv, _ = _unit_tables(p)
+            assert inv[1:].tolist() == [pow(v, -1, p) for v in range(1, p)], p
+
+    def test_legendre_symbols(self):
+        for p in POWER_TABLE_PRIMES:
+            _, chi = _unit_tables(p)
+            assert np.array_equal(chi, legendre_table(p)), p
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 101, 1999])
+    def test_discrete_log_matches_loop(self, m):
+        g = primitive_root(m)
+        dlog = np.zeros(m, dtype=np.int64)
+        acc = 1
+        for k in range(m - 1):
+            dlog[acc] = k
+            acc = acc * g % m
+        assert np.array_equal(arith._discrete_log(m), dlog)

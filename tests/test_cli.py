@@ -434,6 +434,13 @@ QUADRATIC_1_60 = {"id": "q", "kind": "quadratic", "d_min": 1, "d_max": 60}
                      id="float-modulus"),
         pytest.param(["constants"], {"families": [dict(QUADRATIC_1_60, stride=True)]},
                      id="bool-stride"),
+        # a float field takes a number or its text, never a bool
+        *(
+            pytest.param(["constants"], {"run": {"primes": 50, key: flag},
+                         "families": [DIRICHLET_7]}, id=f"bool-{key}-{flag}")
+            for key in ("sigma", "tolerance", "log_r")
+            for flag in (True, False)
+        ),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
@@ -453,6 +460,26 @@ def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
+
+
+def test_float_fields_take_numbers_and_their_text(tmp_path, capsys):
+    # an INI file holds every value as text; a JSON file may too
+    outputs = []
+    for run in (
+        {"primes": 50, "sigma": 1.5, "tolerance": 0.25, "log_r": 4},
+        {"primes": 50, "sigma": "1.5", "tolerance": "0.25", "log_r": "4.0"},
+    ):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"run": run, "families": [DIRICHLET_7]}))
+        assert main(["constants", "--config", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    ini = tmp_path / "run.ini"
+    ini.write_text(INI_DIRICHLET_7.replace(
+        "[run]\n", "[run]\nsigma = 1.5\ntolerance = 0.25\nlog_r = 4.0\n"))
+    assert main(["constants", "--config", str(ini)]) == 0
+    outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert ",1.5,50," in outputs[0]
 
 
 def test_density_at_huge_log_r_warns_nothing(tmp_path, capsys):
