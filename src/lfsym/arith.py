@@ -1,8 +1,10 @@
 """Exact integer and character-theoretic primitives.
 
-Provides the prime sieve, Kronecker symbols, integer factorization,
-primitive-root power tables and Dirichlet character tables (prime modulus)
-shared by the rest of the package.  Everything here is exact: character
+Provides the prime sieve, Kronecker symbols and int8 Legendre tables,
+integer factorization, primitive-root power tables and Dirichlet character
+tables (prime modulus) shared by the rest of the package.  Residue kernels
+mod p take their integer width from ``residue_dtype(p)``: int32 while every
+intermediate fits, int64 beyond.  Everything here is exact: character
 values are stored as root-of-unity indices so that orthogonality sums cancel
 without floating tolerance creep.
 """
@@ -23,6 +25,8 @@ __all__ = [
     "factorize",
     "kronecker_symbol",
     "legendre_table",
+    "residue_dtype",
+    "residues",
     "primitive_root",
     "primitive_root_powers",
     "DirichletCharacter",
@@ -265,14 +269,39 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def residue_dtype(p: int) -> type:
+    """The integer width of the residue kernels mod p: int32 when every
+    intermediate fits, at most a sum of three products of residues, so
+    3 (p - 1)^2 < 2^31; int64 otherwise."""
+    return np.int32 if 3 * (p - 1) ** 2 < 2**31 else np.int64
+
+
+def residues(values: np.ndarray, p: int) -> np.ndarray:
+    """values mod p, in [0, p) and the dtype of values.
+
+    Taken as values - (values // p) * p: numpy divides an integer array by
+    one scalar with a precomputed multiplier but takes ``%`` element by
+    element, so the two steps cost about half of one ``%``.  Where a value
+    lies within p of the dtype's minimum the product wraps, and the
+    difference is still exact, since it lies in [0, p).
+    """
+    return values - values // p * p
+
+
 def legendre_table(p: int) -> np.ndarray:
-    """int64 array chi of length p with chi[u] = (u|p) for an odd prime p."""
+    """int8 array chi of length p with chi[u] = (u|p), for a prime p.
+
+    The squares of 1..(p-1)/2 are every quadratic residue mod an odd p, so
+    they alone are marked 1, in ``residue_dtype(p)`` arithmetic.  A reader
+    sums the table with a wide accumulator (numpy's ``sum`` widens int8),
+    never dotting or accumulating the raw int8 values.
+    """
     if p == 2:
         # (0|2) = 0, (1|2) = 1
-        return np.array([0, 1], dtype=np.int64)
-    x = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[(x * x) % p] = 1
+        return np.array([0, 1], dtype=np.int8)
+    x = np.arange(1, (p + 1) // 2, dtype=residue_dtype(p))
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[residues(x * x, p)] = 1
     chi[0] = 0
     return chi
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import re
@@ -29,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -105,8 +106,13 @@ class ExperimentConfig:
     declarations: list[FamilyDecl]
 
     def resolve(self) -> dict[str, fam_mod.Family]:
-        """Instantiate declared families; references resolve in order."""
+        """Instantiate declared families; references resolve in order.
+
+        Every ``delta`` family and ``delta`` twist is one shared
+        ``DeltaFamily``, so that tau is computed once per command.
+        """
         built: dict[str, fam_mod.Family] = {}
+        delta = functools.cache(fam_mod.cusp_form_delta)
         pending = list(self.declarations)
         progress = True
         while pending and progress:
@@ -114,7 +120,7 @@ class ExperimentConfig:
             remaining = []
             for decl in pending:
                 try:
-                    built[decl.ident] = _build_family(decl, built)
+                    built[decl.ident] = _build_family(decl, built, delta)
                     progress = True
                 except _Unresolved:
                     remaining.append(decl)
@@ -162,7 +168,9 @@ FAMILY_OPTIONS = {
 }
 
 
-def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
+def _build_family(
+    decl: FamilyDecl, built: dict, delta: Callable[[], fam_mod.Family]
+) -> fam_mod.Family:
     kind = decl.kind
     opt = decl.options
     if kind not in FAMILY_OPTIONS:
@@ -187,7 +195,7 @@ def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
             )
             return fam_mod.elliptic_family(spec)
         if kind == "delta":
-            return fam_mod.cusp_form_delta()
+            return delta()
         if kind == "sym_lift":
             base = opt["base"]
             if base not in built:
@@ -202,12 +210,14 @@ def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
             base = opt["base"]
             if base not in built:
                 raise _Unresolved(base)
-            return fam_mod.twist_by_fixed(_build_twist(opt["twist"]), built[base])
+            return fam_mod.twist_by_fixed(
+                _build_twist(opt["twist"], delta), built[base]
+            )
     except KeyError as exc:
         raise ConfigError(f"family {decl.ident!r}: missing option {exc}") from exc
 
 
-def _build_twist(text: str) -> fam_mod.Family:
+def _build_twist(text: str, delta: Callable[[], fam_mod.Family]) -> fam_mod.Family:
     kind, *rest = str(text).split() or [""]
     args = [int(tok) for tok in rest]
     if kind == "kronecker" and len(args) == 1:
@@ -215,7 +225,7 @@ def _build_twist(text: str) -> fam_mod.Family:
     if kind == "character" and len(args) == 2:
         return fam_mod.character_twist(*args)
     if kind == "delta" and not args:
-        return fam_mod.cusp_form_delta()
+        return delta()
     raise ValueError(
         f"bad twist spec {text!r}: expected 'kronecker D', "
         "'character MODULUS INDEX' or 'delta'"

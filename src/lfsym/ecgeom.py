@@ -25,8 +25,9 @@ paths chosen by the degrees of A(T) and B(T):
   O(p log p).  The float result is rounded to int64 and rejected (ValueError)
   when some entry lies more than 0.25 from an integer or breaks the Hasse
   bound a^2 <= 4p;
-* otherwise the whole (t, x) character-sum grid, O(p^2) per prime.  The grid
-  is also the exact oracle the correlation path is tested against.
+* otherwise the whole (t, x) character-sum grid, O(p^2) per prime, in the
+  width ``arith.residue_dtype(p)`` against the int8 Legendre table.  The
+  grid is also the exact oracle the correlation path is tested against.
 
 Conductors of a family come from one pass, ``family_conductors``, which
 factors each fiber's discriminant once (``arith.factorize``: a gcd with the
@@ -53,7 +54,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import factorize, legendre_table, primitive_root_powers, sieve_primes
+from .arith import (
+    factorize,
+    legendre_table,
+    primitive_root_powers,
+    residue_dtype,
+    sieve_primes,
+)
 
 __all__ = [
     "CurveInvariants",
@@ -249,9 +256,9 @@ def trace_of_frobenius(A: int, B: int, p: int) -> int:
     if p < 5:
         raise ValueError("character-sum trace requires p >= 5")
     chi = legendre_table(p)
-    x = np.arange(p, dtype=np.int64)
+    x = np.arange(p, dtype=residue_dtype(p))
     f = ((x * x % p) * x + A % p * x + B % p) % p
-    return -int(chi[f].sum())
+    return -int(chi[f].sum(dtype=np.int64))
 
 
 def affine_point_count(A: int, B: int, p: int) -> int:
@@ -332,17 +339,16 @@ def _ap_correlation_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
 def _ap_grid_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     """a_t(p) for every t mod p from the whole (t, x) grid, in chunks."""
     chi = legendre_table(p)
-    x = np.arange(p, dtype=np.int64)
+    x = np.arange(p, dtype=residue_dtype(p))
     cubes = (x * x % p) * x % p
-    r = np.arange(p, dtype=np.int64)
-    Av = _eval_poly_mod(spec.a_coeffs, r, p)
-    Bv = _eval_poly_mod(spec.b_coeffs, r, p)
+    Av = _eval_poly_mod(spec.a_coeffs, x, p)
+    Bv = _eval_poly_mod(spec.b_coeffs, x, p)
     out = np.empty(p, dtype=np.int64)
     chunk = max(1, 8_000_000 // p)
     for lo in range(0, p, chunk):
         hi = min(p, lo + chunk)
         f = (cubes[None, :] + Av[lo:hi, None] * x[None, :] + Bv[lo:hi, None]) % p
-        out[lo:hi] = -chi[f].sum(axis=1)
+        out[lo:hi] = -chi[f].sum(axis=1, dtype=np.int64)
     return out
 
 

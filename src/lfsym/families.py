@@ -20,6 +20,12 @@ factors' kept tables instead of recomputing the factors' rows; a
 convolution's (or twist's) rows are the products of its factors' rows,
 less the pairs (f, g) with g the dual of f, whose product is not cuspidal.
 
+Character sums are exact narrow integers: the quadratic family gathers the
+int8 ``legendre_table(p)`` at its discriminants mod p, reduced in int32
+while every |d| < 2^31 and in int64 otherwise, and a one-member Kronecker
+or Dirichlet twist builds its rows from chi(p) at every prime at once,
+equal bit for bit to its per-prime ``prime_moments``.
+
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
 characters of fundamental discriminants (the Dirichlet family holds no
 character tables: its moments follow from orthogonality, and a member's
@@ -47,6 +53,7 @@ from .arith import (
     kronecker_symbol,
     kronecker_table_two,
     legendre_table,
+    residues,
     sieve_primes,
 )
 from .ecgeom import (
@@ -145,6 +152,13 @@ def _weighted_moments(
     # on the row count: a table's first rows keep their bits for any nu_max
     sums = np.einsum("ik,k->i", btab, weights)
     return PrimeMoments(p, float(weights.sum()), total, sums.astype(np.complex128))
+
+
+def _primes_between(lo: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, log_p) of the primes lo < p <= P."""
+    table = sieve_primes(max(P, 2))
+    keep = (table.primes > lo) & (table.primes <= P)
+    return table.primes[keep], table.log_p[keep]
 
 
 # guards the lazy creation of each family's table lock, so that subclasses
@@ -247,9 +261,7 @@ class Family:
 
     def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
         """One ``prime_moments`` call at every prime lo < p <= P, stacked."""
-        table = sieve_primes(max(P, 2))
-        keep = (table.primes > lo) & (table.primes <= P)
-        primes, log_p = table.primes[keep], table.log_p[keep]
+        primes, log_p = _primes_between(lo, P)
         moments = [self.prime_moments(int(p), nu_max) for p in primes]
         good = np.array([m.good_weight for m in moments], dtype=float)
         total = np.array([m.total_weight for m in moments], dtype=float)
@@ -421,6 +433,10 @@ class QuadraticFamily(Family):
             f"/{stride}" if stride != 1 else ""
         )
         self._log_d = np.log(np.abs(self.discriminants).astype(float))
+        # the discriminants reduced mod p: int32 while every |d| < 2^31, the
+        # int64 array otherwise
+        d = self.discriminants
+        self._residue_d = d.astype(np.int32) if np.abs(d).max() < 2**31 else d
 
     def iter_members(self) -> Iterator[int]:
         return iter(self.discriminants.tolist())
@@ -444,16 +460,14 @@ class QuadraticFamily(Family):
         return float(len(self.discriminants))
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        d = self.discriminants
+        d = self._residue_d
         if p == 2:
             chi = kronecker_table_two(d)
         else:
-            chi = legendre_table(p)[d % p]
-        good = chi != 0
-        ngood = float(good.sum())
-        odd_sum = float(chi[good].sum())
+            chi = legendre_table(p).take(residues(d, p))
+        ngood = float(np.count_nonzero(chi))
         sums = np.empty(nu_max, dtype=np.complex128)
-        sums[0::2] = odd_sum  # nu odd
+        sums[0::2] = float(chi.sum(dtype=np.int64))  # nu odd
         sums[1::2] = ngood  # nu even: chi^2 = 1 on good members
         return PrimeMoments(p, ngood, float(len(d)), sums)
 
@@ -518,6 +532,10 @@ class EllipticFamily(HeckeFamily):
     """
 
     def __init__(self, spec: EllipticFamilySpec):
+        if spec.t_max <= spec.t_min:
+            raise ValueError(
+                f"the box [t_min, t_max) = [{spec.t_min}, {spec.t_max}) is empty"
+            )
         self.spec = spec
         delta = [spec.discriminant(t) for t in spec.t_range]
         self.members_list = [
@@ -905,6 +923,13 @@ class KroneckerTwist(Family):
     def form_key(self, member) -> tuple:
         return ("kronecker", self.d)
 
+    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
+        """The rows of ``prime_moments`` from chi(p) at every prime at once."""
+        primes, log_p = _primes_between(lo, P)
+        chi = np.array([kronecker_symbol(self.d, p) for p in primes.tolist()])
+        b = chi[:, None].astype(float) ** np.arange(1, nu_max + 1)
+        return _one_member_table(primes, log_p, self.d % primes != 0, b)
+
 
 class CharacterTwist(Family):
     """The single Dirichlet character char, a one-member family.
@@ -939,6 +964,33 @@ class CharacterTwist(Family):
 
     def dual_key(self, member) -> tuple:
         return _character_key(self.char.modulus, -self.char.index)
+
+    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
+        """The rows of ``prime_moments``, chi(p)^nu gathered from its values
+        at the residues p mod m that the primes take."""
+        primes, log_p = _primes_between(lo, P)
+        classes, at = np.unique(primes % self.char.modulus, return_inverse=True)
+        values = np.array(
+            [
+                [self.char.power_value(a, nu) for nu in range(1, nu_max + 1)]
+                for a in classes.tolist()
+            ],
+            dtype=np.complex128,
+        ).reshape(len(classes), nu_max)
+        return _one_member_table(primes, log_p, classes[at] != 0, values[at])
+
+
+def _one_member_table(
+    primes: np.ndarray, log_p: np.ndarray, good: np.ndarray, b: np.ndarray
+) -> MomentTable:
+    """The table of a one-member family with b[i, nu-1] = b(p_i^nu), good
+    where good[i]; the member's row is added to zeros, as ``prime_moments``
+    adds it."""
+    sums = np.zeros(b.shape, dtype=np.complex128)
+    sums[good] += b[good]
+    return MomentTable(
+        primes, log_p, good.astype(float), np.ones(len(primes)), sums
+    )
 
 
 def kronecker_twist(d: int) -> KroneckerTwist:

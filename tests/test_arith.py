@@ -20,6 +20,10 @@ from lfsym.arith import (
 from lfsym.ecgeom import _unit_tables
 
 
+# the last prime with int32 residue kernels and the first with int64
+SWITCH_PRIMES = (26737, 26759)
+
+
 def trial_division_factorize(n: int) -> dict[int, int]:
     """Reference: divide by every prime below 10^4 in turn, then split the
     cofactor as ``factorize`` does."""
@@ -103,9 +107,36 @@ class TestKronecker:
                 assert kronecker_symbol(a, p) == expected
 
     def test_legendre_table_agrees(self):
-        for p in (3, 5, 13, 101):
+        # every prime below 3000, and the primes on either side of the
+        # int32/int64 switch at 3 (p - 1)^2 = 2^31
+        for p in sieve_primes(3000).primes.tolist() + list(SWITCH_PRIMES):
             tab = legendre_table(p)
-            assert [kronecker_symbol(a, p) for a in range(p)] == tab.tolist()
+            assert tab.dtype == np.int8
+            assert [kronecker_symbol(a, p) for a in range(p)] == tab.tolist(), p
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_residues_equal_mod(self, dtype):
+        info = np.iinfo(dtype)
+        values = np.concatenate(
+            [
+                np.arange(info.min + 1, info.min + 3000),
+                np.arange(-3000, 3000),
+                np.arange(info.max - 3000, info.max),
+            ]
+        ).astype(dtype)
+        for p in (2, 3, 5, 7, 2999, 26737):
+            out = arith.residues(values, p)
+            assert out.dtype == dtype
+            assert np.array_equal(out, values % p), p
+
+    def test_residue_width_switches_where_three_products_overflow(self):
+        assert 3 * 26754**2 < 2**31 < 3 * 26755**2
+        assert arith.residue_dtype(26755) is np.int32
+        assert arith.residue_dtype(26756) is np.int64
+        below, above = SWITCH_PRIMES
+        assert sieve_primes(above).primes[-2:].tolist() == [below, above]
+        assert arith.residue_dtype(below) is np.int32
+        assert arith.residue_dtype(above) is np.int64
 
     @given(st.integers(-500, 500), st.integers(-500, 500))
     @settings(max_examples=100)

@@ -441,6 +441,13 @@ QUADRATIC_1_60 = {"id": "q", "kind": "quadratic", "d_min": 1, "d_max": 60}
             for key in ("sigma", "tolerance", "log_r")
             for flag in (True, False)
         ),
+        # an elliptic box [t_min, t_max) with no fiber at all
+        *(
+            pytest.param(["constants"], {"families": [{
+                "id": "ec", "kind": "elliptic", "a_poly": "0 1", "b_poly": "1",
+                "t_min": 600, "t_max": t_max}]}, id=f"empty-box-{t_max}")
+            for t_max in (600, 500)
+        ),
     ],
 )
 def test_bad_input_exits_config_with_one_line(args, config, tmp_path, capsys):
@@ -565,7 +572,9 @@ def test_delta_tau_reaches_the_support_edge(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_hecke_tau_stops_at_the_last_prime_read(threads, monkeypatch, capsys):
     # the sums read tau(p) up to p = 293; a read past a kept table appends
-    # rows, and a lift sizes its base's tau once, so tau never runs past it
+    # rows, and a lift sizes its base's tau once, so tau never runs past it;
+    # every delta family and twist is one Delta, so tau(1..293) is computed
+    # once
     calls = []
 
     def counted(n_max):
@@ -576,6 +585,7 @@ def test_hecke_tau_stops_at_the_last_prime_read(threads, monkeypatch, capsys):
     config = str(GOLDEN / "hecke_p300.ini")
     assert main(["density", "--config", config, "--threads", threads]) == 0
     assert calls and max(calls) == 293
+    assert calls.count(293) == 1
     capsys.readouterr()
 
 
@@ -633,8 +643,10 @@ def _family_classes(cls):
 def test_one_moment_table_per_family(config, args, capsys, monkeypatch):
     # every (family, prime) row is computed once per command: derived
     # families read their factors' kept tables, and c, r and D1 of a family
-    # come from one table, so the commands agree
-    rows = []
+    # come from one table, so the commands agree.  Rows are counted where
+    # prime_moments makes them and where a _build_table override returns
+    # them, each kind apart, since an override may call the base build.
+    rows, built = [], []
 
     def counted(prime_moments):
         def wrapper(self, p, nu_max):
@@ -643,16 +655,30 @@ def test_one_moment_table_per_family(config, args, capsys, monkeypatch):
 
         return wrapper
 
+    def counted_build(build_table):
+        def wrapper(self, lo, P, nu_max):
+            table = build_table(self, lo, P, nu_max)
+            built.extend((id(self), p) for p in table.primes.tolist())
+            return table
+
+        return wrapper
+
     for cls in _family_classes(Family):
         if "prime_moments" in vars(cls):
             monkeypatch.setattr(
                 cls, "prime_moments", counted(vars(cls)["prime_moments"])
             )
+        if cls is not Family and "_build_table" in vars(cls):
+            monkeypatch.setattr(
+                cls, "_build_table", counted_build(vars(cls)["_build_table"])
+            )
     outputs = {}
     for command in ("constants", "density"):
         rows.clear()
+        built.clear()
         assert main([command, "--config", str(config)] + args) == 0
         assert len(rows) == len(set(rows)) > 0
+        assert len(built) == len(set(built))
         lines = csv.DictReader(io.StringIO(capsys.readouterr().out))
         outputs[command] = [[row[c] for c in SHARED_COLUMNS] for row in lines]
     assert outputs["constants"] == outputs["density"]

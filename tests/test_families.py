@@ -142,6 +142,35 @@ class TestQuadraticFamily:
     def test_moments_match_member_loop(self):
         assert_moments_match_loop(quadratic_family((100, 300)), [2, 3, 5, 13], 4)
 
+    @pytest.mark.parametrize(
+        "d_range, stride",
+        [
+            ((100, 900), 1),
+            ((-900, -100), 1),
+            ((-1000, 1000), 7),
+            # |d| >= 2^31: d % p in the int64 discriminants
+            ((2**31, 2**31 + 300), 1),
+            ((-(2**31) - 300, -(2**31)), 1),
+            # int32, where d // p * p wraps
+            ((-(2**31) + 1, -(2**31) + 300), 1),
+        ],
+        ids=[
+            "positive", "negative", "strided", "above-2^31", "below--2^31",
+            "int32-edge",
+        ],
+    )
+    def test_rows_equal_the_member_loop_bitwise(self, d_range, stride):
+        fam = quadratic_family(d_range, stride)
+        assert fam._residue_d.dtype == (
+            np.int32 if max(map(abs, d_range)) < 2**31 else np.int64
+        )
+        for p in sieve_primes(400).primes.tolist():
+            fast = fam.prime_moments(p, 5)
+            loop = families.Family.prime_moments(fam, p, 5)
+            assert fast.good_weight == loop.good_weight
+            assert fast.total_weight == loop.total_weight
+            assert fast.sums.tobytes() == loop.sums.tobytes(), p
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             quadratic_family((14, 16))
@@ -211,6 +240,11 @@ class TestEllipticFamily:
     def test_identically_singular_rejected(self):
         with pytest.raises(ValueError):
             elliptic_family(EllipticFamilySpec((0,), (0,), 0, 5))
+
+    @pytest.mark.parametrize("t_max", [600, 500])
+    def test_empty_box_rejected(self, t_max):
+        with pytest.raises(ValueError, match=rf"\[600, {t_max}\) is empty"):
+            elliptic_family(EllipticFamilySpec((0, 1), (1,), 600, t_max))
 
     def test_trace_distribution_is_a_short_histogram(self):
         fam = elliptic_family(EllipticFamilySpec((0, 1), (1,), 50, 150))
@@ -536,6 +570,22 @@ class TestTwists:
         base = elliptic_family(EllipticFamilySpec((0, 1), (1,), 20, 45))
         twisted = twist_by_fixed(character_twist(7, 2), base)
         assert_moments_match_loop(twisted, [5, 11, 13], 4)
+
+    @pytest.mark.parametrize(
+        "h",
+        [kronecker_twist(d) for d in (-4, 5, -7, 8, 12)]
+        + [character_twist(m, j) for m in (7, 11) for j in range(1, m - 1)],
+        ids=repr,
+    )
+    def test_table_equals_the_per_prime_path_bitwise(self, h):
+        # the vectorized build, fresh and grown from a smaller kept table,
+        # against one prime_moments call per prime
+        loop = families.Family._build_table(h, 0, 1000, 6)
+        h.moment_table(300, 6)
+        for table in (h._build_table(0, 1000, 6), h.moment_table(1000, 6)):
+            for field in ("primes", "log_p", "good", "total", "sums"):
+                a, b = getattr(table, field), getattr(loop, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
 
     @pytest.mark.parametrize(
         "make_twist",
