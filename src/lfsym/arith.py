@@ -26,7 +26,6 @@ __all__ = [
     "kronecker_symbol",
     "legendre_table",
     "residue_dtype",
-    "residues",
     "primitive_root",
     "primitive_root_powers",
     "DirichletCharacter",
@@ -276,18 +275,6 @@ def residue_dtype(p: int) -> type:
     return np.int32 if 3 * (p - 1) ** 2 < 2**31 else np.int64
 
 
-def residues(values: np.ndarray, p: int) -> np.ndarray:
-    """values mod p, in [0, p) and the dtype of values.
-
-    Taken as values - (values // p) * p: numpy divides an integer array by
-    one scalar with a precomputed multiplier but takes ``%`` element by
-    element, so the two steps cost about half of one ``%``.  Where a value
-    lies within p of the dtype's minimum the product wraps, and the
-    difference is still exact, since it lies in [0, p).
-    """
-    return values - values // p * p
-
-
 def legendre_table(p: int) -> np.ndarray:
     """int8 array chi of length p with chi[u] = (u|p), for a prime p.
 
@@ -301,13 +288,13 @@ def legendre_table(p: int) -> np.ndarray:
         return np.array([0, 1], dtype=np.int8)
     x = np.arange(1, (p + 1) // 2, dtype=residue_dtype(p))
     chi = np.full(p, -1, dtype=np.int8)
-    chi[residues(x * x, p)] = 1
+    chi[x * x % p] = 1
     chi[0] = 0
     return chi
 
 
 def kronecker_table_two(values: np.ndarray) -> np.ndarray:
-    """(d|2) for an int64 array of d, via d mod 8."""
+    """(d|2) for an integer array of d (any width), via d mod 8."""
     r = np.mod(values, 8)
     out = np.zeros(values.shape, dtype=np.int64)
     out[(r == 1) | (r == 7)] = 1

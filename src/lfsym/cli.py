@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import functools
 import json
 import math
 import re
@@ -30,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -112,7 +111,7 @@ class ExperimentConfig:
         ``DeltaFamily``, so that tau is computed once per command.
         """
         built: dict[str, fam_mod.Family] = {}
-        delta = functools.cache(fam_mod.cusp_form_delta)
+        delta = fam_mod.cusp_form_delta()
         pending = list(self.declarations)
         progress = True
         while pending and progress:
@@ -169,7 +168,7 @@ FAMILY_OPTIONS = {
 
 
 def _build_family(
-    decl: FamilyDecl, built: dict, delta: Callable[[], fam_mod.Family]
+    decl: FamilyDecl, built: dict, delta: fam_mod.Family
 ) -> fam_mod.Family:
     kind = decl.kind
     opt = decl.options
@@ -195,7 +194,7 @@ def _build_family(
             )
             return fam_mod.elliptic_family(spec)
         if kind == "delta":
-            return delta()
+            return delta
         if kind == "sym_lift":
             base = opt["base"]
             if base not in built:
@@ -217,7 +216,7 @@ def _build_family(
         raise ConfigError(f"family {decl.ident!r}: missing option {exc}") from exc
 
 
-def _build_twist(text: str, delta: Callable[[], fam_mod.Family]) -> fam_mod.Family:
+def _build_twist(text: str, delta: fam_mod.Family) -> fam_mod.Family:
     kind, *rest = str(text).split() or [""]
     args = [int(tok) for tok in rest]
     if kind == "kronecker" and len(args) == 1:
@@ -225,7 +224,7 @@ def _build_twist(text: str, delta: Callable[[], fam_mod.Family]) -> fam_mod.Fami
     if kind == "character" and len(args) == 2:
         return fam_mod.character_twist(*args)
     if kind == "delta" and not args:
-        return delta()
+        return delta
     raise ValueError(
         f"bad twist spec {text!r}: expected 'kronecker D', "
         "'character MODULUS INDEX' or 'delta'"

@@ -23,8 +23,8 @@ less the pairs (f, g) with g the dual of f, whose product is not cuspidal.
 Character sums are exact narrow integers: the quadratic family gathers the
 int8 ``legendre_table(p)`` at its discriminants mod p, reduced in int32
 while every |d| < 2^31 and in int64 otherwise, and a one-member Kronecker
-or Dirichlet twist builds its rows from chi(p) at every prime at once,
-equal bit for bit to its per-prime ``prime_moments``.
+twist builds its rows from chi(p) at every prime at once, equal bit for bit
+to its per-prime ``prime_moments``.
 
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
 characters of fundamental discriminants (the Dirichlet family holds no
@@ -53,7 +53,6 @@ from .arith import (
     kronecker_symbol,
     kronecker_table_two,
     legendre_table,
-    residues,
     sieve_primes,
 )
 from .ecgeom import (
@@ -464,7 +463,7 @@ class QuadraticFamily(Family):
         if p == 2:
             chi = kronecker_table_two(d)
         else:
-            chi = legendre_table(p).take(residues(d, p))
+            chi = legendre_table(p).take(d % p)
         ngood = float(np.count_nonzero(chi))
         sums = np.empty(nu_max, dtype=np.complex128)
         sums[0::2] = float(chi.sum(dtype=np.int64))  # nu odd
@@ -927,8 +926,11 @@ class KroneckerTwist(Family):
         """The rows of ``prime_moments`` from chi(p) at every prime at once."""
         primes, log_p = _primes_between(lo, P)
         chi = np.array([kronecker_symbol(self.d, p) for p in primes.tolist()])
-        b = chi[:, None].astype(float) ** np.arange(1, nu_max + 1)
-        return _one_member_table(primes, log_p, self.d % primes != 0, b)
+        sums = (chi[:, None].astype(float) ** np.arange(1, nu_max + 1)).astype(
+            np.complex128
+        )
+        good = (chi != 0).astype(float)
+        return MomentTable(primes, log_p, good, np.ones(len(primes)), sums)
 
 
 class CharacterTwist(Family):
@@ -964,33 +966,6 @@ class CharacterTwist(Family):
 
     def dual_key(self, member) -> tuple:
         return _character_key(self.char.modulus, -self.char.index)
-
-    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
-        """The rows of ``prime_moments``, chi(p)^nu gathered from its values
-        at the residues p mod m that the primes take."""
-        primes, log_p = _primes_between(lo, P)
-        classes, at = np.unique(primes % self.char.modulus, return_inverse=True)
-        values = np.array(
-            [
-                [self.char.power_value(a, nu) for nu in range(1, nu_max + 1)]
-                for a in classes.tolist()
-            ],
-            dtype=np.complex128,
-        ).reshape(len(classes), nu_max)
-        return _one_member_table(primes, log_p, classes[at] != 0, values[at])
-
-
-def _one_member_table(
-    primes: np.ndarray, log_p: np.ndarray, good: np.ndarray, b: np.ndarray
-) -> MomentTable:
-    """The table of a one-member family with b[i, nu-1] = b(p_i^nu), good
-    where good[i]; the member's row is added to zeros, as ``prime_moments``
-    adds it."""
-    sums = np.zeros(b.shape, dtype=np.complex128)
-    sums[good] += b[good]
-    return MomentTable(
-        primes, log_p, good.astype(float), np.ones(len(primes)), sums
-    )
 
 
 def kronecker_twist(d: int) -> KroneckerTwist:

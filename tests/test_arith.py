@@ -114,21 +114,6 @@ class TestKronecker:
             assert tab.dtype == np.int8
             assert [kronecker_symbol(a, p) for a in range(p)] == tab.tolist(), p
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_residues_equal_mod(self, dtype):
-        info = np.iinfo(dtype)
-        values = np.concatenate(
-            [
-                np.arange(info.min + 1, info.min + 3000),
-                np.arange(-3000, 3000),
-                np.arange(info.max - 3000, info.max),
-            ]
-        ).astype(dtype)
-        for p in (2, 3, 5, 7, 2999, 26737):
-            out = arith.residues(values, p)
-            assert out.dtype == dtype
-            assert np.array_equal(out, values % p), p
-
     def test_residue_width_switches_where_three_products_overflow(self):
         assert 3 * 26754**2 < 2**31 < 3 * 26755**2
         assert arith.residue_dtype(26755) is np.int32

@@ -571,15 +571,11 @@ class TestTwists:
         twisted = twist_by_fixed(character_twist(7, 2), base)
         assert_moments_match_loop(twisted, [5, 11, 13], 4)
 
-    @pytest.mark.parametrize(
-        "h",
-        [kronecker_twist(d) for d in (-4, 5, -7, 8, 12)]
-        + [character_twist(m, j) for m in (7, 11) for j in range(1, m - 1)],
-        ids=repr,
-    )
-    def test_table_equals_the_per_prime_path_bitwise(self, h):
+    @pytest.mark.parametrize("d", [-4, 5, -7, 8, 12])
+    def test_table_equals_the_per_prime_path_bitwise(self, d):
         # the vectorized build, fresh and grown from a smaller kept table,
         # against one prime_moments call per prime
+        h = kronecker_twist(d)
         loop = families.Family._build_table(h, 0, 1000, 6)
         h.moment_table(300, 6)
         for table in (h._build_table(0, 1000, 6), h.moment_table(1000, 6)):
