@@ -4,9 +4,13 @@ Provides the prime sieve, Kronecker symbols and int8 Legendre tables,
 integer factorization, primitive-root power tables and Dirichlet character
 tables (prime modulus) shared by the rest of the package.  Residue kernels
 mod p take their integer width from ``residue_dtype(p)``: int32 while every
-intermediate fits, int64 beyond.  Everything here is exact: character
-values are stored as root-of-unity indices so that orthogonality sums cancel
-without floating tolerance creep.
+intermediate fits, int64 beyond.  They reduce an array mod p with one
+helper, ``_reduce_mod``, as a - (a // p) * p: numpy's floor division by a
+scalar is several times faster than its remainder.  Arrays that index a
+table are intp, which numpy would otherwise convert on every scatter and
+gather.  Everything here is exact: character values are stored as
+root-of-unity indices so that orthogonality sums cancel without floating
+tolerance creep.
 """
 
 from __future__ import annotations
@@ -271,8 +275,21 @@ def kronecker_symbol(a: int, n: int) -> int:
 def residue_dtype(p: int) -> type:
     """The integer width of the residue kernels mod p: int32 when every
     intermediate fits, at most a sum of three products of residues, so
-    3 (p - 1)^2 < 2^31; int64 otherwise."""
+    3 (p - 1)^2 < 2^31; int64 otherwise.  Those intermediates are
+    non-negative, so they meet the contract of ``_reduce_mod``."""
     return np.int32 if 3 * (p - 1) ** 2 < 2**31 else np.int64
+
+
+def _reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p in [0, p) for an integer array a and an integer p > 0, in the
+    dtype of a; equal to ``np.remainder(a, p)``.
+
+    Computed as a - (a // p) * p.  Contract: dtype_min + p <= a <= dtype_max
+    elementwise, so that (a // p) * p cannot overflow.  p is taken as a
+    Python int, so a numpy-int p does not widen the result.
+    """
+    p = int(p)
+    return a - (a // p) * p
 
 
 def legendre_table(p: int) -> np.ndarray:
@@ -288,14 +305,15 @@ def legendre_table(p: int) -> np.ndarray:
         return np.array([0, 1], dtype=np.int8)
     x = np.arange(1, (p + 1) // 2, dtype=residue_dtype(p))
     chi = np.full(p, -1, dtype=np.int8)
-    chi[x * x % p] = 1
+    chi[_reduce_mod(x * x, p).astype(np.intp)] = 1
     chi[0] = 0
     return chi
 
 
 def kronecker_table_two(values: np.ndarray) -> np.ndarray:
-    """(d|2) for an integer array of d (any width), via d mod 8."""
-    r = np.mod(values, 8)
+    """(d|2) for an integer array of d (any width, each d >= dtype_min + 8),
+    via d mod 8."""
+    r = _reduce_mod(values, 8)
     out = np.zeros(values.shape, dtype=np.int64)
     out[(r == 1) | (r == 7)] = 1
     out[(r == 3) | (r == 5)] = -1
@@ -359,21 +377,22 @@ class DirichletCharacter:
 
 
 def primitive_root_powers(m: int) -> np.ndarray:
-    """int64 array pw of length m - 1 with pw[k] = g^k mod m, for the
+    """intp array pw of length m - 1 with pw[k] = g^k mod m, for the
     smallest primitive root g of a prime m >= 3.
 
     Built by doubling, pw[n + i] = pw[i] * g^n, in O(m) numpy work.  Every
-    unit mod m is one pw[k], so inverses (g^-k = pw[-k mod (m - 1)]),
-    Legendre symbols ((-1)^k) and discrete logs (k) are scatters of it.
+    unit mod m is one pw[k], so a walk over the units as g^k reads the
+    inverse g^-k = pw[-k mod (m - 1)] and the Legendre symbol (-1)^k by
+    position; discrete logs (k) are a scatter of it.
     """
     e = m - 1
-    pw = np.empty(e, dtype=np.int64)
+    pw = np.empty(e, dtype=np.intp)
     pw[0] = 1
     n = 1
     g_n = primitive_root(m)
     while n < e:
         step = min(n, e - n)
-        pw[n : n + step] = pw[:step] * g_n % m
+        pw[n : n + step] = _reduce_mod(pw[:step] * g_n, m)
         n += step
         g_n = g_n * g_n % m
     return pw
@@ -406,7 +425,7 @@ def dirichlet_character(m: int, j: int) -> DirichletCharacter:
     dlog = _discrete_log(m)
     roots = np.exp(2j * np.pi * np.arange(e) / e)
     idx = np.full(m, -1, dtype=np.int64)
-    idx[1:] = (j * dlog[1:]) % e
+    idx[1:] = _reduce_mod(j * dlog[1:], e)
     vals = np.zeros(m, dtype=np.complex128)
     vals[1:] = roots[idx[1:]]
     order = e // math.gcd(e, j)

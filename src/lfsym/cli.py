@@ -626,8 +626,13 @@ def _write_output(text: str, out_dir: Optional[str], name: str) -> None:
     sys.stdout.write(text)
 
 
-def _has_nan(rows: list[dict]) -> bool:
-    return any(v == "nan" or v == "-nan" for row in rows for v in row.values())
+def _nan_columns(rows: list[dict]) -> str:
+    """"family 'a' (c_est, r_est); ..." for the rows with NaN cells, or ""."""
+    return "; ".join(
+        f"family {row['family_id']!r} ({', '.join(cols)})"
+        for row in rows
+        if (cols := [c for c, v in row.items() if v in ("nan", "-nan")])
+    )
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -743,16 +748,28 @@ def _dispatch(args) -> int:
         _write_output(text, args.out, f"{stem}.json")
     else:
         _write_output(rows_to_csv(rows, columns), args.out, f"{stem}.csv")
-    if _has_nan(rows):
+    nan = _nan_columns(rows)
+    if nan:
+        print(f"error: NaN result in {nan}", file=sys.stderr)
         return EXIT_NUMERIC
     if not args.check:
         return EXIT_OK
     if density:
         tol = config.run.check_tolerance
-        failed = any(abs(float(r["D1_emp"]) - float(r["D1_pred"])) > tol for r in rows)
+        failed = [
+            r["family_id"]
+            for r in rows
+            if abs(float(r["D1_emp"]) - float(r["D1_pred"])) > tol
+        ]
+        fault = f"D1_emp off D1_pred by more than {fmt(tol)}"
     else:
-        failed = any(r["c_class"] == "indeterminate" for r in rows)
-    return EXIT_CHECK if failed else EXIT_OK
+        failed = [r["family_id"] for r in rows if r["c_class"] == "indeterminate"]
+        fault = "c_class indeterminate"
+    if not failed:
+        return EXIT_OK
+    names = ", ".join(repr(ident) for ident in failed)
+    print(f"error: --check failed for family {names}: {fault}", file=sys.stderr)
+    return EXIT_CHECK
 
 
 if __name__ == "__main__":

@@ -18,16 +18,21 @@ paths chosen by the degrees of A(T) and B(T):
 * degree <= 1 in both: f(t, x) = F0(x) + t F1(x) with F0 = x^3 + a0 x + b0
   and F1 = a1 x + b1, so
   a_t(p) = -sum_{F1(x)=0} chi(F0(x)) - sum_u h[u] chi(t + u), where
-  h[u] = sum_{F1(x)!=0, F0(x)/F1(x)=u} chi(F1(x)).  The inverses 1/F1(x)
-  and chi are scattered from one table of the powers g^k of the primitive
-  root, as 1/g^k = g^-k and chi(g^k) = (-1)^k, in O(p).  The second sum is
-  a cyclic correlation of two length-p sequences, taken by real FFT in
-  O(p log p).  The float result is rounded to int64 and rejected (ValueError)
-  when some entry lies more than 0.25 from an integer or breaks the Hasse
-  bound a^2 <= 4p;
+  h[u] = sum_{F1(x)!=0, F0(x)/F1(x)=u} chi(F1(x)).  When a1 != 0 mod p,
+  F1 has one root and walks the units as g^k, k = 0..p-2, for the
+  primitive root g; then 1/F1 = g^-k and chi(F1) = (-1)^k are read by
+  position in one table of the powers g^k, in O(p).  When a1 = 0 mod p,
+  F1 = b1 is constant, and it vanishes identically when b1 = 0 mod p too.
+  The second sum is a cyclic correlation of two length-p sequences, taken
+  by real FFT in O(p log p).  The float result is rounded to int64 and
+  rejected (ValueError) when some entry lies more than 0.25 from an
+  integer or breaks the Hasse bound a^2 <= 4p;
 * otherwise the whole (t, x) character-sum grid, O(p^2) per prime, in the
   width ``arith.residue_dtype(p)`` against the int8 Legendre table.  The
   grid is also the exact oracle the correlation path is tested against.
+
+Every array residue is taken with ``arith._reduce_mod``, and every array that
+indexes a table is intp.
 
 Conductors of a family come from one pass, ``family_conductors``, which
 factors each fiber's discriminant once (``arith.factorize``: a gcd with the
@@ -55,6 +60,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import (
+    _reduce_mod,
     factorize,
     legendre_table,
     primitive_root_powers,
@@ -243,8 +249,13 @@ def _eval_poly(coeffs: Sequence[int], t: int) -> int:
 def _eval_poly_mod(coeffs: Sequence[int], r: np.ndarray, p: int) -> np.ndarray:
     acc = np.zeros_like(r)
     for c in reversed(coeffs):
-        acc = (acc * r + c % p) % p
+        acc = _reduce_mod(acc * r + c % p, p)
     return acc
+
+
+def _cubic_mod(x: np.ndarray, a0: int, b0: int, p: int) -> np.ndarray:
+    """x^3 + a0 x + b0 mod p for residues x."""
+    return _reduce_mod(_reduce_mod(x * x, p) * x + a0 % p * x + b0 % p, p)
 
 
 def trace_of_frobenius(A: int, B: int, p: int) -> int:
@@ -256,9 +267,8 @@ def trace_of_frobenius(A: int, B: int, p: int) -> int:
     if p < 5:
         raise ValueError("character-sum trace requires p >= 5")
     chi = legendre_table(p)
-    x = np.arange(p, dtype=residue_dtype(p))
-    f = ((x * x % p) * x + A % p * x + B % p) % p
-    return -int(chi[f].sum(dtype=np.int64))
+    f = _cubic_mod(np.arange(p, dtype=residue_dtype(p)), A, B, p)
+    return -int(chi[f.astype(np.intp)].sum(dtype=np.int64))
 
 
 def affine_point_count(A: int, B: int, p: int) -> int:
@@ -294,33 +304,35 @@ def ap_residue_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     return _ap_correlation_table(spec, p)
 
 
-def _unit_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inv, chi) for an odd prime p: inv[u] = u^-1 mod p on the units
-    (inv[0] = 0) and chi[u] = (u|p), both scattered from one power table of
-    the primitive root g, as inv[g^k] = g^-k and chi(g^k) = (-1)^k."""
-    pw = primitive_root_powers(p)
-    inv = np.zeros(p, dtype=np.int64)
-    inv[pw] = np.roll(pw[::-1], 1)
-    chi = np.zeros(p, dtype=np.int64)
-    chi[pw[0::2]] = 1
-    chi[pw[1::2]] = -1
-    return inv, chi
-
-
 def _ap_correlation_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     """a_t(p) = -sum_{F1=0} chi(F0) - sum_u h[u] chi(t + u), by real FFT,
     where x^3 + A(t) x + B(t) = F0(x) + t F1(x) (degree <= 1 in T)."""
     a0, a1 = (tuple(spec.a_coeffs) + (0, 0))[:2]
     b0, b1 = (tuple(spec.b_coeffs) + (0, 0))[:2]
-    x = np.arange(p, dtype=np.int64)
-    f0 = ((x * x % p) * x + a0 % p * x + b0 % p) % p
-    f1 = (a1 % p * x + b1 % p) % p
-    inv, chi = _unit_tables(p)
-    root = f1 == 0
-    fixed = int(chi[f0[root]].sum())
-    units = f1[~root]
-    u = f0[~root] * inv[units] % p
-    h = np.bincount(u, weights=chi[units], minlength=p)
+    pw = primitive_root_powers(p)
+    chi = np.zeros(p, dtype=np.int64)
+    chi[pw[0::2]] = 1
+    chi[pw[1::2]] = -1
+    if a1 % p:
+        # F1 vanishes at x = root alone and equals g^k at x = root + g^k / a1;
+        # k runs over 1..p - 1, so that g^-k = pw[p - 1 - k] is pw reversed,
+        # and chi(F1(x)) = (-1)^k
+        inv_a1 = pow(a1, -1, p)
+        root = -b1 * inv_a1 % p
+        fixed = int(chi[(root**3 + a0 * root + b0) % p])
+        x = _reduce_mod(pw * (int(pw[1]) * inv_a1 % p) + root, p)
+        u = _reduce_mod(_cubic_mod(x, a0, b0, p) * pw[::-1], p)
+        h = np.bincount(u[1::2], minlength=p) - np.bincount(u[0::2], minlength=p)
+    else:
+        # F1 = b1 at every x: no root unless it vanishes identically
+        f0 = _cubic_mod(np.arange(p, dtype=np.intp), a0, b0, p)
+        if b1 % p:
+            fixed = 0
+            u = _reduce_mod(f0 * pow(b1, -1, p), p)
+            h = int(chi[b1 % p]) * np.bincount(u, minlength=p)
+        else:
+            fixed = int(chi[f0].sum())
+            h = np.zeros(p, dtype=np.int64)
     # sum_u h[u] chi(t + u) as a linear correlation at lags t and t - p,
     # zero-padded to a power of two: numpy's FFT is slow at prime lengths
     n = 1 << (2 * p - 1).bit_length()
@@ -340,14 +352,19 @@ def _ap_grid_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     """a_t(p) for every t mod p from the whole (t, x) grid, in chunks."""
     chi = legendre_table(p)
     x = np.arange(p, dtype=residue_dtype(p))
-    cubes = (x * x % p) * x % p
+    cubes = _reduce_mod(_reduce_mod(x * x, p) * x, p)
     Av = _eval_poly_mod(spec.a_coeffs, x, p)
     Bv = _eval_poly_mod(spec.b_coeffs, x, p)
     out = np.empty(p, dtype=np.int64)
-    chunk = max(1, 8_000_000 // p)
+    # about 2^16 cells per chunk: at 2^22 and more the grid ran twice as
+    # slow at p = 2000, each chunk's temporaries paying for fresh pages
+    chunk = max(1, 2**16 // p)
     for lo in range(0, p, chunk):
         hi = min(p, lo + chunk)
-        f = (cubes[None, :] + Av[lo:hi, None] * x[None, :] + Bv[lo:hi, None]) % p
+        f = Av[lo:hi, None] * x
+        f += cubes
+        f += Bv[lo:hi, None]
+        f = _reduce_mod(f, p).astype(np.intp)
         out[lo:hi] = -chi[f].sum(axis=1, dtype=np.int64)
     return out
 

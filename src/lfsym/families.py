@@ -21,10 +21,12 @@ convolution's (or twist's) rows are the products of its factors' rows,
 less the pairs (f, g) with g the dual of f, whose product is not cuspidal.
 
 Character sums are exact narrow integers: the quadratic family gathers the
-int8 ``legendre_table(p)`` at its discriminants mod p, reduced in int32
-while every |d| < 2^31 and in int64 otherwise, and a one-member Kronecker
-twist builds its rows from chi(p) at every prime at once, equal bit for bit
-to its per-prime ``prime_moments``.
+int8 ``legendre_table(p)`` at its discriminants mod p, reduced by
+``arith._reduce_mod`` in int32 while every |d| < 2^30 and in int64
+otherwise, and a one-member Kronecker twist builds its rows from chi(p) at
+every prime at once, equal bit for bit to its per-prime ``prime_moments``.
+An elliptic family weighs each residue t mod p by its members, counted from
+the box rather than member by member.
 
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
 characters of fundamental discriminants (the Dirichlet family holds no
@@ -48,11 +50,13 @@ import numpy as np
 from . import weil
 from .arith import (
     DirichletCharacter,
+    _reduce_mod,
     dirichlet_character,
     is_prime,
     kronecker_symbol,
     kronecker_table_two,
     legendre_table,
+    residue_dtype,
     sieve_primes,
 )
 from .ecgeom import (
@@ -401,16 +405,16 @@ def fundamental_discriminants(
             q = int(p) * int(p)
             if q > vmax:
                 break
-            ok &= (v % q) != 0
+            ok &= _reduce_mod(v, q) != 0
         return ok
 
-    r4 = cands % 4
+    r4 = _reduce_mod(cands, 4)
     keep = np.zeros(cands.shape, dtype=bool)
     one = r4 == 1
     keep[one] = squarefree(cands[one])
     zero = r4 == 0
     q = cands[zero] // 4
-    keep[zero] = ((q % 4 == 2) | (q % 4 == 3)) & squarefree(q)
+    keep[zero] = (_reduce_mod(q, 4) >= 2) & squarefree(q)
     return cands[keep]
 
 
@@ -432,10 +436,11 @@ class QuadraticFamily(Family):
             f"/{stride}" if stride != 1 else ""
         )
         self._log_d = np.log(np.abs(self.discriminants).astype(float))
-        # the discriminants reduced mod p: int32 while every |d| < 2^31, the
-        # int64 array otherwise
+        # the discriminants reduced mod p: int32 while every |d| < 2^30, so
+        # that d >= -2^31 + p for every prime p below 2^30 (_reduce_mod's
+        # contract), the int64 array otherwise
         d = self.discriminants
-        self._residue_d = d.astype(np.int32) if np.abs(d).max() < 2**31 else d
+        self._residue_d = d.astype(np.int32) if np.abs(d).max() < 2**30 else d
 
     def iter_members(self) -> Iterator[int]:
         return iter(self.discriminants.tolist())
@@ -463,7 +468,7 @@ class QuadraticFamily(Family):
         if p == 2:
             chi = kronecker_table_two(d)
         else:
-            chi = legendre_table(p).take(d % p)
+            chi = legendre_table(p).take(_reduce_mod(d, p).astype(np.intp))
         ngood = float(np.count_nonzero(chi))
         sums = np.empty(nu_max, dtype=np.complex128)
         sums[0::2] = float(chi.sum(dtype=np.int64))  # nu odd
@@ -545,7 +550,6 @@ class EllipticFamily(HeckeFamily):
         ]
         if not self.members_list:
             raise ValueError("all fibers in range are singular")
-        self._members_arr = np.asarray(self.members_list, dtype=np.int64)
         self.family_id = (
             f"ec(A={list(spec.a_coeffs)},B={list(spec.b_coeffs)},"
             f"t=[{spec.t_min},{spec.t_max}))"
@@ -588,13 +592,26 @@ class EllipticFamily(HeckeFamily):
         return p in (2, 3) or self.spec.discriminant(member) % p == 0
 
     def residue_data(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(a_r table, member weights on good residues r mod p) for p >= 5."""
-        a = ap_residue_table(self.spec, p)
-        r = np.arange(p, dtype=np.int64)
-        A = _eval_poly_mod(self.spec.a_coeffs, r, p)
-        B = _eval_poly_mod(self.spec.b_coeffs, r, p)
-        delta_mod = (4 * (A * A % p * A % p) + 27 * (B * B % p)) % p
-        counts = np.bincount(self._members_arr % p, minlength=p).astype(float)
+        """(a_r table, member weights on good residues r mod p) for p >= 5.
+
+        The members per residue come from the box: each residue holds
+        N // p of its N parameters, the N mod p residues from t_min on one
+        more.  A singular fiber needs no subtraction: Delta(t) = 0 puts it
+        on a residue with Delta = 0 mod p, whose weight is 0.
+        """
+        spec = self.spec
+        a = ap_residue_table(spec, p)
+        r = np.arange(p, dtype=residue_dtype(p))
+        A = _eval_poly_mod(spec.a_coeffs, r, p)
+        B = _eval_poly_mod(spec.b_coeffs, r, p)
+        cube = _reduce_mod(_reduce_mod(A * A, p) * A, p)
+        delta_mod = _reduce_mod(4 * cube + 27 * _reduce_mod(B * B, p), p)
+        n = spec.t_max - spec.t_min
+        counts = np.full(p, n // p, dtype=np.int64)
+        start = spec.t_min % p
+        end = start + n % p
+        counts[start:end] += 1
+        counts[: max(0, end - p)] += 1
         return a, counts * (delta_mod != 0)
 
     def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,6 @@ from lfsym.arith import (
     primitive_root,
     sieve_primes,
 )
-from lfsym.ecgeom import _unit_tables
 
 
 # the last prime with int32 residue kernels and the first with int64
@@ -317,6 +316,39 @@ class TestCharacters:
             characters_mod(2)
 
 
+class TestReduceMod:
+    """``_reduce_mod`` equals ``np.remainder`` over its whole contract,
+    dtype_min + p <= a <= dtype_max, and keeps the dtype of a."""
+
+    @given(
+        st.sampled_from([np.int32, np.int64]),
+        st.integers(1, 2**31 - 1),
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40),
+        st.booleans(),
+    )
+    @settings(max_examples=300)
+    def test_equals_remainder(self, dtype, p, raw, numpy_divisor):
+        info = np.iinfo(dtype)
+        lo, hi = info.min + p, info.max
+        # fold the draws into the contract and pin both of its ends
+        a = np.array(
+            [lo + v % (hi - lo + 1) for v in raw] + [lo, hi, 0, -1], dtype=dtype
+        )
+        divisor = np.int64(p) if numpy_divisor else p
+        out = arith._reduce_mod(a, divisor)
+        assert out.dtype == dtype
+        assert np.array_equal(out, np.remainder(a, p))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_small_divisors_at_the_bound(self, dtype):
+        info = np.iinfo(dtype)
+        for p in (1, 2, 3, 4, 8, 101, np.int32(7), np.int64(26737)):
+            a = np.array([info.min + int(p), info.max, -int(p), int(p)], dtype=dtype)
+            out = arith._reduce_mod(a, p)
+            assert out.dtype == dtype
+            assert np.array_equal(out, np.remainder(a, int(p))), p
+
+
 POWER_TABLE_PRIMES = [int(p) for p in sieve_primes(2000).primes[1:]] + [9973, 10007]
 
 
@@ -329,13 +361,20 @@ class TestPowerTable:
             ]
 
     def test_unit_inverses(self):
+        # the correlation path reads 1/g^k = g^-k at position -k mod (p - 1)
         for p in POWER_TABLE_PRIMES:
-            inv, _ = _unit_tables(p)
-            assert inv[1:].tolist() == [pow(v, -1, p) for v in range(1, p)], p
+            pw = arith.primitive_root_powers(p)
+            assert pw.dtype == np.intp
+            inv = np.roll(pw[::-1], 1)
+            assert inv.tolist() == [pow(int(v), -1, p) for v in pw], p
 
     def test_legendre_symbols(self):
+        # chi(g^k) = (-1)^k, scattered once for the correlation's operand
         for p in POWER_TABLE_PRIMES:
-            _, chi = _unit_tables(p)
+            pw = arith.primitive_root_powers(p)
+            chi = np.zeros(p, dtype=np.int64)
+            chi[pw[0::2]] = 1
+            chi[pw[1::2]] = -1
             assert np.array_equal(chi, legendre_table(p)), p
 
     @pytest.mark.parametrize("m", [3, 5, 7, 101, 1999])

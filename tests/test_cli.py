@@ -246,6 +246,34 @@ class TestMainExitCodes:
         path.write_text(json.dumps(data))
         assert main(["constants", "--config", str(path), "--check"]) == EXIT_CHECK
 
+    def test_check_failure_names_families_and_column(self, tmp_path, capsys):
+        # the stderr line names the family and the column at fault, and
+        # stdout is the table the command prints without --check
+        data = {
+            "run": {"primes": 60, "sigma": 1.0, "tolerance": 0.01,
+                    "check_tolerance": 0.001},
+            "families": [
+                {"id": "ec", "kind": "elliptic", "a_poly": "0 1", "b_poly": "1",
+                 "t_min": 50, "t_max": 70},
+                {"id": "q", "kind": "quadratic", "d_min": 1000, "d_max": 3000},
+            ],
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(data))
+        for command, line in [
+            ("constants", "error: --check failed for family 'ec': "
+                          "c_class indeterminate"),
+            ("density", "error: --check failed for family 'ec', 'q': "
+                        "D1_emp off D1_pred by more than 0.001"),
+        ]:
+            assert main([command, "--config", str(path)]) == 0
+            plain = capsys.readouterr()
+            assert plain.err == ""
+            assert main([command, "--config", str(path), "--check"]) == EXIT_CHECK
+            checked = capsys.readouterr()
+            assert checked.out == plain.out
+            assert checked.err.splitlines() == [line]
+
     def test_out_dir(self, tmp_path, config_path):
         out = tmp_path / "results"
         assert main(["constants", "--config", config_path, "--out", str(out)]) == 0
@@ -263,6 +291,27 @@ class TestMainExitCodes:
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(data))
         assert main(["constants", "--config", str(path)]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "chars,0.5,100,nan," in captured.out
+        assert captured.err.splitlines() == [
+            "error: NaN result in family 'chars' (c_est, r_est)"
+        ]
+        # log R = 1.24 for d in [-5, -1): no prime has a nonzero nu = 2
+        # weight, so c and the predicted density are NaN
+        data = {
+            "run": {"primes": 200},
+            "families": [
+                {"id": "q", "kind": "quadratic", "d_min": -5, "d_max": -1},
+                {"id": "chars", "kind": "dirichlet", "modulus": 7},
+            ],
+        }
+        path.write_text(json.dumps(data))
+        assert main(["density", "--config", str(path)]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("q,1,200,nan,")
+        assert captured.err.splitlines() == [
+            "error: NaN result in family 'q' (c_est, D1_pred)"
+        ]
 
     def test_empty_family_list_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

@@ -148,21 +148,23 @@ class TestQuadraticFamily:
             ((100, 900), 1),
             ((-900, -100), 1),
             ((-1000, 1000), 7),
-            # |d| >= 2^31: d % p in the int64 discriminants
+            # |d| >= 2^31: d mod p in the int64 discriminants
             ((2**31, 2**31 + 300), 1),
             ((-(2**31) - 300, -(2**31)), 1),
-            # int32, where d // p * p wraps
+            # int64 although every d fits int32, where d // p * p would not
             ((-(2**31) + 1, -(2**31) + 300), 1),
+            # int32 up to |d| < 2^30, which keeps d // p * p inside int32
+            ((-(2**30) + 1, -(2**30) + 300), 1),
         ],
         ids=[
             "positive", "negative", "strided", "above-2^31", "below--2^31",
-            "int32-edge",
+            "int32-edge", "int32-bound",
         ],
     )
     def test_rows_equal_the_member_loop_bitwise(self, d_range, stride):
         fam = quadratic_family(d_range, stride)
         assert fam._residue_d.dtype == (
-            np.int32 if max(map(abs, d_range)) < 2**31 else np.int64
+            np.int32 if max(map(abs, d_range)) < 2**30 else np.int64
         )
         for p in sieve_primes(400).primes.tolist():
             fast = fam.prime_moments(p, 5)
@@ -262,6 +264,29 @@ class TestEllipticFamily:
         fam = elliptic_family(EC1)
         with pytest.raises(ValueError, match="sqrt"):
             fam.prime_moments(5, 2)  # 5^2 > 4 * 5
+
+    # boxes of N = 17, 5, 3, 35 and 10 parameters, against p = 5..17: N < p,
+    # N = p (17, 5), N > p and p | N (35 at 5 and 7, 10 at 5); Delta of
+    # x^3 - 3Tx + 2T is 108 T^2 (T - 1) times a unit, singular at 0 and 1
+    @pytest.mark.parametrize(
+        "box", [(-7, 10), (-3, 2), (0, 3), (-20, 15), (-1000, -990)]
+    )
+    @pytest.mark.parametrize(
+        "coeffs", [((0, -3), (0, 2)), ((0, 1), (1,)), ((0, 1), (1, 0, 1))],
+        ids=["singular", "linear", "quadratic"],
+    )
+    def test_residue_weights_count_the_members(self, box, coeffs):
+        spec = EllipticFamilySpec(*coeffs, *box)
+        fam = elliptic_family(spec)
+        if coeffs[0] == (0, -3) and box[0] <= 0 < box[1]:
+            assert 0 in fam.singular_fibers
+        for p in (5, 7, 11, 13, 17):
+            _, weights = fam.residue_data(p)
+            counts = np.bincount([t % p for t in fam.members_list], minlength=p)
+            good = [
+                (4 * spec.A(r) ** 3 + 27 * spec.B(r) ** 2) % p != 0 for r in range(p)
+            ]
+            assert weights.tolist() == (counts * good).tolist(), p
 
 
 KNOWN_TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]

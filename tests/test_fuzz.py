@@ -123,6 +123,9 @@ def check(code, err):
     assert "Traceback" not in err
     if code == EXIT_CONFIG:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    elif code != 0:
+        # exit 3 (NaN) and 4 (--check) end on one line saying why
+        assert err.splitlines()[-1].startswith("error: ")
 
 
 @settings(max_examples=150, deadline=None)
