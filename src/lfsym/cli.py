@@ -627,7 +627,7 @@ def _write_output(text: str, out_dir: Optional[str], name: str) -> None:
 
 
 def _nan_columns(rows: list[dict]) -> str:
-    """"family 'a' (c_est, r_est); ..." for the rows with NaN cells, or ""."""
+    """The rows with NaN cells as "family 'a' (c_est, r_est); ...", or ""."""
     return "; ".join(
         f"family {row['family_id']!r} ({', '.join(cols)})"
         for row in rows
