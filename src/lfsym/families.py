@@ -23,8 +23,8 @@ less the pairs (f, g) with g the dual of f, whose product is not cuspidal.
 Character sums are exact narrow integers: the quadratic family gathers the
 int8 ``legendre_table(p)`` at its discriminants mod p, reduced by
 ``arith._reduce_mod`` in int32 while every |d| < 2^30 and in int64
-otherwise, and a one-member Kronecker twist builds its rows from chi(p) at
-every prime at once, equal bit for bit to its per-prime ``prime_moments``.
+otherwise, and a Kronecker twist builds its rows from chi(p) at every prime
+at once, equal bit for bit to its per-prime ``prime_moments``.
 An elliptic family weighs each residue t mod p by its members, counted from
 the box rather than member by member.
 
@@ -34,8 +34,9 @@ character tables: its moments follow from orthogonality, and a member's
 character is built when asked for), one-parameter elliptic-curve
 families, the level-one weight-12 cusp form, symmetric-power lifts and
 Rankin-Selberg convolutions.  A fixed twist f x G is the convolution of G
-with the one-member family {f}: a single Kronecker or Dirichlet character,
-or the cusp form.
+with the one-member family {f}: a ``QuadraticFamily`` over one discriminant,
+a ``DirichletFamily`` holding one character, or the cusp form, from which
+the twist takes its coefficients, conductor, bad primes and keys.
 """
 
 from __future__ import annotations
@@ -313,12 +314,6 @@ def _character_key(m: int, j: int) -> tuple:
     return ("dirichlet", m, j)
 
 
-def _character_coefficients(chi, p: int, nu_max: int) -> LocalCoefficients:
-    """b(p^nu) = chi(p)^nu of one Dirichlet character, nu = 1..nu_max."""
-    b = np.array([chi.power_value(p, nu) for nu in range(1, nu_max + 1)])
-    return LocalCoefficients(p=p, degree=1, b=b)
-
-
 class DirichletFamily(Family):
     """All nontrivial Dirichlet characters of prime modulus m.
 
@@ -336,9 +331,14 @@ class DirichletFamily(Family):
     def iter_members(self) -> Iterator[int]:
         return iter(range(self.modulus - 2))
 
+    def _character(self, member) -> DirichletCharacter:
+        return dirichlet_character(self.modulus, member + 1)
+
     def local_coefficients(self, member, p, nu_max):
-        chi = dirichlet_character(self.modulus, member + 1)
-        return _character_coefficients(chi, p, nu_max)
+        """b(p^nu) = chi(p)^nu of the member's character, nu = 1..nu_max."""
+        chi = self._character(member)
+        b = np.array([chi.power_value(p, nu) for nu in range(1, nu_max + 1)])
+        return LocalCoefficients(p=p, degree=1, b=b)
 
     def log_conductor(self, member) -> float:
         return math.log(self.modulus)
@@ -418,13 +418,6 @@ def fundamental_discriminants(
     return cands[keep]
 
 
-def _kronecker_coefficients(d: int, p: int, nu_max: int) -> LocalCoefficients:
-    """b(p^nu) = (d|p)^nu of one Kronecker character, nu = 1..nu_max."""
-    chi = kronecker_symbol(d, p)
-    b = np.array([float(chi**nu) for nu in range(1, nu_max + 1)])
-    return LocalCoefficients(p=p, degree=1, b=b)
-
-
 class QuadraticFamily(Family):
     """Quadratic characters chi_d = (d|.) for fundamental discriminants d."""
 
@@ -446,7 +439,10 @@ class QuadraticFamily(Family):
         return iter(self.discriminants.tolist())
 
     def local_coefficients(self, member, p, nu_max):
-        return _kronecker_coefficients(int(member), p, nu_max)
+        """b(p^nu) = (d|p)^nu of the member d, nu = 1..nu_max."""
+        chi = kronecker_symbol(int(member), p)
+        b = np.array([float(chi**nu) for nu in range(1, nu_max + 1)])
+        return LocalCoefficients(p=p, degree=1, b=b)
 
     def log_conductor(self, member) -> float:
         return math.log(abs(member))
@@ -499,6 +495,13 @@ class HeckeFamily(Family):
 
     def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def local_coefficients(self, member, p, nu_max):
+        """Zeros at a bad prime, else the power sums of the Satake pair with
+        trace ``hecke_eigenvalue``."""
+        if self.bad_prime(member, p):
+            return zero_coefficients(p, nu_max, degree=2)
+        return hecke_b(self.hecke_eigenvalue(member, p), nu_max, p=p)
 
     def sym_power_log_conductor(self, member, power: int) -> float:
         # a degree-2 archimedean factor of weight k has log Q ~ 2 log(k/2);
@@ -567,11 +570,6 @@ class EllipticFamily(HeckeFamily):
         """Normalized trace a_t(p)/sqrt(p) from the character sum (p >= 5)."""
         spec = self.spec
         return trace_of_frobenius(spec.A(member), spec.B(member), p) / math.sqrt(p)
-
-    def local_coefficients(self, member, p, nu_max):
-        if p in (2, 3):
-            return zero_coefficients(p, nu_max, degree=2)
-        return hecke_b(self.hecke_eigenvalue(member, p), nu_max, p=p)
 
     @property
     def conductors(self) -> FamilyConductors:
@@ -699,9 +697,6 @@ class DeltaFamily(HeckeFamily):
 
     def hecke_eigenvalue(self, member, p: int) -> float:
         return self.tau_through(p)[p - 1] / p**5.5
-
-    def local_coefficients(self, member, p, nu_max):
-        return hecke_b(self.hecke_eigenvalue(member, p), nu_max, p=p)
 
     def log_conductor(self, member) -> float:
         return weil.log_analytic_conductor(weil.disc(12))
@@ -908,8 +903,8 @@ def convolve(f: Family, g: Family) -> Family:
 # Fixed twists: one-member families, convolved like any other factor
 
 
-class KroneckerTwist(Family):
-    """The single Kronecker character (d|.), a one-member family.
+class KroneckerTwist(QuadraticFamily):
+    """The single Kronecker character (d|.): the quadratic family of d alone.
 
     d must be a fundamental discriminant other than 1, so that (d|.) is
     primitive of conductor |d| and log |d| is its log-conductor.
@@ -921,23 +916,9 @@ class KroneckerTwist(Family):
                 f"kronecker twist needs a fundamental discriminant other than 1, "
                 f"got {d}"
             )
+        super().__init__(d, d + 1)
         self.d = d
         self.family_id = f"chi({d})"
-
-    def iter_members(self) -> Iterator[int]:
-        return iter((self.d,))
-
-    def local_coefficients(self, member, p, nu_max):
-        return _kronecker_coefficients(self.d, p, nu_max)
-
-    def log_conductor(self, member) -> float:
-        return math.log(abs(self.d))
-
-    def bad_prime(self, member, p: int) -> bool:
-        return self.d % p == 0
-
-    def form_key(self, member) -> tuple:
-        return ("kronecker", self.d)
 
     def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
         """The rows of ``prime_moments`` from chi(p) at every prime at once."""
@@ -950,12 +931,17 @@ class KroneckerTwist(Family):
         return MomentTable(primes, log_p, good, np.ones(len(primes)), sums)
 
 
-class CharacterTwist(Family):
-    """The single Dirichlet character char, a one-member family.
+class CharacterTwist(DirichletFamily):
+    """The single Dirichlet character char: the Dirichlet family of its
+    modulus, holding char alone as its member index - 1.
 
     char must be nontrivial; modulo a prime it is then primitive, and
     log modulus is its log-conductor.
     """
+
+    # orthogonality needs every character mod m; one character sums its own
+    # coefficients
+    prime_moments = Family.prime_moments
 
     def __init__(self, char: DirichletCharacter):
         if char.is_trivial:
@@ -963,26 +949,15 @@ class CharacterTwist(Family):
                 f"character {char.index} mod {char.modulus} is trivial; "
                 "a twist needs a nontrivial character"
             )
+        super().__init__(char.modulus)
         self.char = char
         self.family_id = f"chi_{char.modulus}^{char.index}"
 
     def iter_members(self) -> Iterator[int]:
-        return iter((self.char.index,))
+        return iter((self.char.index - 1,))
 
-    def local_coefficients(self, member, p, nu_max):
-        return _character_coefficients(self.char, p, nu_max)
-
-    def log_conductor(self, member) -> float:
-        return math.log(self.char.modulus)
-
-    def bad_prime(self, member, p: int) -> bool:
-        return p % self.char.modulus == 0
-
-    def form_key(self, member) -> tuple:
-        return _character_key(self.char.modulus, self.char.index)
-
-    def dual_key(self, member) -> tuple:
-        return _character_key(self.char.modulus, -self.char.index)
+    def _character(self, member) -> DirichletCharacter:
+        return self.char
 
 
 def kronecker_twist(d: int) -> KroneckerTwist:

@@ -116,11 +116,9 @@ def hecke_b(a_p: float, nu_max: int, p: int = 2) -> LocalCoefficients:
 
     Args:
         a_p: Normalized trace of Frobenius (|a_p| <= 2 in the tempered case).
-        nu_max: Length of the coefficient sequence, >= 2.
+        nu_max: Length of the coefficient sequence.
         p: The prime label carried along.
     """
-    if nu_max < 2:
-        raise ValueError("nu_max must be at least 2")
     b = hecke_b_array(a_p, nu_max)
     return LocalCoefficients(p=p, degree=2, b=b, ramanujan=abs(a_p) <= 2.0)
 
@@ -186,8 +184,6 @@ def sym_power_b(a_p: float, M: int, nu_max: int, p: int = 2) -> LocalCoefficient
     """
     if M < 1:
         raise ValueError("M must be positive")
-    if nu_max < 2:
-        raise ValueError("nu_max must be at least 2")
     b = sym_power_b_array(a_p, M, nu_max)
     return LocalCoefficients(p=p, degree=M + 1, b=b, ramanujan=abs(a_p) <= 2.0)
 
@@ -206,8 +202,9 @@ def sym_power_b_array(a_p: np.ndarray, M: int, nu_max: int) -> np.ndarray:
     a = hecke_a_values(a_p, 2 * M)
     out = np.empty((nu_max,) + a_p.shape)
     out[0] = a[M]
-    signs = (-1.0) ** (M - np.arange(M + 1))
-    out[1] = np.tensordot(signs, a[0 : 2 * M + 1 : 2], axes=(0, 0))
+    if nu_max >= 2:
+        signs = (-1.0) ** (M - np.arange(M + 1))
+        out[1] = np.tensordot(signs, a[0 : 2 * M + 1 : 2], axes=(0, 0))
     if nu_max >= 3:
         out[2:] = hecke_a_values(hecke_b_array(a_p, nu_max)[2:], M)[M]
     return out

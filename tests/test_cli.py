@@ -562,6 +562,7 @@ GOLDEN = ROOT / "tests" / "golden"
 # benchmark workloads at smoke size, seed 1: the twists kronecker 5,
 # character 7 1 and kronecker -4, a sym^2 lift and a degree-2 family
 GOLDEN_WORKLOADS = ("ec_pair", "characters", "ec_wide_box")
+GOLDEN_INIS = ("hecke_p300", "forms_p300", "twists_p300")
 # the columns that constants and density both print
 SHARED_COLUMNS = ("family_id", "sigma", "P", "c_est", "c_class", "r_est", "eps")
 
@@ -597,6 +598,19 @@ def test_forms_output_matches_golden_csv(command, capsys):
     config = str(GOLDEN / "forms_p300.ini")
     assert main([command, "--config", config]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"forms_p300_{command}.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["constants", "density"])
+def test_twists_output_matches_golden_csv(command, capsys):
+    # fixed twists whose character, or its conjugate, the base family holds:
+    # each twist drops the one pair of its character and the conjugate
+    config = str(GOLDEN / "twists_p300.ini")
+    built = load_config(config).resolve()
+    sizes = {ident: built[ident].size() for ident in ("chi3", "chi50", "km4", "k101")}
+    assert sizes == {"chi3": 98, "chi50": 242, "km4": 242, "k101": 98}
+    assert main([command, "--config", config]) == 0
+    expected = (GOLDEN / f"twists_p300_{command}.csv").read_text()
+    assert capsys.readouterr().out == expected
 
 
 def test_delta_tau_reaches_the_support_edge(tmp_path, capsys, monkeypatch):
@@ -684,10 +698,10 @@ def _family_classes(cls):
     "config, args",
     [(ROOT / "configs" / "demo.ini", ["--primes", "200"])]
     + [(GOLDEN / f"{name}_smoke_s1.json", []) for name in GOLDEN_WORKLOADS]
-    + [(GOLDEN / "hecke_p300.ini", []), (GOLDEN / "forms_p300.ini", [])],
+    + [(GOLDEN / f"{name}.ini", []) for name in GOLDEN_INIS],
     ids=["demo_p200"]
     + [f"{name}_smoke_s1" for name in GOLDEN_WORKLOADS]
-    + ["hecke_p300", "forms_p300"],
+    + list(GOLDEN_INIS),
 )
 def test_one_moment_table_per_family(config, args, capsys, monkeypatch):
     # every (family, prime) row is computed once per command: derived

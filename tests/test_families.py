@@ -636,7 +636,7 @@ class TestTwists:
 # chi_1 mod 7, chi_5 mod 7 are conjugate
 CHARACTER_MEMBERS = (
     [(kronecker_twist(d), d) for d in (-7, -4, 5, 8)]
-    + [(character_twist(m, j), j) for m, j in ((5, 2), (7, 1), (7, 3), (7, 5))]
+    + [(character_twist(m, j), j - 1) for m, j in ((5, 2), (7, 1), (7, 3), (7, 5))]
     + [
         (fam, member)
         for fam in [*map(dirichlet_family, (3, 5, 7, 13)), quadratic_family((-20, 30))]
@@ -751,6 +751,41 @@ class TestMomentTable:
         short, long = fam.moment_table(200, 2), fam.moment_table(200, 10)
         assert np.array_equal(short.sums, long.sums[:, :2])
         assert np.array_equal(short.good, long.good)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda e: e, lambda e: sym_lift(e, 2), lambda e: convolve(e, e)],
+        ids=["elliptic", "sym-lift", "self-convolution"],
+    )
+    def test_one_column_table_is_the_first_column(self, build):
+        # b(p) alone, for families whose members' b(p^2) comes from a_p too
+        spec = EllipticFamilySpec((0, 1), (1,), 20, 60)
+        one = build(elliptic_family(spec)).moment_table(50, 1)
+        two = build(elliptic_family(spec)).moment_table(50, 2)
+        for field in ("primes", "log_p", "good", "total"):
+            assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
+        assert one.sums.tobytes() == two.sums[:, :1].copy().tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", list(ROW_COUNT_FAMILIES) + ["kronecker-twist", "character-twist"]
+    )
+    def test_members_vanish_at_bad_primes(self, kind):
+        build = {
+            **ROW_COUNT_FAMILIES,
+            "kronecker-twist": lambda: kronecker_twist(-4),
+            "character-twist": lambda: character_twist(7, 1),
+        }[kind]
+        fam = build()
+        members = list(fam.iter_members())
+        bad = [
+            (m, p)
+            for m in members[:: max(1, len(members) // 40)]
+            for p in sieve_primes(100).primes.tolist()
+            if fam.bad_prime(m, p)
+        ]
+        assert bad or kind == "delta"
+        for m, p in bad:
+            assert not fam.local_coefficients(m, p, 4).b.any(), (m, p)
 
     def test_rows_are_prime_moments(self):
         fam = quadratic_family((100, 300))

@@ -47,10 +47,6 @@ class TestHecke:
         for a in (-1.7, 0.3, 2.0):
             assert hecke_b(a, 3).b[1] == pytest.approx(a * a - 2)
 
-    def test_nu_max_too_small(self):
-        with pytest.raises(ValueError):
-            hecke_b(1.0, 1)
-
     def test_array_form_matches(self):
         # hecke_b wraps the array form, so check both against the spectrum
         a = np.array([-1.5, 0.0, 0.4, 2.0])
