@@ -186,6 +186,65 @@ def _trial_primes() -> tuple[tuple[int, ...], int]:
     return primes, math.prod(primes)
 
 
+def _trial_divide(n: int, g: int) -> tuple[dict[int, int], int]:
+    """The trial primes of n > 0 as {prime: exponent}, and the cofactor of
+    n that they leave, which has no prime factor below 10^4.
+
+    g = gcd(n, primorial) is the squarefree product of the trial primes that
+    divide n, so only those are divided out; once p * p > g, what remains of
+    g is 1 or one prime.
+    """
+    primes, _ = _trial_primes()
+    small = []
+    for p in primes:
+        if p * p > g:
+            break
+        if g % p == 0:
+            small.append(p)
+            g //= p
+    if g > 1:
+        small.append(g)
+    out: dict[int, int] = {}
+    for p in small:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out[p] = e
+    return out, n
+
+
+def _product_tree(values: list[int]) -> list[list[int]]:
+    """The product tree of values, leaves first: each level holds the
+    products of adjacent pairs of the level below, and the last level is
+    [product of all values], [1] for no values.  Multiplying balanced
+    halves costs less than ``math.prod``'s running product, whose every
+    step multiplies by the whole product so far."""
+    tree = [list(values) or [1]]
+    while len(tree[-1]) > 1:
+        level = tree[-1]
+        tree.append([math.prod(level[i : i + 2]) for i in range(0, len(level), 2)])
+    return tree
+
+
+def _primorial_gcds(values: list[int]) -> list[int]:
+    """gcd(n, primorial) for every n > 0 in values, from one remainder tree.
+
+    The primorial is reduced mod each node of the values' product tree from
+    the root down, so each leaf n gets primorial mod n at the cost of a few
+    products as large as the primorial, instead of one reduction of the
+    whole primorial per value (Bernstein, "How to find smooth parts of
+    integers", 2004).
+    """
+    if not values:
+        return []
+    tree = _product_tree(values)
+    rems = [_trial_primes()[1]]
+    for level in reversed(tree):
+        rems = [rems[i // 2] % v for i, v in enumerate(level)]
+    return [math.gcd(n, r) for n, r in zip(values, rems)]
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}.
 
@@ -201,24 +260,7 @@ def factorize(n: int) -> dict[int, int]:
     if n == 0:
         raise ValueError("cannot factorize 0")
     n = abs(n)
-    out: dict[int, int] = {}
-    primes, primorial = _trial_primes()
-    # g is the squarefree product of the trial primes that divide n, so
-    # once p * p > g what remains of g is 1 or one prime
-    g = math.gcd(n, primorial)
-    small = []
-    for p in primes:
-        if p * p > g:
-            break
-        if g % p == 0:
-            small.append(p)
-            g //= p
-    if g > 1:
-        small.append(g)
-    for p in small:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    out, n = _trial_divide(n, math.gcd(n, _trial_primes()[1]))
     stack = [n]
     while stack:
         m = stack.pop()
@@ -380,22 +422,25 @@ def primitive_root_powers(m: int) -> np.ndarray:
     """intp array pw of length m - 1 with pw[k] = g^k mod m, for the
     smallest primitive root g of a prime m >= 3.
 
-    Built by doubling, pw[n + i] = pw[i] * g^n, in O(m) numpy work.  Every
-    unit mod m is one pw[k], so a walk over the units as g^k reads the
-    inverse g^-k = pw[-k mod (m - 1)] and the Legendre symbol (-1)^k by
-    position; discrete logs (k) are a scatter of it.
+    Built in two levels: g^i and g^(s j) for i, j < s = isqrt(m - 2) + 1,
+    so s^2 >= m - 1, each by a short Python loop, then pw[s j + i] =
+    g^(s j) g^i mod m from one outer product.  Every unit mod m is one
+    pw[k], so a walk over the units as g^k reads the inverse
+    g^-k = pw[-k mod (m - 1)] and the Legendre symbol (-1)^k by position;
+    discrete logs (k) are a scatter of it.
     """
-    e = m - 1
-    pw = np.empty(e, dtype=np.intp)
-    pw[0] = 1
-    n = 1
-    g_n = primitive_root(m)
-    while n < e:
-        step = min(n, e - n)
-        pw[n : n + step] = _reduce_mod(pw[:step] * g_n, m)
-        n += step
-        g_n = g_n * g_n % m
-    return pw
+    g = primitive_root(m)
+    s = math.isqrt(m - 2) + 1
+    low = [1] * s
+    for i in range(1, s):
+        low[i] = low[i - 1] * g % m
+    g_s = low[-1] * g % m
+    high = [1] * s
+    for j in range(1, s):
+        high[j] = high[j - 1] * g_s % m
+    low_a = np.array(low, dtype=np.intp)
+    high_a = np.array(high, dtype=np.intp)
+    return _reduce_mod(high_a[:, None] * low_a, m).ravel()[: m - 1]
 
 
 @functools.lru_cache(maxsize=4)

@@ -34,12 +34,19 @@ paths chosen by the degrees of A(T) and B(T):
 Every array residue is taken with ``arith._reduce_mod``, and every array that
 indexes a table is intp.
 
-Conductors of a family come from one pass, ``family_conductors``, which
-factors each fiber's discriminant once (``arith.factorize``: a gcd with the
-primorial of the primes below 10^4, then Brent's rho on the composite
-cofactors above 10^8); an elliptic family runs it once, on first use, so
-once per family per command.  The pass keeps each fiber's proxy C and the
-prime-power counts n(p, k), the number of fibers with p^k | C.  Since
+Conductors of a family come from one pass, ``family_conductors``; an
+elliptic family runs it once, on first use, so once per family per command.
+The pass takes the gcd of every fiber's discriminant with the primorial of
+the primes below T = 10^4 from one remainder tree over the box, and divides
+each discriminant by the primes its gcd holds alone (the trial-division
+core it shares with ``arith.factorize``).  The cofactor left has no prime
+below T.  Below T^2 it is 1 or a prime; in [T^2, T^3) it is a prime square,
+which ``math.isqrt`` finds, or a squarefree block of one or two primes,
+which enters the proxy unsplit, since its primes divide the discriminant
+once and so are multiplicative; from T^3 on it is factored by
+``arith.factorize``, Brent's rho included.  The pass keeps each fiber's
+proxy C, the prime-power counts n(p, k), the number of fibers with p^k | C
+over the primes it split out, and the fiber count of each block.  Since
 log gcd(C1, C2) = sum of log p over the p^k dividing both, the
 convolution's average over all pairs of two families F and G needs no pair
 loop:
@@ -47,12 +54,17 @@ loop:
     sum_{f, g} log gcd(C_f, C_g) = sum_{p, k} log p * n_F(p, k) * n_G(p, k),
 
 at a cost of the number of distinct prime powers, for conductors of any
-size.  ``conductor_proxy`` stays the per-curve oracle.
+size.  A block's primes enter that sum only when the other family holds
+one of them: one gcd against the product of the other family's primes and
+blocks above T finds those blocks, and only they are split, so the shared
+primes and their counts are those of full factorizations.
+``conductor_proxy`` stays the per-curve oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -60,7 +72,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import (
+    _TRIAL_BOUND,
+    _primorial_gcds,
+    _product_tree,
     _reduce_mod,
+    _trial_divide,
     factorize,
     legendre_table,
     primitive_root_powers,
@@ -141,22 +157,43 @@ def minimal_model(A: int, B: int) -> tuple[int, int]:
     return A, B
 
 
-def _conductor_exponents(A: int, B: int) -> dict[int, int]:
-    """{p: exponent of p in conductor_proxy(A, B)}, from one factorization."""
-    A, B = minimal_model(A, B)
-    delta = -16 * (4 * A**3 + 27 * B**2)
-    if delta == 0:
-        raise ValueError("singular curve has no conductor")
+def _fiber_conductor(A: int, delta: int, g: int) -> tuple[dict[int, int], int]:
+    """The conductor proxy of a minimal model y^2 = x^3 + A x + B with
+    discriminant delta, where g = gcd(delta, primorial), as {p: exponent}
+    and a block b, so that the proxy is b prod p^e; b is 1 or a squarefree
+    cofactor left unsplit.
+
+    After trial division by the primes below T = 10^4, a cofactor m with
+    T^2 <= m < T^3 is a prime, a product of two distinct primes or a prime
+    square q^2, which one ``math.isqrt`` tells apart: q^2 is recorded as q
+    with exponent 2 in delta, any other m is the block.  Its primes divide
+    delta once, so they cannot divide c4: a prime p >= 5 dividing
+    c4 = -48A and delta divides A, hence B, hence p^2 divides delta.  The
+    block enters the proxy as m itself, with exponent 1 at each of its
+    primes, and is never split.  Cofactors of T^3 and above are factored.
+    """
+    primes, m = _trial_divide(abs(delta), g)
+    block = 1
+    if m >= _TRIAL_BOUND**3:
+        primes.update(factorize(m))
+    elif m >= _TRIAL_BOUND**2:
+        q = math.isqrt(m)
+        if q * q == m:
+            primes[q] = 2
+        else:
+            block = m
+    elif m > 1:
+        primes[m] = 1
     c4 = -48 * A
     exponents = {}
-    for p in factorize(delta):
+    for p in primes:
         if p == 2:
             exponents[p] = 8
         elif p == 3:
             exponents[p] = 5
         else:
             exponents[p] = 1 if c4 % p else 2
-    return exponents
+    return exponents, block
 
 
 def conductor_proxy(A: int, B: int) -> int:
@@ -172,7 +209,13 @@ def conductor_proxy(A: int, B: int) -> int:
     Raises:
         ValueError: If the curve is singular.
     """
-    return math.prod(p**e for p, e in _conductor_exponents(A, B).items())
+    A, B = minimal_model(A, B)
+    delta = -16 * (4 * A**3 + 27 * B**2)
+    if delta == 0:
+        raise ValueError("singular curve has no conductor")
+    g = _primorial_gcds([abs(delta)])[0]
+    exponents, block = _fiber_conductor(A, delta, g)
+    return math.prod(p**e for p, e in exponents.items()) * block
 
 
 def rs_conductor_bounds(C1: int, C2: int) -> tuple[int, int]:
@@ -432,30 +475,89 @@ class FamilyConductors:
         proxies: parameter t -> conductor proxy of E_t, in ascending t;
             singular fibers are absent.
         prime_powers: p -> counts, where counts[k-1] is the number of fibers
-            whose proxy is divisible by p^k.
+            whose proxy is divisible by p^k, over the primes the pass split
+            out; the primes of the blocks are not among them.
+        blocks: unsplit block -> number of fibers whose proxy holds it.  A
+            block is a squarefree discriminant cofactor in [10^8, 10^12)
+            with no prime factor below 10^4, so one or two primes that each
+            divide its fibers' proxies exactly once.
     """
 
     proxies: dict[int, int]
     prime_powers: dict[int, list[int]]
+    blocks: dict[int, int]
 
 
 def family_conductors(spec: EllipticFamilySpec) -> FamilyConductors:
-    """Conductor proxies and prime-power counts of a family's nonsingular
-    fibers, factoring each fiber's discriminant once."""
-    proxies: dict[int, int] = {}
-    prime_powers: dict[int, list[int]] = {}
+    """Conductor proxies, prime-power counts and unsplit blocks of a
+    family's nonsingular fibers, from one pass over the box.
+
+    The gcds of every fiber's discriminant with the primorial of the primes
+    below 10^4 come from one remainder tree; each discriminant is then
+    trial-divided by the primes its gcd holds alone, and its cofactor is
+    kept as a block or factored by the rule of ``_fiber_conductor``.
+    """
+    fibers = []
     for t in spec.t_range:
         A, B = spec.A(t), spec.B(t)
         if 4 * A**3 + 27 * B**2 == 0:
             continue
-        exponents = _conductor_exponents(A, B)
-        proxies[t] = math.prod(p**e for p, e in exponents.items())
-        for p, e in exponents.items():
-            counts = prime_powers.setdefault(p, [])
-            counts.extend([0] * (e - len(counts)))
-            for k in range(e):
-                counts[k] += 1
-    return FamilyConductors(proxies, prime_powers)
+        A, B = minimal_model(A, B)
+        fibers.append((t, A, 16 * abs(4 * A**3 + 27 * B**2)))
+    gcds = _primorial_gcds([delta for *_, delta in fibers])
+    proxies: dict[int, int] = {}
+    blocks: dict[int, int] = {}
+    # (p, e) -> number of fibers whose proxy p divides exactly e times
+    exact_powers: Counter[tuple[int, int]] = Counter()
+    for (t, A, delta), g in zip(fibers, gcds):
+        exponents, block = _fiber_conductor(A, delta, g)
+        proxies[t] = math.prod(p**e for p, e in exponents.items()) * block
+        if block > 1:
+            blocks[block] = blocks.get(block, 0) + 1
+        exact_powers.update(exponents.items())
+    prime_powers: dict[int, list[int]] = {}
+    for (p, e), n in exact_powers.items():
+        counts = prime_powers.setdefault(p, [])
+        counts.extend([0] * (e - len(counts)))
+        for k in range(e):
+            counts[k] += n
+    return FamilyConductors(proxies, prime_powers, blocks)
+
+
+def _split_met_blocks(
+    F: FamilyConductors, G: FamilyConductors, splits: dict[int, tuple[int, ...]]
+) -> dict[int, list[int]]:
+    """F's prime-power counts, with the primes of each of F's blocks that
+    shares a prime with G added at k = 1.
+
+    Every prime of a block is above 10^4, so a block shares one with G
+    exactly when it has a gcd above 1 with the product of G's keys above
+    10^4, its primes and its blocks.  That product is first reduced to its
+    gcd with the product of F's blocks, one large gcd in place of one per
+    block.  Only the blocks that meet it, rare outside overlapping boxes,
+    are split: a block with two primes of which G holds one is split by its
+    gcd d, since a divisor 1 < d < b of a block b is one of its primes, and
+    any other block by ``factorize``.  ``splits`` keeps the primes of each
+    block split so far, so a block that both families hold, as in a
+    self-convolution, is factored once.  The counts are copied before they
+    change.
+    """
+    if not F.blocks:
+        return F.prime_powers
+    keys = [p for p in G.prime_powers if p > _TRIAL_BOUND] + list(G.blocks)
+    common = math.gcd(
+        _product_tree(list(F.blocks))[-1][0], _product_tree(keys)[-1][0]
+    )
+    met = [(b, d) for b in F.blocks if (d := math.gcd(b, common)) > 1]
+    if not met:
+        return F.prime_powers
+    counts = {p: row.copy() for p, row in F.prime_powers.items()}
+    for b, d in met:
+        if b not in splits:
+            splits[b] = (d, b // d) if d < b else tuple(factorize(b))
+        for p in splits[b]:
+            counts.setdefault(p, [0])[0] += F.blocks[b]
+    return counts
 
 
 def avg_pair_log_conductor(F: FamilyConductors, G: FamilyConductors) -> float:
@@ -467,7 +569,9 @@ def avg_pair_log_conductor(F: FamilyConductors, G: FamilyConductors) -> float:
     log gcd(C1, C2) = sum_{p^k | C1, p^k | C2} log p, so
     sum_{f, g} log gcd(C_f, C_g) = sum_{p, k} log p * n_F(p, k) * n_G(p, k)
     with the prime-power counts n of each family: the cost is the number of
-    distinct prime powers, not of pairs.
+    distinct prime powers, not of pairs.  A prime of an unsplit block enters
+    only when the other family holds it too, and then the block is split,
+    so the shared primes and their counts are those of full factorizations.
 
     Raises:
         ValueError: If either family has no nonsingular fibers.
@@ -477,10 +581,12 @@ def avg_pair_log_conductor(F: FamilyConductors, G: FamilyConductors) -> float:
     logs_f = [math.log(c) for c in F.proxies.values()]
     logs_g = [math.log(c) for c in G.proxies.values()]
     base = 2.0 * (np.mean(logs_f) + np.mean(logs_g))
-    shared = sorted(p for p in F.prime_powers if p in G.prime_powers)
+    splits: dict[int, tuple[int, ...]] = {}
+    counts_f = _split_met_blocks(F, G, splits)
+    counts_g = _split_met_blocks(G, F, splits)
+    shared = sorted(p for p in counts_f if p in counts_g)
     gcd_sum = sum(
-        math.log(p)
-        * sum(a * b for a, b in zip(F.prime_powers[p], G.prime_powers[p]))
+        math.log(p) * sum(a * b for a, b in zip(counts_f[p], counts_g[p]))
         for p in shared
     )
     gcd_mean = gcd_sum / (len(logs_f) * len(logs_g))

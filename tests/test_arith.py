@@ -255,6 +255,18 @@ class TestFactorize:
         assert split == [m for m, prime in tested if not prime]
         assert {m for m, _ in tested} >= {10_007**2, 2**61 - 1, 10_007 * 10_009}
 
+    def test_primorial_gcds_match_one_gcd_each(self):
+        # one remainder tree over all the values gives each its own gcd
+        _, primorial = arith._trial_primes()
+        rng = random.Random(11)
+        values = [rng.randrange(1, 10**20) for _ in range(257)]
+        values += [1, 9973**3, 10007**2, 2**70, 6 * 9967 * 9973 * 10007]
+        assert arith._primorial_gcds(values) == [
+            math.gcd(n, primorial) for n in values
+        ]
+        assert arith._primorial_gcds([9973 * 10007]) == [9973]
+        assert arith._primorial_gcds([]) == []
+
 
 class TestCharacters:
     def test_mod3(self):

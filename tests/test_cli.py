@@ -178,13 +178,13 @@ class TestRunners:
         # the factoring core behind conductor_proxy runs once per member
         # curve, however many derived families read its conductor
         calls = []
-        core = ecgeom._conductor_exponents
+        core = ecgeom._fiber_conductor
 
-        def counted(A, B):
-            calls.append((A, B))
-            return core(A, B)
+        def counted(A, delta, g):
+            calls.append((A, delta))
+            return core(A, delta, g)
 
-        monkeypatch.setattr(ecgeom, "_conductor_exponents", counted)
+        monkeypatch.setattr(ecgeom, "_fiber_conductor", counted)
         ec = {"kind": "elliptic", "a_poly": "0 1", "t_min": 300, "t_max": 360}
         data = {
             "run": {"primes": 100},
@@ -598,6 +598,19 @@ def test_forms_output_matches_golden_csv(command, capsys):
     config = str(GOLDEN / "forms_p300.ini")
     assert main([command, "--config", config]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"forms_p300_{command}.csv").read_text()
+
+
+@pytest.mark.parametrize("command", ["constants", "density"])
+def test_ec_blocks_output_matches_golden_csv(command, capsys):
+    # overlapping boxes hold the same unsplit conductor blocks, so the
+    # average pair log-conductor of a x b splits them
+    config = str(GOLDEN / "ec_blocks_p200.ini")
+    built = load_config(config).resolve()
+    assert set(built["a"].conductors.blocks) & set(built["b"].conductors.blocks)
+    expected = (GOLDEN / f"ec_blocks_p200_{command}.csv").read_text()
+    for threads in ("1", "2"):
+        assert main([command, "--config", config, "--threads", threads]) == 0
+        assert capsys.readouterr().out == expected, threads
 
 
 @pytest.mark.parametrize("command", ["constants", "density"])

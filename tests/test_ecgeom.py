@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfsym import ecgeom
+from lfsym import arith, ecgeom
 from lfsym.arith import factorize, sieve_primes
 from lfsym.ecgeom import (
     EllipticFamilySpec,
@@ -355,6 +356,117 @@ def brute_avg_log_conductor(F, G):
     return base - 2.5 * gcd_sum / (len(cf) * len(cg))
 
 
+def reference_pair_log_conductor(F, G):
+    """avg_pair_log_conductor from the full factorization of every fiber's
+    minimal discriminant, summed in the same order."""
+
+    def proxies_and_counts(spec):
+        proxies, prime_powers = [], {}
+        for t in spec.t_range:
+            if spec.discriminant(t) == 0:
+                continue
+            A, B = minimal_model(spec.A(t), spec.B(t))
+            exponents = {
+                p: 8 if p == 2 else 5 if p == 3 else 1 if 48 * A % p else 2
+                for p in factorize(-16 * (4 * A**3 + 27 * B**2))
+            }
+            proxies.append(math.prod(p**e for p, e in exponents.items()))
+            for p, e in exponents.items():
+                counts = prime_powers.setdefault(p, [])
+                counts.extend([0] * (e - len(counts)))
+                for k in range(e):
+                    counts[k] += 1
+        return proxies, prime_powers
+
+    cf, nf = proxies_and_counts(F)
+    cg, ng = proxies_and_counts(G)
+    base = 2.0 * (
+        np.mean([math.log(c) for c in cf]) + np.mean([math.log(c) for c in cg])
+    )
+    shared = sorted(p for p in nf if p in ng)
+    gcd_sum = sum(
+        math.log(p) * sum(a * b for a, b in zip(nf[p], ng[p])) for p in shared
+    )
+    return float(base - 2.5 * gcd_sum / (len(cf) * len(cg)))
+
+
+class TestConductorBlocks:
+    def test_pass_tests_and_splits_no_cofactor_below_1e12(self, monkeypatch):
+        # the cofactors of x^3 + Tx + 1 near t = 2000 lie below 2.8e11
+        seen = []
+
+        def counted(fn):
+            def wrapper(n):
+                seen.append(n)
+                return fn(n)
+
+            return wrapper
+
+        monkeypatch.setattr(arith, "is_prime", counted(arith.is_prime))
+        monkeypatch.setattr(arith, "_split", counted(arith._split))
+        fc = ecgeom.family_conductors(SPEC_T1(2000, 2100))
+        assert fc.blocks
+        assert [n for n in seen if n < 10**12] == []
+
+    def test_prime_square_cofactor(self, monkeypatch):
+        # Delta = -432 * 10007^2 leaves the cofactor 10007^2 in [10^8, 10^12),
+        # which isqrt recognizes; 10007 divides c4 = 0, so it is additive
+        def refuse(n):
+            raise AssertionError(f"{n} reached is_prime or rho")
+
+        monkeypatch.setattr(arith, "is_prime", refuse)
+        monkeypatch.setattr(arith, "_split", refuse)
+        assert invariants(0, 10007).Delta == -432 * 10007**2
+        assert conductor_proxy(0, 10007) == 2**8 * 3**5 * 10007**2
+
+    def test_blocks_are_squarefree_cofactors(self):
+        # every curve of the box is minimal, so its cofactor is that of
+        # Delta with the primes below 10^4 divided out
+        spec = SPEC_T1(2000, 2100)
+        small = [int(p) for p in sieve_primes(10**4).primes]
+        cofactors = []
+        for t in spec.t_range:
+            m = abs(spec.discriminant(t))
+            for p in small:
+                while m % p == 0:
+                    m //= p
+            cofactors.append(m)
+        fc = ecgeom.family_conductors(spec)
+        assert fc.blocks == Counter(
+            m for m in cofactors if 10**8 <= m < 10**12 and math.isqrt(m) ** 2 != m
+        )
+        for block in fc.blocks:
+            f = factorize(block)
+            assert set(f.values()) == {1} and min(f) > 10**4
+
+    @pytest.mark.parametrize(
+        "F, G",
+        [
+            # identical blocks on both sides
+            (SPEC_T1(2000, 2060), SPEC_T1(2000, 2060)),
+            (SPEC_T1(2000, 2060), SPEC_T2(2030, 2090)),
+            # the block 12391 * 2637133 of t = 2014 against the prime 12391,
+            # which divides t = 14405 = 2014 + 12391 with a cofactor above
+            # 10^12, so it is split there
+            (SPEC_T1(2000, 2060), SPEC_T1(14400, 14410)),
+        ],
+    )
+    def test_pair_average_equals_full_factorization(self, F, G):
+        assert avg_log_conductor(F, G) == reference_pair_log_conductor(F, G)
+        assert avg_log_conductor(G, F) == reference_pair_log_conductor(G, F)
+
+    def test_block_meets_prime_key(self):
+        F = ecgeom.family_conductors(SPEC_T1(2000, 2060))
+        G = ecgeom.family_conductors(SPEC_T1(14400, 14410))
+        assert F.blocks[12391 * 2637133] == 1 and 12391 in G.prime_powers
+        assert 12391 not in F.prime_powers
+        splits = {}
+        counts = ecgeom._split_met_blocks(F, G, splits)
+        assert counts[12391] == counts[2637133] == [1]
+        assert splits == {12391 * 2637133: (12391, 2637133)}
+        assert 12391 not in F.prime_powers
+
+
 class TestAvgLogConductor:
     @pytest.mark.parametrize(
         "F, G",
@@ -397,6 +509,10 @@ class TestAvgLogConductor:
             for p, row in fc.prime_powers.items()
             for k, n in enumerate(row)
         }
+        # each prime of an unsplit block divides its fibers' proxies once
+        for block, n in fc.blocks.items():
+            for p in factorize(block):
+                flat[p, 1] = flat.get((p, 1), 0) + n
         assert flat == counts
 
     def test_singular_fibers_skipped(self):
