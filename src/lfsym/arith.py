@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,8 +205,14 @@ def _trial_divide(n: int, g: int) -> tuple[dict[int, int], int]:
             g //= p
     if g > 1:
         small.append(g)
+    return _divide_out(n, small)
+
+
+def _divide_out(n: int, primes: Iterable[int]) -> tuple[dict[int, int], int]:
+    """{p: exponent of p in n} over the given primes, each of which divides
+    n > 0, and the cofactor of n that they leave."""
     out: dict[int, int] = {}
-    for p in small:
+    for p in primes:
         e = 0
         while n % p == 0:
             n //= p
@@ -239,10 +246,66 @@ def _primorial_gcds(values: list[int]) -> list[int]:
     if not values:
         return []
     tree = _product_tree(values)
-    rems = [_trial_primes()[1]]
-    for level in reversed(tree):
+    return _descend(tree, _trial_primes()[1] % tree[-1][0])
+
+
+# The second gcd stage covers the primes in (10^4, 2^21), about 3.0 Mbit of
+# product, in this many chunks of about 40 kbit each.
+_SIEVE_BOUND = 2**21
+_SIEVE_CHUNKS = 76
+
+
+@functools.lru_cache(maxsize=1)
+def _sieve_chunks() -> tuple[int, ...]:
+    """The product of the primes in (10^4, 2^21), as the products of the
+    primes in ``_SIEVE_CHUNKS`` equal ranges, built on first use.
+
+    Equal ranges hold about equal bits of product, since the sum of log p
+    over p < x is about x.  Each range is sieved by the trial primes up to
+    sqrt(2^21), so no table of all the primes is ever held; numpy multiplies
+    its primes three at a time in int64 (p < 2^21, so p^3 < 2^63), and the
+    chunk is the root of a product tree of those triples.  No caller needs
+    the whole product, which would cost several times the chunks to build.
+    """
+    small = [p for p in _trial_primes()[0] if p * p < _SIEVE_BOUND]
+    edges = np.linspace(_TRIAL_BOUND, _SIEVE_BOUND, _SIEVE_CHUNKS + 1).astype(int)
+    chunks = []
+    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        mask = np.ones(hi - lo, dtype=bool)
+        for p in small:
+            mask[-lo % p :: p] = False
+        primes = np.flatnonzero(mask) + lo
+        primes = np.append(primes, np.ones(-len(primes) % 3, dtype=primes.dtype))
+        triples = primes[0::3] * primes[1::3] * primes[2::3]
+        chunks.append(_product_tree(triples.tolist())[-1][0])
+    return tuple(chunks)
+
+
+def _sieve_gcds(values: list[int]) -> list[int]:
+    """gcd(n, product of the primes in (10^4, 2^21)) for every n > 0 in
+    values, from one remainder tree.
+
+    The chunks of ``_sieve_chunks`` are reduced into the root of the values'
+    product tree one at a time, and their product mod the root descends the
+    tree as in ``_primorial_gcds``.  No values build no chunks.
+    """
+    if not values:
+        return []
+    tree = _product_tree(values)
+    root = tree[-1][0]
+    r = 1
+    for chunk in _sieve_chunks():
+        r = r * (chunk % root) % root
+    return _descend(tree, r)
+
+
+def _descend(tree: list[list[int]], r: int) -> list[int]:
+    """gcd(n, N) for every leaf n of a product tree, given r = N mod its
+    root: r is reduced mod each node from the root down."""
+    rems = [r]
+    for level in reversed(tree[:-1]):
         rems = [rems[i // 2] % v for i, v in enumerate(level)]
-    return [math.gcd(n, r) for n, r in zip(values, rems)]
+    return [math.gcd(n, r) for n, r in zip(tree[0], rems)]
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -267,6 +267,23 @@ class TestFactorize:
         assert arith._primorial_gcds([9973 * 10007]) == [9973]
         assert arith._primorial_gcds([]) == []
 
+    def test_sieve_gcds_match_one_gcd_each(self):
+        primes = [int(p) for p in sieve_primes(2**21).primes if p > 10**4]
+        # the product of the primes in (10^4, 2^21), multiplied in pairs
+        while len(primes) > 1:
+            primes = [math.prod(primes[i : i + 2]) for i in range(0, len(primes), 2)]
+        product = primes[0]
+        rng = random.Random(5)
+        edges = [9973, 10007, 2097143, 2097169]
+        values = [1, 9973 * 2097169, 10007**3 * 2097143**2, 2**64 + 1]
+        for _ in range(40):
+            picks = rng.sample(edges, 2)
+            picks += [rng.randrange(10**4, 2**22) for _ in range(3)]
+            values.append(math.prod(picks) * rng.randrange(1, 10**6))
+        assert arith._sieve_gcds(values) == [math.gcd(n, product) for n in values]
+        assert arith._sieve_gcds([10007 * 2097169]) == [10007]
+        assert arith._sieve_gcds([]) == []
+
 
 class TestCharacters:
     def test_mod3(self):

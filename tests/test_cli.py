@@ -180,9 +180,10 @@ class TestRunners:
         calls = []
         core = ecgeom._fiber_conductor
 
-        def counted(A, delta, g):
-            calls.append((A, delta))
-            return core(A, delta, g)
+        def counted(A, primes, m, g2):
+            # the small primes and the cofactor determine the discriminant
+            calls.append((A, tuple(primes.items()), m))
+            return core(A, primes, m, g2)
 
         monkeypatch.setattr(ecgeom, "_fiber_conductor", counted)
         ec = {"kind": "elliptic", "a_poly": "0 1", "t_min": 300, "t_max": 360}
@@ -608,6 +609,19 @@ def test_ec_blocks_output_matches_golden_csv(command, capsys):
     built = load_config(config).resolve()
     assert set(built["a"].conductors.blocks) & set(built["b"].conductors.blocks)
     expected = (GOLDEN / f"ec_blocks_p200_{command}.csv").read_text()
+    for threads in ("1", "2"):
+        assert main([command, "--config", config, "--threads", threads]) == 0
+        assert capsys.readouterr().out == expected, threads
+
+
+@pytest.mark.parametrize("command", ["constants", "density"])
+def test_ec_big_output_matches_golden_csv(command, capsys):
+    # degree-2 discriminants near 1.6e20: cofactors above 10^12 take the
+    # second gcd stage, and some of its blocks lie in [2^42, 2^63)
+    config = str(GOLDEN / "ec_big_p200.ini")
+    built = load_config(config).resolve()
+    assert max(built["quad"].conductors.blocks) >= 2**42
+    expected = (GOLDEN / f"ec_big_p200_{command}.csv").read_text()
     for threads in ("1", "2"):
         assert main([command, "--config", config, "--threads", threads]) == 0
         assert capsys.readouterr().out == expected, threads

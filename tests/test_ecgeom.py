@@ -1,3 +1,4 @@
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -356,30 +357,33 @@ def brute_avg_log_conductor(F, G):
     return base - 2.5 * gcd_sum / (len(cf) * len(cg))
 
 
+@functools.lru_cache(maxsize=None)
+def reference_conductors(spec):
+    """Conductor proxies and prime-power counts of a family from the full
+    factorization of every fiber's minimal discriminant."""
+    proxies, prime_powers = [], {}
+    for t in spec.t_range:
+        if spec.discriminant(t) == 0:
+            continue
+        A, B = minimal_model(spec.A(t), spec.B(t))
+        exponents = {
+            p: 8 if p == 2 else 5 if p == 3 else 1 if 48 * A % p else 2
+            for p in factorize(-16 * (4 * A**3 + 27 * B**2))
+        }
+        proxies.append(math.prod(p**e for p, e in exponents.items()))
+        for p, e in exponents.items():
+            counts = prime_powers.setdefault(p, [])
+            counts.extend([0] * (e - len(counts)))
+            for k in range(e):
+                counts[k] += 1
+    return proxies, prime_powers
+
+
 def reference_pair_log_conductor(F, G):
     """avg_pair_log_conductor from the full factorization of every fiber's
     minimal discriminant, summed in the same order."""
-
-    def proxies_and_counts(spec):
-        proxies, prime_powers = [], {}
-        for t in spec.t_range:
-            if spec.discriminant(t) == 0:
-                continue
-            A, B = minimal_model(spec.A(t), spec.B(t))
-            exponents = {
-                p: 8 if p == 2 else 5 if p == 3 else 1 if 48 * A % p else 2
-                for p in factorize(-16 * (4 * A**3 + 27 * B**2))
-            }
-            proxies.append(math.prod(p**e for p, e in exponents.items()))
-            for p, e in exponents.items():
-                counts = prime_powers.setdefault(p, [])
-                counts.extend([0] * (e - len(counts)))
-                for k in range(e):
-                    counts[k] += 1
-        return proxies, prime_powers
-
-    cf, nf = proxies_and_counts(F)
-    cg, ng = proxies_and_counts(G)
+    cf, nf = reference_conductors(F)
+    cg, ng = reference_conductors(G)
     base = 2.0 * (
         np.mean([math.log(c) for c in cf]) + np.mean([math.log(c) for c in cg])
     )
@@ -403,6 +407,7 @@ class TestConductorBlocks:
             return wrapper
 
         monkeypatch.setattr(arith, "is_prime", counted(arith.is_prime))
+        monkeypatch.setattr(ecgeom, "is_prime", counted(ecgeom.is_prime))
         monkeypatch.setattr(arith, "_split", counted(arith._split))
         fc = ecgeom.family_conductors(SPEC_T1(2000, 2100))
         assert fc.blocks
@@ -455,6 +460,48 @@ class TestConductorBlocks:
         assert avg_log_conductor(F, G) == reference_pair_log_conductor(F, G)
         assert avg_log_conductor(G, F) == reference_pair_log_conductor(G, F)
 
+    def test_degree_two_box_splits_nothing_below_2_63_but_stage_two_gcds(
+        self, monkeypatch
+    ):
+        # most cofactors of x^3 + Tx + T^2 + 1 near t = 2e4 lie above 10^12;
+        # below 2^63 rho only splits second-stage gcds, whose primes lie in
+        # (10^4, 2^21) (four fibers of this box hold two or three of them)
+        seen = []
+        split = arith._split
+
+        def counted(n):
+            seen.append(n)
+            return split(n)
+
+        monkeypatch.setattr(arith, "_split", counted)
+        spec = SPEC_QUAD(20000, 20100)
+        fc = ecgeom.family_conductors(spec)
+        monkeypatch.undo()
+        small = [n for n in seen if n < 2**63]
+        assert small
+        for n in small:
+            assert all(10**4 < p < 2**21 for p in factorize(n))
+        assert list(fc.proxies.values()) == reference_conductors(spec)[0]
+        assert any(b >= 2**42 for b in fc.blocks)
+
+    @pytest.mark.parametrize(
+        "F, G",
+        [
+            (SPEC_T1(20000, 20100), SPEC_QUAD(20000, 20100)),
+            (SPEC_QUAD(20000, 20100), SPEC_QUAD(20000, 20100)),
+        ],
+    )
+    def test_degree_two_pair_average_equals_full_factorization(self, F, G):
+        assert avg_log_conductor(F, G) == reference_pair_log_conductor(F, G)
+        assert avg_log_conductor(G, F) == reference_pair_log_conductor(G, F)
+
+    def test_stage_two_left_unbuilt_below_1e12(self):
+        # no cofactor of this box reaches 10^12, so the second stage's
+        # chunk products are never built
+        arith._sieve_chunks.cache_clear()
+        assert ecgeom.family_conductors(SPEC_T1(2000, 2100)).blocks
+        assert arith._sieve_chunks.cache_info().currsize == 0
+
     def test_block_meets_prime_key(self):
         F = ecgeom.family_conductors(SPEC_T1(2000, 2060))
         G = ecgeom.family_conductors(SPEC_T1(14400, 14410))
@@ -465,6 +512,71 @@ class TestConductorBlocks:
         assert counts[12391] == counts[2637133] == [1]
         assert splits == {12391 * 2637133: (12391, 2637133)}
         assert 12391 not in F.prime_powers
+
+
+def synthetic_pass(A, factors):
+    """The conductor pass over one synthetic discriminant prod p^e of the
+    given factors, and the exponents that its factorization gives."""
+    delta = math.prod(p**e for p, e in factors.items())
+    [(_, exponents, block)] = ecgeom._conductor_pass([(0, A, delta)])
+    full = {
+        p: 8 if p == 2 else 5 if p == 3 else 1 if 48 * A % p else 2 for p in factors
+    }
+    return exponents, block, full
+
+
+class TestSecondStage:
+    # a prime in (10^4, 2^21), and primes above 2^21
+    P = 100003
+    Q = (3000017, 3000029, 3000047)
+
+    @pytest.fixture
+    def no_rho(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"{n} reached rho")
+
+        monkeypatch.setattr(arith, "_split", refuse)
+
+    def test_square_of_sieved_prime_is_not_a_block(self, no_rho):
+        # m = P^2 * 100000007 is a non-square in [2^42, 2^63); only the
+        # second stage tells it from a squarefree block of two primes
+        m = self.P**2 * 100000007
+        assert 2**42 <= m < 2**63 and math.isqrt(m) ** 2 != m
+        factors = {2: 4, self.P: 2, 100000007: 1}
+        exponents, block, full = synthetic_pass(1, factors)
+        assert block == 1 and exponents == full == {2: 8, self.P: 1, 100000007: 1}
+        # additive at P when P divides c4
+        exponents, block, full = synthetic_pass(self.P, factors)
+        assert block == 1 and exponents == full and exponents[self.P] == 2
+
+    def test_prime_square_above_sieve_bound(self, no_rho):
+        q = self.Q[0]
+        exponents, block, full = synthetic_pass(1, {2: 4, 3: 1, q: 2})
+        assert block == 1 and exponents == full == {2: 8, 3: 5, q: 1}
+
+    def test_block_above_sieve_bound(self, no_rho):
+        q1, q2 = self.Q[:2]
+        exponents, block, full = synthetic_pass(1, {2: 4, self.P: 1, q1: 1, q2: 1})
+        assert block == q1 * q2
+        assert exponents == {2: 8, self.P: 1}
+        assert full == {**exponents, q1: 1, q2: 1}
+
+    def test_cofactor_above_2_63_is_factored(self, monkeypatch):
+        seen = []
+        factor = ecgeom.factorize
+
+        def counted(n):
+            seen.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(ecgeom, "factorize", counted)
+        rest = math.prod(self.Q)
+        assert rest >= 2**63
+        factors = {2: 4, self.P: 3, **{q: 1 for q in self.Q}}
+        exponents, block, full = synthetic_pass(1, factors)
+        assert rest in seen
+        assert block == 1 and exponents == full
+        assert set(exponents) == {2, self.P, *self.Q}
 
 
 class TestAvgLogConductor:
