@@ -5,9 +5,10 @@ power-sum coefficients b(p^nu) at every prime, a log-conductor, a bad-prime
 predicate, and a form key with the key of its dual.  A key names the form in
 any family that holds it: ("kronecker", d) for a quadratic character, also of
 prime modulus, ("dirichlet", m, j) for another chi_j mod m, the minimal model
-for an elliptic curve, and by default the family and the member.  Statistics
-modules consume families through ``moment_table``, which stacks the
-coefficient sums of ``prime_moments`` over every prime up to a cutoff.  The
+for an elliptic curve, and by default the family and the member.  Each family
+defines its rows once, in ``_rows``, over an array of primes.  Statistics
+modules consume families through ``moment_table``, which holds the rows of
+every prime up to a cutoff; ``prime_moments`` is the row of one prime.  The
 degree-2 families, elliptic curves and the cusp form, share the base
 ``HeckeFamily``: from ``trace_distribution``, the distinct normalized traces
 at p with their member counts, it aggregates any coefficient sequence of the
@@ -24,7 +25,7 @@ Character sums are exact narrow integers: the quadratic family gathers the
 int8 ``legendre_table(p)`` at its discriminants mod p, reduced by
 ``arith._reduce_mod`` in int32 while every |d| < 2^30 and in int64
 otherwise, and a Kronecker twist builds its rows from chi(p) at every prime
-at once, equal bit for bit to its per-prime ``prime_moments``.
+at once, equal bit for bit to the quadratic family's rows of d alone.
 An elliptic family weighs each residue t mod p by its members, counted from
 the box rather than member by member.
 
@@ -102,7 +103,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrimeMoments:
-    """Family-aggregated coefficient data at one prime.
+    """Family-aggregated coefficient data at one prime: one row of ``_rows``.
 
     Attributes:
         p: The prime.
@@ -120,7 +121,7 @@ class PrimeMoments:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """PrimeMoments at every prime up to a cutoff, stacked into arrays.
+    """The family's rows at every prime up to a cutoff, as arrays.
 
     Row i describes primes[i]: good[i] and total[i] are its good and total
     weights, and sums[i, nu-1] its good-member sum of b(p^nu)
@@ -144,18 +145,22 @@ class MomentTable:
         return MomentTable(*map(np.concatenate, pairs))
 
 
-def _weighted_moments(
-    p: int, btab: np.ndarray, weights: np.ndarray, total: float
-) -> PrimeMoments:
-    """PrimeMoments of members whose coefficients are columns of btab.
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    btab[nu-1, k] is b(p^nu) of the k-th distinct local factor and
-    weights[k] the number of good members that carry it.
-    """
-    # row by row, unlike BLAS btab @ weights, whose summation order depends
-    # on the row count: a table's first rows keep their bits for any nu_max
-    sums = np.einsum("ik,k->i", btab, weights)
-    return PrimeMoments(p, float(weights.sum()), total, sums.astype(np.complex128))
+
+def _weighted_rows(primes: np.ndarray, nu_max: int, base, btab) -> _Rows:
+    """Rows of a ``HeckeFamily`` base's members: btab(values, nu_max)[nu-1, k]
+    is b(p^nu) of those with the k-th trace of its distribution at p."""
+    good = np.empty(len(primes))
+    sums = np.empty((len(primes), nu_max), dtype=np.complex128)
+    for i, p in enumerate(primes.tolist()):
+        values, weights = base.trace_distribution(p)
+        # row by row, unlike BLAS btab @ weights, whose summation order
+        # depends on the row count: a table's first rows keep their bits for
+        # any nu_max
+        sums[i] = np.einsum("ik,k->i", btab(values, nu_max), weights)
+        good[i] = weights.sum()
+    return good, np.full(len(primes), base.size()), sums
 
 
 def _primes_between(lo: int, P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,22 +221,29 @@ class Family:
             raise ValueError(f"family {self.family_id} is empty")
         return tot / w
 
+    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
+        """(good, total, sums) at the primes, as in a ``MomentTable``.  This
+        member loop is the reference for every family's faster rows."""
+        good, total = np.zeros(len(primes)), np.zeros(len(primes))
+        sums = np.zeros((len(primes), nu_max), dtype=np.complex128)
+        for i, p in enumerate(primes.tolist()):
+            for m in self.iter_members():
+                total[i] += 1
+                if not self.bad_prime(m, p):
+                    good[i] += 1
+                    b = self.local_coefficients(m, p, nu_max).b
+                    sums[i] += np.asarray(b, dtype=np.complex128)
+        return good, total, sums
+
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        """Aggregate b(p^nu) over the family; default loops over members."""
-        sums = np.zeros(nu_max, dtype=np.complex128)
-        good = total = 0.0
-        for m in self.iter_members():
-            total += 1
-            if self.bad_prime(m, p):
-                continue
-            good += 1
-            sums += np.asarray(
-                self.local_coefficients(m, p, nu_max).b, dtype=np.complex128
-            )
-        return PrimeMoments(p=p, good_weight=good, total_weight=total, sums=sums)
+        """The row of the prime p; ValueError if p is not prime."""
+        if not is_prime(int(p)):  # numpy integers too
+            raise ValueError(f"p must be prime, got {p}")
+        good, total, sums = self._rows(np.array([p]), nu_max)
+        return PrimeMoments(p, float(good[0]), float(total[0]), sums[0])
 
     def moment_table(self, P: int, nu_max: int) -> MomentTable:
-        """Rows for every prime p <= P, with nu_max columns each.
+        """_Rows for every prime p <= P, with nu_max columns each.
 
         The family keeps the last table it built.  A request with a cutoff
         and a column count no larger than the kept ones is answered by a
@@ -242,9 +254,11 @@ class Family:
         Concurrent callers wait for one build.
 
         Raises:
-            ValueError: If a prime p <= P has more good than total weight, or
-                |sum b(p)| > degree * good.
+            ValueError: If nu_max < 1, or if a prime p <= P has more good
+                than total weight, or |sum b(p)| > degree * good.
         """
+        if nu_max < 1:
+            raise ValueError(f"nu_max must be at least 1, got {nu_max}")
         with self._table_lock():
             kept = self._kept
             if kept is None or nu_max > kept[1].sums.shape[1]:
@@ -264,15 +278,9 @@ class Family:
             return self.__dict__.setdefault("_lock", threading.Lock())
 
     def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
-        """One ``prime_moments`` call at every prime lo < p <= P, stacked."""
+        """The rows of the primes lo < p <= P."""
         primes, log_p = _primes_between(lo, P)
-        moments = [self.prime_moments(int(p), nu_max) for p in primes]
-        good = np.array([m.good_weight for m in moments], dtype=float)
-        total = np.array([m.total_weight for m in moments], dtype=float)
-        sums = np.array([m.sums for m in moments], dtype=np.complex128)
-        return MomentTable(
-            primes, log_p, good, total, sums.reshape(len(moments), nu_max)
-        )
+        return MomentTable(primes, log_p, *self._rows(primes, nu_max))
 
     def _checked(self, t: MomentTable) -> MomentTable:
         """t, once its weights and sums pass the guards."""
@@ -352,17 +360,20 @@ class DirichletFamily(Family):
     def dual_key(self, member) -> tuple:
         return _character_key(self.modulus, -(member + 1))
 
-    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
+    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
         m = self.modulus
-        n = m - 2
-        if p % m == 0:
-            return PrimeMoments(p, 0.0, float(n), np.zeros(nu_max, np.complex128))
         # orthogonality: the sum over all nontrivial characters of chi(a) is
         # m - 2 when a = 1 mod m and -1 otherwise; here a = p^nu.
-        sums = np.empty(nu_max, dtype=np.complex128)
-        for nu in range(1, nu_max + 1):
-            sums[nu - 1] = (m - 2) if pow(p, nu, m) == 1 else -1
-        return PrimeMoments(p, float(n), float(n), sums)
+        sums = np.array(
+            [
+                [m - 2 if pow(p, nu, m) == 1 else -1 for nu in range(1, nu_max + 1)]
+                for p in primes.tolist()
+            ],
+            dtype=np.complex128,
+        ).reshape(len(primes), nu_max)
+        good = np.where(primes % m == 0, 0.0, m - 2.0)
+        sums[good == 0] = 0  # every member is bad at p = m
+        return good, np.full(len(primes), m - 2.0), sums
 
 
 def dirichlet_family(m: int) -> DirichletFamily:
@@ -459,17 +470,19 @@ class QuadraticFamily(Family):
     def size(self) -> float:
         return float(len(self.discriminants))
 
-    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
+    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
         d = self._residue_d
-        if p == 2:
-            chi = kronecker_table_two(d)
-        else:
-            chi = legendre_table(p).take(_reduce_mod(d, p).astype(np.intp))
-        ngood = float(np.count_nonzero(chi))
-        sums = np.empty(nu_max, dtype=np.complex128)
-        sums[0::2] = float(chi.sum(dtype=np.int64))  # nu odd
-        sums[1::2] = ngood  # nu even: chi^2 = 1 on good members
-        return PrimeMoments(p, ngood, float(len(d)), sums)
+        good = np.empty(len(primes))
+        sums = np.empty((len(primes), nu_max), dtype=np.complex128)
+        for i, p in enumerate(primes.tolist()):
+            if p == 2:
+                chi = kronecker_table_two(d)
+            else:
+                chi = legendre_table(p).take(_reduce_mod(d, p).astype(np.intp))
+            good[i] = np.count_nonzero(chi)
+            sums[i, 0::2] = chi.sum(dtype=np.int64)  # nu odd
+            sums[i, 1::2] = good[i]  # nu even: chi^2 = 1 on good members
+        return good, np.full(len(primes), float(len(d))), sums
 
 
 def quadratic_family(d_range: tuple[int, int], stride: int = 1) -> QuadraticFamily:
@@ -509,11 +522,8 @@ class HeckeFamily(Family):
         scale = (power + 1) / 2.0 if power % 2 else power / 2.0
         return scale * self.log_conductor(member)
 
-    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        values, weights = self.trace_distribution(p)
-        return _weighted_moments(
-            p, hecke_b_array(values, nu_max), weights, self.size()
-        )
+    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
+        return _weighted_rows(primes, nu_max, self, hecke_b_array)
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +725,10 @@ class DeltaFamily(HeckeFamily):
             raise ValueError(f"tau({p}) beyond 2 p^(11/2)")
         return np.array([value]), np.ones(1)
 
-    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
-        self.tau_through(P)  # one tau table of exactly the table's reach
-        return super()._build_table(lo, P, nu_max)
+    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
+        # one tau table of exactly the rows' reach
+        self.tau_through(int(primes.max(initial=0)))
+        return super()._rows(primes, nu_max)
 
 
 def cusp_form_delta() -> DeltaFamily:
@@ -756,16 +767,13 @@ class SymLiftFamily(Family):
     def bad_prime(self, member, p: int) -> bool:
         return self.base.bad_prime(member, p)
 
-    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        values, weights = self.base.trace_distribution(p)
-        btab = sym_power_b_array(values, self.power, nu_max)
-        return _weighted_moments(p, btab, weights, self.base.size())
-
-    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
+    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
         # the base's table first, as a convolution reads its factors': its
-        # data then reach P at once (Delta's tau in one call)
-        self.base.moment_table(P, nu_max)
-        return super()._build_table(lo, P, nu_max)
+        # data then reach the last prime at once (Delta's tau in one call)
+        self.base.moment_table(int(primes.max(initial=0)), nu_max)
+        return _weighted_rows(
+            primes, nu_max, self.base, lambda v, n: sym_power_b_array(v, self.power, n)
+        )
 
 
 def sym_lift(f: Family, M: int) -> Family:
@@ -787,8 +795,8 @@ class ConvolutionFamily(Family):
     elliptic curves isomorphic over Q) has a non-cuspidal product and is
     excluded.  Aggregated moments use the product structure: the sum over
     included pairs is the product of the factor sums minus the small
-    excluded correction, so a table's rows are products of the factors'
-    kept rows; ``prime_moments`` is the per-prime oracle.
+    excluded correction, so its rows are products of the factors' kept
+    rows; ``Family._rows``, the member loop, is their reference.
 
     The conductor of a pair is q_f^deg(g) q_g^deg(f) (coprime levels); an
     elliptic pair instead takes the midpoint of its Rankin-Selberg conductor
@@ -801,7 +809,7 @@ class ConvolutionFamily(Family):
         self._ec_pair = isinstance(left, EllipticFamily) and isinstance(
             right, EllipticFamily
         )
-        # right members outer, left inner: _less_excluded subtracts in this
+        # right members outer, left inner: _rows subtracts the pairs in this
         # order, so it fixes the bits of the sums
         by_key: dict = {}
         for f in left.iter_members():
@@ -855,43 +863,25 @@ class ConvolutionFamily(Family):
         f, g = member
         return self.left.bad_prime(f, p) or self.right.bad_prime(g, p)
 
-    def _less_excluded(self, p: int, nu_max: int, sums, good, total):
-        """(sums, good, total) at p of all pairs, less the excluded pairs."""
-        for pair in self.excluded:
-            total -= 1
-            if self.bad_prime(pair, p):
-                continue
-            sums = sums - self.local_coefficients(pair, p, nu_max).b
-            good -= 1
-        return sums, good, total
-
-    def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        ml = self.left.prime_moments(p, nu_max)
-        mr = self.right.prime_moments(p, nu_max)
-        sums, good, total = self._less_excluded(
-            p,
-            nu_max,
-            ml.sums * mr.sums,
-            ml.good_weight * mr.good_weight,
-            ml.total_weight * mr.total_weight,
-        )
-        return PrimeMoments(p, good, total, sums)
-
-    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
-        """``prime_moments`` at every prime lo < p <= P, from the factors'
-        tables."""
-        lt = self.left.moment_table(P, nu_max)
-        rt = self.right.moment_table(P, nu_max)
-        n = int(np.searchsorted(lt.primes, lo, side="right"))
-        sums = lt.sums[n:] * rt.sums[n:]
-        good = lt.good[n:] * rt.good[n:]
-        total = lt.total[n:] * rt.total[n:]
-        if self.excluded:
-            for i, p in enumerate(lt.primes[n:].tolist()):
-                sums[i], good[i], total[i] = self._less_excluded(
-                    p, nu_max, sums[i], good[i], total[i]
-                )
-        return MomentTable(lt.primes[n:], lt.log_p[n:], good, total, sums)
+    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
+        """The products of the factors' kept rows at the primes, less the
+        excluded pairs."""
+        reach = int(primes.max(initial=0))
+        lt = self.left.moment_table(reach, nu_max)
+        rt = self.right.moment_table(reach, nu_max)
+        i = np.searchsorted(lt.primes, primes)
+        sums = lt.sums[i]  # indexing by an array copies: multiply in place
+        sums *= rt.sums[i]
+        good = lt.good[i] * rt.good[i]
+        total = lt.total[i] * rt.total[i]
+        for k, p in enumerate(primes.tolist()):
+            for pair in self.excluded:
+                total[k] -= 1
+                if self.bad_prime(pair, p):
+                    continue
+                sums[k] -= self.local_coefficients(pair, p, nu_max).b
+                good[k] -= 1
+        return good, total, sums
 
 
 def convolve(f: Family, g: Family) -> Family:
@@ -920,15 +910,14 @@ class KroneckerTwist(QuadraticFamily):
         self.d = d
         self.family_id = f"chi({d})"
 
-    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
-        """The rows of ``prime_moments`` from chi(p) at every prime at once."""
-        primes, log_p = _primes_between(lo, P)
+    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
+        """The quadratic family's rows of d, from chi(p) at every prime at
+        once."""
         chi = np.array([kronecker_symbol(self.d, p) for p in primes.tolist()])
         sums = (chi[:, None].astype(float) ** np.arange(1, nu_max + 1)).astype(
             np.complex128
         )
-        good = (chi != 0).astype(float)
-        return MomentTable(primes, log_p, good, np.ones(len(primes)), sums)
+        return (chi != 0).astype(float), np.ones(len(primes)), sums
 
 
 class CharacterTwist(DirichletFamily):
@@ -941,7 +930,7 @@ class CharacterTwist(DirichletFamily):
 
     # orthogonality needs every character mod m; one character sums its own
     # coefficients
-    prime_moments = Family.prime_moments
+    _rows = Family._rows
 
     def __init__(self, char: DirichletCharacter):
         if char.is_trivial:

@@ -53,11 +53,6 @@ class LocalCoefficients:
     def nu_max(self) -> int:
         return len(self.b)
 
-    def value(self, nu: int) -> complex:
-        if not 1 <= nu <= self.nu_max:
-            raise ValueError(f"nu = {nu} outside 1..{self.nu_max}")
-        return self.b[nu - 1]
-
 
 @dataclass(frozen=True)
 class SatakeSpectrum:

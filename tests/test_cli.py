@@ -563,7 +563,9 @@ GOLDEN = ROOT / "tests" / "golden"
 # benchmark workloads at smoke size, seed 1: the twists kronecker 5,
 # character 7 1 and kronecker -4, a sym^2 lift and a degree-2 family
 GOLDEN_WORKLOADS = ("ec_pair", "characters", "ec_wide_box")
-GOLDEN_INIS = ("hecke_p300", "forms_p300", "twists_p300")
+GOLDEN_INIS = (
+    "hecke_p300", "forms_p300", "twists_p300", "ec_blocks_p200", "ec_big_p200"
+)
 # the columns that constants and density both print
 SHARED_COLUMNS = ("family_id", "sigma", "P", "c_est", "c_class", "r_est", "eps")
 
@@ -734,34 +736,27 @@ def test_one_moment_table_per_family(config, args, capsys, monkeypatch):
     # every (family, prime) row is computed once per command: derived
     # families read their factors' kept tables, and c, r and D1 of a family
     # come from one table, so the commands agree.  Rows are counted where
-    # prime_moments makes them and where a _build_table override returns
-    # them, each kind apart, since an override may call the base build.
+    # each _rows makes them, each kind apart, since an override may call the
+    # base's rows, and where a table is built of them.
     rows, built = [], []
+    build_table = Family._build_table
 
-    def counted(prime_moments):
-        def wrapper(self, p, nu_max):
-            rows.append((id(self), p))
-            return prime_moments(self, p, nu_max)
-
-        return wrapper
-
-    def counted_build(build_table):
-        def wrapper(self, lo, P, nu_max):
-            table = build_table(self, lo, P, nu_max)
-            built.extend((id(self), p) for p in table.primes.tolist())
-            return table
+    def counted(cls, make_rows):
+        def wrapper(self, primes, nu_max):
+            rows.extend((cls, id(self), p) for p in primes.tolist())
+            return make_rows(self, primes, nu_max)
 
         return wrapper
+
+    def counted_build(self, lo, P, nu_max):
+        table = build_table(self, lo, P, nu_max)
+        built.extend((id(self), p) for p in table.primes.tolist())
+        return table
 
     for cls in _family_classes(Family):
-        if "prime_moments" in vars(cls):
-            monkeypatch.setattr(
-                cls, "prime_moments", counted(vars(cls)["prime_moments"])
-            )
-        if cls is not Family and "_build_table" in vars(cls):
-            monkeypatch.setattr(
-                cls, "_build_table", counted_build(vars(cls)["_build_table"])
-            )
+        if "_rows" in vars(cls):
+            monkeypatch.setattr(cls, "_rows", counted(cls, vars(cls)["_rows"]))
+    monkeypatch.setattr(Family, "_build_table", counted_build)
     outputs = {}
     for command in ("constants", "density"):
         rows.clear()

@@ -22,7 +22,6 @@ from lfsym.ecgeom import (
     trace_of_frobenius,
 )
 from lfsym.families import (
-    PrimeMoments,
     character_twist,
     convolve,
     cusp_form_delta,
@@ -166,12 +165,11 @@ class TestQuadraticFamily:
         assert fam._residue_d.dtype == (
             np.int32 if max(map(abs, d_range)) < 2**30 else np.int64
         )
-        for p in sieve_primes(400).primes.tolist():
-            fast = fam.prime_moments(p, 5)
-            loop = families.Family.prime_moments(fam, p, 5)
-            assert fast.good_weight == loop.good_weight
-            assert fast.total_weight == loop.total_weight
-            assert fast.sums.tobytes() == loop.sums.tobytes(), p
+        primes = sieve_primes(400).primes
+        fast = fam._rows(primes, 5)
+        loop = families.Family._rows(fam, primes, 5)
+        for a, b in zip(fast, loop):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
@@ -598,15 +596,16 @@ class TestTwists:
 
     @pytest.mark.parametrize("d", [-4, 5, -7, 8, 12])
     def test_table_equals_the_per_prime_path_bitwise(self, d):
-        # the vectorized build, fresh and grown from a smaller kept table,
-        # against one prime_moments call per prime
+        # the chi(p) rows, fresh and grown from a smaller kept table, against
+        # the quadratic family's Legendre rows of d alone
         h = kronecker_twist(d)
-        loop = families.Family._build_table(h, 0, 1000, 6)
+        primes = sieve_primes(1000).primes
+        legendre = families.QuadraticFamily._rows(h, primes, 6)
         h.moment_table(300, 6)
         for table in (h._build_table(0, 1000, 6), h.moment_table(1000, 6)):
-            for field in ("primes", "log_p", "good", "total", "sums"):
-                a, b = getattr(table, field), getattr(loop, field)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+            assert table.primes.tobytes() == primes.tobytes()
+            for a, b in zip((table.good, table.total, table.sums), legendre):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
         "make_twist",
@@ -804,36 +803,41 @@ class TestMomentTable:
 
     def test_good_above_total_rejected(self, monkeypatch):
         fam = dirichlet_family(7)
-        monkeypatch.setattr(
-            fam,
-            "prime_moments",
-            lambda p, nu_max: PrimeMoments(p, 6.0, 5.0, np.zeros(nu_max, complex)),
-        )
+        monkeypatch.setattr(fam, "_rows", constant_rows(6, 5, 0))
         with pytest.raises(ValueError, match="exceeds"):
             fam.moment_table(20, 2)
 
     def test_ramanujan_violation_rejected(self, monkeypatch):
         # a degree-1 family whose summed b(p) outgrows its good weight
         fam = dirichlet_family(7)
-        monkeypatch.setattr(
-            fam,
-            "prime_moments",
-            lambda p, nu_max: PrimeMoments(p, 5.0, 6.0, np.full(nu_max, 5.5 + 0j)),
-        )
+        monkeypatch.setattr(fam, "_rows", constant_rows(5, 6, 5.5))
         with pytest.raises(ValueError, match="degree"):
             fam.moment_table(20, 2)
 
+    @pytest.mark.parametrize("kind", list(ROW_COUNT_FAMILIES))
+    def test_zero_columns_rejected(self, kind):
+        with pytest.raises(ValueError, match="nu_max must be at least 1, got 0"):
+            ROW_COUNT_FAMILIES[kind]().moment_table(50, 0)
 
-def stacked_prime_moments(fam, P, nu_max):
-    """The table ``prime_moments`` gives one prime at a time: the oracle."""
-    primes = sieve_primes(max(P, 2)).up_to(P)
-    moments = [fam.prime_moments(int(p), nu_max) for p in primes]
-    return (
-        primes,
-        np.array([m.good_weight for m in moments]),
-        np.array([m.total_weight for m in moments]),
-        np.array([m.sums for m in moments], dtype=np.complex128),
-    )
+    @pytest.mark.parametrize("kind", list(ROW_COUNT_FAMILIES))
+    @pytest.mark.parametrize("p", [4, 1, 91])
+    def test_composite_prime_rejected(self, kind, p):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            ROW_COUNT_FAMILIES[kind]().prime_moments(p, 2)
+
+
+def constant_rows(good, total, sums):
+    """A ``_rows`` with the same weights and sums at every prime."""
+
+    def rows(primes, nu_max):
+        n = len(primes)
+        return (
+            np.full(n, float(good)),
+            np.full(n, float(total)),
+            np.full((n, nu_max), sums, dtype=np.complex128),
+        )
+
+    return rows
 
 
 def assert_tables_equal(a, b):
@@ -865,6 +869,60 @@ DERIVED_FAMILIES = {
 }
 
 
+def count_quadratic_rows(monkeypatch):
+    """The list to which every ``QuadraticFamily._rows`` call appends its
+    primes."""
+    calls = []
+    rows = families.QuadraticFamily._rows
+
+    def counted(self, primes, nu_max):
+        calls.extend(primes.tolist())
+        return rows(self, primes, nu_max)
+
+    monkeypatch.setattr(families.QuadraticFamily, "_rows", counted)
+    return calls
+
+
+def family_subclasses(cls):
+    return set(cls.__subclasses__()).union(
+        *(family_subclasses(sub) for sub in cls.__subclasses__())
+    )
+
+
+class TestOneRowBuilder:
+    @pytest.mark.parametrize(
+        "kind", list(ROW_COUNT_FAMILIES) + list(DERIVED_FAMILIES)
+    )
+    def test_prime_moments_is_the_table_row(self, kind):
+        build = {**ROW_COUNT_FAMILIES, **DERIVED_FAMILIES}[kind]
+        table = build().moment_table(97, 4)
+        fam = build()
+        for i, p in enumerate(table.primes):  # numpy integers
+            mom = fam.prime_moments(p, 4)
+            assert (mom.p, mom.good_weight, mom.total_weight) == (
+                p, table.good[i], table.total[i]
+            )
+            assert mom.sums.tobytes() == table.sums[i].tobytes(), p
+
+    @pytest.mark.parametrize(
+        "kind", ["convolution", "twist"] + list(DERIVED_FAMILIES)
+    )
+    def test_convolution_rows_at_scattered_primes(self, kind):
+        # a convolution finds its primes in the factors' tables, so any
+        # subset of them gives the table's rows
+        build = {**ROW_COUNT_FAMILIES, **DERIVED_FAMILIES}[kind]
+        table = build().moment_table(199, 4)
+        pick = np.arange(1, len(table.primes), 3)
+        rows = build()._rows(table.primes[pick], 4)
+        for got, want in zip(rows, (table.good, table.total, table.sums)):
+            assert got.tobytes() == want[pick].tobytes()
+
+    def test_only_the_base_defines_the_row_entry_points(self):
+        for cls in family_subclasses(families.Family):
+            assert "prime_moments" not in vars(cls), cls
+            assert "_build_table" not in vars(cls), cls
+
+
 class TestDerivedTables:
     @pytest.mark.parametrize("kind", list(DERIVED_FAMILIES))
     def test_table_equals_prime_moments_oracle(self, kind):
@@ -874,24 +932,20 @@ class TestDerivedTables:
             assert fam.excluded == [(d, d) for d in members]
         if kind == "ec-isomorphism-pair":
             assert fam.excluded == [(t, t) for t in range(2020, 2040)]
-        table = fam.moment_table(199, 6)
-        primes, good, total, sums = stacked_prime_moments(fam, 199, 6)
+        # the oracle is the member loop over every included pair; it sums
+        # the pairs in another order, so the sums agree to rounding
+        table = fam.moment_table(97, 6)
+        primes = sieve_primes(97).primes
+        good, total, sums = families.Family._rows(fam, primes, 6)
         assert np.array_equal(table.primes, primes)
         assert np.array_equal(table.log_p, np.log(primes.astype(float)))
         assert np.array_equal(table.good, good)
         assert np.array_equal(table.total, total)
-        assert np.array_equal(table.sums, sums)
+        assert np.allclose(table.sums, sums, rtol=1e-12, atol=1e-9)
 
     def test_factor_rows_computed_once(self, monkeypatch):
         # the base family's rows serve itself and every family built on it
-        calls = []
-        prime_moments = families.QuadraticFamily.prime_moments
-
-        def counted(self, p, nu_max):
-            calls.append(p)
-            return prime_moments(self, p, nu_max)
-
-        monkeypatch.setattr(families.QuadraticFamily, "prime_moments", counted)
+        calls = count_quadratic_rows(monkeypatch)
         q = quadratic_family((100, 300))
         derived = [q, twist_by_fixed(kronecker_twist(-4), q), convolve(q, q)]
         for fam in derived:
@@ -937,14 +991,7 @@ class TestKeptTable:
         assert_tables_equal(grown.moment_table(199, 4), build().moment_table(199, 4))
 
     def test_larger_cutoff_computes_only_new_rows(self, monkeypatch):
-        calls = []
-        prime_moments = families.QuadraticFamily.prime_moments
-
-        def counted(self, p, nu_max):
-            calls.append(p)
-            return prime_moments(self, p, nu_max)
-
-        monkeypatch.setattr(families.QuadraticFamily, "prime_moments", counted)
+        calls = count_quadratic_rows(monkeypatch)
         q = quadratic_family((100, 300))
         qq = convolve(q, q)
         for P in (30, 97, 200):
@@ -996,14 +1043,7 @@ class TestKeptTable:
             table.sums[0, 0] = 1.0
 
     def test_concurrent_callers_share_one_build(self, monkeypatch):
-        calls = []
-        prime_moments = families.QuadraticFamily.prime_moments
-
-        def counted(self, p, nu_max):
-            calls.append(p)
-            return prime_moments(self, p, nu_max)
-
-        monkeypatch.setattr(families.QuadraticFamily, "prime_moments", counted)
+        calls = count_quadratic_rows(monkeypatch)
         q = quadratic_family((100, 300))
         derived = [q, twist_by_fixed(kronecker_twist(-4), q), convolve(q, q)]
         results = {}
