@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -234,21 +234,6 @@ def _product_tree(values: list[int]) -> list[list[int]]:
     return tree
 
 
-def _primorial_gcds(values: list[int]) -> list[int]:
-    """gcd(n, primorial) for every n > 0 in values, from one remainder tree.
-
-    The primorial is reduced mod each node of the values' product tree from
-    the root down, so each leaf n gets primorial mod n at the cost of a few
-    products as large as the primorial, instead of one reduction of the
-    whole primorial per value (Bernstein, "How to find smooth parts of
-    integers", 2004).
-    """
-    if not values:
-        return []
-    tree = _product_tree(values)
-    return _descend(tree, _trial_primes()[1] % tree[-1][0])
-
-
 # The second gcd stage covers the primes in (10^4, 2^21), about 3.0 Mbit of
 # product, in this many chunks of about 40 kbit each.
 _SIEVE_BOUND = 2**21
@@ -281,27 +266,24 @@ def _sieve_chunks() -> tuple[int, ...]:
     return tuple(chunks)
 
 
-def _sieve_gcds(values: list[int]) -> list[int]:
-    """gcd(n, product of the primes in (10^4, 2^21)) for every n > 0 in
-    values, from one remainder tree.
+def _stage_gcds(values: list[int], chunks: Callable[[], Iterable[int]]) -> list[int]:
+    """gcd(n, N) for every n > 0 in values, where N is the product of the
+    integers that ``chunks()`` gives, from one remainder tree.
 
-    The chunks of ``_sieve_chunks`` are reduced into the root of the values'
-    product tree one at a time, and their product mod the root descends the
-    tree as in ``_primorial_gcds``.  No values build no chunks.
+    The chunks are reduced into the root of the values' product tree one at
+    a time, and their product mod the root is reduced mod each node from the
+    root down, so each leaf n gets N mod n at the cost of a few products as
+    large as a chunk, instead of one reduction of all of N per value
+    (Bernstein, "How to find smooth parts of integers", 2004).  No values
+    call no chunks.
     """
     if not values:
         return []
     tree = _product_tree(values)
     root = tree[-1][0]
     r = 1
-    for chunk in _sieve_chunks():
+    for chunk in chunks():
         r = r * (chunk % root) % root
-    return _descend(tree, r)
-
-
-def _descend(tree: list[list[int]], r: int) -> list[int]:
-    """gcd(n, N) for every leaf n of a product tree, given r = N mod its
-    root: r is reduced mod each node from the root down."""
     rems = [r]
     for level in reversed(tree[:-1]):
         rems = [rems[i // 2] % v for i, v in enumerate(level)]
@@ -336,6 +318,68 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return out
+
+
+# The stages of ``_factor_batch``: a bound b, the chunks of the product of
+# the primes below b that earlier stages leave, and how a value is divided by
+# its gcd with that product.  Below 10^8 a second-stage gcd is one prime,
+# and above it ``factorize`` splits it by a short rho.
+_STAGES = (
+    (_TRIAL_BOUND, lambda: (_trial_primes()[1],), _trial_divide),
+    (_SIEVE_BOUND, _sieve_chunks, lambda m, g: _divide_out(m, factorize(g))),
+)
+
+
+def _factor_batch(values: list[int]) -> Iterator[tuple[int, dict[int, int], int]]:
+    """(i, primes, block) for every n = values[i] > 0, with primes as
+    {prime: exponent} and n = block * prod p^e; block is 1 or a squarefree
+    cofactor of one or two primes, left unsplit.
+
+    The values pass the stages of ``_STAGES`` in turn.  A stage of bound b
+    takes the gcd of every value it holds with its product of primes, from
+    one remainder tree (``_stage_gcds``), and divides those primes out.  The
+    cofactor m left has no prime below b, so:
+
+    * below b^2 it is 1 or a prime;
+    * in [b^2, b^3) it is a prime square q^2, which ``math.isqrt`` finds, or
+      the block;
+    * from b^3 on it is a prime when ``is_prime`` passes it, and otherwise it
+      waits for the next stage.
+
+    The first stage keeps the trial division by the primes of its gcd; the
+    second covers the primes in (10^4, 2^21), so its blocks lie in
+    [2^42, 2^63).  Whatever still waits after the last stage, composite and
+    of 2^63 or more, goes to ``factorize``, Brent's rho included.  A value is
+    yielded as soon as it is done, so only the waiting ones are held, and
+    they come last; a stage that no value reaches builds no chunk products.
+    """
+    pending = [(i, None, n) for i, n in enumerate(values)]
+    for bound, chunks, divide in _STAGES:
+        square, cube = bound**2, bound**3
+        gcds = _stage_gcds([m for *_, m in pending], chunks)
+        waiting = []
+        for (i, primes, m), g in zip(pending, gcds):
+            found, m = divide(m, g)
+            primes = found if primes is None else {**primes, **found}
+            block = 1
+            if m >= cube:
+                if not is_prime(m):
+                    waiting.append((i, primes, m))
+                    continue
+                primes[m] = 1
+            elif m >= square:
+                q = math.isqrt(m)
+                if q * q == m:
+                    primes[q] = 2
+                else:
+                    block = m
+            elif m > 1:
+                primes[m] = 1
+            yield i, primes, block
+        pending = waiting
+    for i, primes, m in pending:
+        primes.update(factorize(m))
+        yield i, primes, 1
 
 
 # ---------------------------------------------------------------------------

@@ -364,8 +364,12 @@ def run_families(config: ExperimentConfig) -> list[dict]:
         with _reported_as_config_error(f"family {ident!r}"):
             return ident, stats.family_constant(family, cfg)
 
-    with ThreadPoolExecutor(max_workers=max(1, run.threads)) as pool:
-        results = dict(pool.map(work, built.items()))
+    # threads = 1 runs in the calling thread, so that a profiler sees the work
+    if run.threads <= 1:
+        results = dict(map(work, built.items()))
+    else:
+        with ThreadPoolExecutor(max_workers=run.threads) as pool:
+            results = dict(pool.map(work, built.items()))
 
     rows = []
     for decl in config.declarations:

@@ -36,33 +36,23 @@ indexes a table is intp.
 
 Conductors of a family come from one pass, ``family_conductors``; an
 elliptic family runs it once, on first use, so once per family per command.
-The pass takes the gcd of every fiber's discriminant with the primorial of
-the primes below T = 10^4 from one remainder tree over the box, and divides
-each discriminant by the primes its gcd holds alone (the trial-division
-core it shares with ``arith.factorize``).  The cofactor left has no prime
-below T.  Below T^2 it is 1 or a prime; in [T^2, T^3) it is a prime square,
-which ``math.isqrt`` finds, or a squarefree block of one or two primes,
-which enters the proxy unsplit, since its primes divide the discriminant
-once and so are multiplicative.  From T^3 on, a cofactor that ``is_prime``
-passes is recorded, and the others take a second remainder tree over the
-box, against the product of the primes in (T, B), B = 2^21.  The primes of
-that gcd are divided out, and what is left has no prime below B, so the
-same rule holds one bound up: below B^2 it is 1 or a prime, in [B^2, B^3)
-a prime square or a block, and only from B^3 = 2^63 on is it factored by
-``arith.factorize``, Brent's rho included.  The pass keeps each fiber's
-proxy C, the prime-power counts n(p, k), the number of fibers with p^k | C
-over the primes it split out, and the fiber count of each block.  Since
-log gcd(C1, C2) = sum of log p over the p^k dividing both, the
-convolution's average over all pairs of two families F and G needs no pair
-loop:
+It splits the fibers' minimal discriminants in one batch,
+``arith._factor_batch``: each into its primes and at most one unsplit
+squarefree block of one or two primes above 10^4, which enters the proxy
+as itself, since its primes divide the discriminant once and so are
+multiplicative.  The pass keeps each fiber's proxy C, the prime-power
+counts n(p, k), the number of fibers with p^k | C over the primes it split
+out, and the fiber count of each block.  Since log gcd(C1, C2) = sum of
+log p over the p^k dividing both, the convolution's average over all pairs
+of two families F and G needs no pair loop:
 
     sum_{f, g} log gcd(C_f, C_g) = sum_{p, k} log p * n_F(p, k) * n_G(p, k),
 
 at a cost of the number of distinct prime powers, for conductors of any
 size.  A block's primes enter that sum only when the other family holds
 one of them: one gcd against the product of the other family's primes and
-blocks above T finds those blocks, and only they are split, so the shared
-primes and their counts are those of full factorizations.
+blocks finds those blocks, and only they are split, so the shared primes
+and their counts are those of full factorizations.
 ``conductor_proxy`` stays the per-curve oracle.
 """
 
@@ -72,21 +62,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .arith import (
-    _SIEVE_BOUND,
-    _TRIAL_BOUND,
-    _divide_out,
-    _primorial_gcds,
+    _factor_batch,
     _product_tree,
     _reduce_mod,
-    _sieve_gcds,
-    _trial_divide,
     factorize,
-    is_prime,
     legendre_table,
     primitive_root_powers,
     residue_dtype,
@@ -166,90 +150,19 @@ def minimal_model(A: int, B: int) -> tuple[int, int]:
     return A, B
 
 
-def _conductor_pass(
-    fibers: list[tuple[int, int, int]],
-) -> Iterator[tuple[int, dict[int, int], int]]:
-    """(t, exponents, block) of ``_fiber_conductor`` for every minimal model
-    (t, A, |delta|) of a box, with the gcds of both stages taken over the
-    whole box.
+def _proxy_exponents(A: int, primes: Iterable[int]) -> dict[int, int]:
+    """The conductor proxy's exponent at each given prime of the minimal
+    discriminant of y^2 = x^3 + A x + B: 8 at 2, 5 at 3, and at p >= 5, 1
+    when p does not divide c4 = -48 A (multiplicative) and 2 otherwise
+    (additive).
 
-    The first stage takes every |delta|'s gcd with the primorial of the
-    primes below T = 10^4 and divides those primes out.  A cofactor of T^3
-    or more that ``is_prime`` passes is recorded; the others, composite,
-    take the second stage, a gcd with the product of the primes in (T, B),
-    B = 2^21.  Both gcds come from one remainder tree each.  Each fiber is
-    yielded as soon as it is done, so only the fibers that wait for the
-    second stage are held, and they come last.
+    The primes of a block that ``arith._factor_batch`` leaves unsplit need
+    no exponent: they divide the discriminant once, so they cannot divide
+    c4, since a prime p >= 5 dividing c4 and Delta divides A, hence B, hence
+    p^2 divides Delta.  The block enters the proxy as itself.
     """
-    gcds = _primorial_gcds([delta for *_, delta in fibers])
-    big = _TRIAL_BOUND**3
-    pending = []
-    for (t, A, delta), g in zip(fibers, gcds):
-        primes, m = _trial_divide(delta, g)
-        if m >= big:
-            if not is_prime(m):
-                pending.append((t, A, primes, m))
-                continue
-            primes[m], m = 1, 1
-        exponents, block = _fiber_conductor(A, primes, m, 1)
-        yield t, exponents, block
-    sieved = _sieve_gcds([m for *_, m in pending])
-    for (t, A, primes, m), g2 in zip(pending, sieved):
-        exponents, block = _fiber_conductor(A, primes, m, g2)
-        yield t, exponents, block
-
-
-def _fiber_conductor(
-    A: int, primes: dict[int, int], m: int, g2: int
-) -> tuple[dict[int, int], int]:
-    """The conductor proxy of a minimal model y^2 = x^3 + A x + B, as
-    {p: exponent} and a block b, so that the proxy is b prod p^e; b is 1 or
-    a squarefree cofactor left unsplit.
-
-    primes holds the primes below T = 10^4 of its discriminant delta with
-    their exponents, and m is the cofactor they leave, which has no prime
-    below T.  A cofactor m >= T^3 is composite, and g2 is its gcd with the
-    product of the primes in (T, B), B = 2^21 (1 for smaller m).
-
-    Below T^2, m is 1 or a prime.  In [T^2, T^3) it is a prime, a product of
-    two distinct primes or a prime square q^2, which one ``math.isqrt``
-    tells apart: q^2 is recorded as q with exponent 2 in delta, any other m
-    is the block.  Its primes divide delta once, so they cannot divide c4: a
-    prime p >= 5 dividing c4 = -48A and delta divides A, hence B, hence p^2
-    divides delta.  The block enters the proxy as m itself, with exponent 1
-    at each of its primes, and is never split.  A composite m >= T^3 first
-    loses the primes of g2: below T^2 = 10^8, g2 is one prime, and above it
-    ``factorize`` splits it by a short rho, since its primes lie below B.
-    What is left has no prime below B, so the same rule holds one bound up:
-    below B^2 it is 1 or a prime, in [B^2, B^3) a prime square or a block,
-    and from B^3 = 2^63 on it is factored.
-    """
-    bound = _TRIAL_BOUND
-    if m >= _TRIAL_BOUND**3:
-        sieved, m = _divide_out(m, factorize(g2))
-        primes.update(sieved)
-        bound = _SIEVE_BOUND
-    block = 1
-    if m >= bound**3:
-        primes.update(factorize(m))
-    elif m >= bound**2:
-        q = math.isqrt(m)
-        if q * q == m:
-            primes[q] = 2
-        else:
-            block = m
-    elif m > 1:
-        primes[m] = 1
     c4 = -48 * A
-    exponents = {}
-    for p in primes:
-        if p == 2:
-            exponents[p] = 8
-        elif p == 3:
-            exponents[p] = 5
-        else:
-            exponents[p] = 1 if c4 % p else 2
-    return exponents, block
+    return {p: 8 if p == 2 else 5 if p == 3 else 1 if c4 % p else 2 for p in primes}
 
 
 def conductor_proxy(A: int, B: int) -> int:
@@ -269,7 +182,8 @@ def conductor_proxy(A: int, B: int) -> int:
     delta = -16 * (4 * A**3 + 27 * B**2)
     if delta == 0:
         raise ValueError("singular curve has no conductor")
-    [(_, exponents, block)] = _conductor_pass([(0, A, abs(delta))])
+    [(_, primes, block)] = _factor_batch([abs(delta)])
+    exponents = _proxy_exponents(A, primes)
     return math.prod(p**e for p, e in exponents.items()) * block
 
 
@@ -533,10 +447,11 @@ class FamilyConductors:
             whose proxy is divisible by p^k, over the primes the pass split
             out; the primes of the blocks are not among them.
         blocks: unsplit block -> number of fibers whose proxy holds it.  A
-            block is a squarefree discriminant cofactor, in [10^8, 10^12)
-            with no prime factor below 10^4 or in [2^42, 2^63) with none
-            below 2^21, so one or two primes that each divide its fibers'
-            proxies exactly once.
+            block is a squarefree discriminant cofactor that
+            ``arith._factor_batch`` leaves unsplit, in [10^8, 10^12) with
+            no prime factor below 10^4 or in [2^42, 2^63) with none below
+            2^21, so one or two primes that each divide its fibers' proxies
+            exactly once.
     """
 
     proxies: dict[int, int]
@@ -548,26 +463,27 @@ def family_conductors(spec: EllipticFamilySpec) -> FamilyConductors:
     """Conductor proxies, prime-power counts and unsplit blocks of a
     family's nonsingular fibers, from one pass over the box.
 
-    The gcds of every fiber's discriminant with the primorial of the primes
-    below 10^4 come from one remainder tree; each discriminant is then
-    trial-divided by the primes its gcd holds alone.  The composite
-    cofactors of 10^12 and above take a second remainder tree, against the
-    primes in (10^4, 2^21), and every cofactor is kept as a block or
-    factored by the rule of ``_fiber_conductor``.
+    The minimal discriminants of the box are split by one
+    ``arith._factor_batch``, and ``_proxy_exponents`` turns each fiber's
+    primes into the exponents of its proxy; a block enters as itself.
     """
     fibers = []
+    deltas = []
     for t in spec.t_range:
         A, B = spec.A(t), spec.B(t)
         if 4 * A**3 + 27 * B**2 == 0:
             continue
         A, B = minimal_model(A, B)
-        fibers.append((t, A, 16 * abs(4 * A**3 + 27 * B**2)))
+        fibers.append((t, A))
+        deltas.append(16 * abs(4 * A**3 + 27 * B**2))
     # in ascending t, whatever order the pass finishes the fibers in
-    proxies = dict.fromkeys(t for t, *_ in fibers)
+    proxies = dict.fromkeys(t for t, _ in fibers)
     blocks: dict[int, int] = {}
     # (p, e) -> number of fibers whose proxy p divides exactly e times
     exact_powers: Counter[tuple[int, int]] = Counter()
-    for t, exponents, block in _conductor_pass(fibers):
+    for i, primes, block in _factor_batch(deltas):
+        t, A = fibers[i]
+        exponents = _proxy_exponents(A, primes)
         proxies[t] = math.prod(p**e for p, e in exponents.items()) * block
         if block > 1:
             blocks[block] = blocks.get(block, 0) + 1
@@ -587,12 +503,11 @@ def _split_met_blocks(
     """F's prime-power counts, with the primes of each of F's blocks that
     shares a prime with G added at k = 1.
 
-    Every prime of a block is above 10^4 (above 2^21 for the blocks in
-    [2^42, 2^63)), so a block shares one with G exactly when it has a gcd
-    above 1 with the product of G's keys above 10^4, its primes and its
-    blocks.  That product is first reduced to its
-    gcd with the product of F's blocks, one large gcd in place of one per
-    block.  Only the blocks that meet it, rare outside overlapping boxes,
+    A block shares a prime with G exactly when it has a gcd above 1 with
+    the product of all of G's keys, its primes and its blocks; the primes
+    below 10^4 among them divide no block.  That product is first reduced
+    to its gcd with the product of F's blocks, one large gcd in place of
+    one per block.  Only the blocks that meet it, rare outside overlapping boxes,
     are split: a block with two primes of which G holds one is split by its
     gcd d, since a divisor 1 < d < b of a block b is one of its primes, and
     any other block by ``factorize``.  ``splits`` keeps the primes of each
@@ -602,7 +517,7 @@ def _split_met_blocks(
     """
     if not F.blocks:
         return F.prime_powers
-    keys = [p for p in G.prime_powers if p > _TRIAL_BOUND] + list(G.blocks)
+    keys = list(G.prime_powers) + list(G.blocks)
     common = math.gcd(
         _product_tree(list(F.blocks))[-1][0], _product_tree(keys)[-1][0]
     )

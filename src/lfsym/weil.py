@@ -113,7 +113,7 @@ class WeilRep:
         counts: dict[WeilIrr, int] = {}
         for x in irreps:
             if isinstance(x, WeilRep):
-                raise TypeError("pass irreducibles, or use direct_sum for reps")
+                raise TypeError("pass irreducibles, not a WeilRep")
             counts[x] = counts.get(x, 0) + 1
         self._items = tuple(sorted(counts.items(), key=lambda kv: _sort_key(kv[0])))
 
@@ -131,9 +131,6 @@ class WeilRep:
     @property
     def dimension(self) -> int:
         return sum(irr.dimension * mult for irr, mult in self._items)
-
-    def direct_sum(self, other: "WeilRep") -> "WeilRep":
-        return WeilRep(self.constituents() + other.constituents())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeilRep) and self._items == other._items

@@ -261,11 +261,12 @@ class TestFactorize:
         rng = random.Random(11)
         values = [rng.randrange(1, 10**20) for _ in range(257)]
         values += [1, 9973**3, 10007**2, 2**70, 6 * 9967 * 9973 * 10007]
-        assert arith._primorial_gcds(values) == [
+        chunks = arith._STAGES[0][1]
+        assert arith._stage_gcds(values, chunks) == [
             math.gcd(n, primorial) for n in values
         ]
-        assert arith._primorial_gcds([9973 * 10007]) == [9973]
-        assert arith._primorial_gcds([]) == []
+        assert arith._stage_gcds([9973 * 10007], chunks) == [9973]
+        assert arith._stage_gcds([], chunks) == []
 
     def test_sieve_gcds_match_one_gcd_each(self):
         primes = [int(p) for p in sieve_primes(2**21).primes if p > 10**4]
@@ -280,9 +281,87 @@ class TestFactorize:
             picks = rng.sample(edges, 2)
             picks += [rng.randrange(10**4, 2**22) for _ in range(3)]
             values.append(math.prod(picks) * rng.randrange(1, 10**6))
-        assert arith._sieve_gcds(values) == [math.gcd(n, product) for n in values]
-        assert arith._sieve_gcds([10007 * 2097169]) == [10007]
-        assert arith._sieve_gcds([]) == []
+        chunks = arith._STAGES[1][1]
+        assert arith._stage_gcds(values, chunks) == [
+            math.gcd(n, product) for n in values
+        ]
+        assert arith._stage_gcds([10007 * 2097169], chunks) == [10007]
+        assert arith._stage_gcds([], chunks) == []
+
+
+
+class TestFactorBatch:
+    def test_contract_over_random_products(self):
+        rng = random.Random(20)
+        small = [int(p) for p in sieve_primes(10**4).primes]
+
+        def primes_in(lo, hi, k=1):
+            out = set()
+            while len(out) < k:
+                if is_prime(n := rng.randrange(lo, hi)):
+                    out.add(n)
+            return out
+
+        # each part is {prime: exponent}; a value is a few primes below 10^4
+        # times one part and one part that rho splits quickly
+        quick = [
+            lambda: dict.fromkeys(primes_in(10**4, 2**21), 1),
+            lambda: dict.fromkeys(primes_in(10**4, 2**21), 2),
+            lambda: dict.fromkeys(primes_in(2**21, 2**26), 2),
+            # squarefree blocks in [10^8, 10^12) and in [2^42, 2^52)
+            lambda: dict.fromkeys(primes_in(10**4, 10**6, 2), 1),
+            lambda: dict.fromkeys(primes_in(2**21, 2**26, 2), 1),
+            # a composite of 2^63 and above with no prime below 2^21
+            lambda: dict.fromkeys(primes_in(2**21, 2**23, 3), 1),
+        ]
+        parts = quick + [
+            lambda: dict.fromkeys(primes_in(10**12, 2**64), 1),
+            lambda: dict.fromkeys(primes_in(2**63, 2**64), 1),
+        ]
+        factored = [{}, {9973: 1, 10007: 1}, {10007: 2}]
+        factored.append(dict.fromkeys(primes_in(10**8, 10**12), 1))
+        for _ in range(200):
+            f = {p: rng.randrange(1, 4) for p in rng.sample(small, 3)}
+            for part in (rng.choice(parts)(), rng.choice(quick)()):
+                for p, e in part.items():
+                    f[p] = f.get(p, 0) + e
+            factored.append(f)
+        values = [math.prod(p**e for p, e in f.items()) for f in factored]
+
+        def cofactor(i, bound):
+            return math.prod(p**e for p, e in factored[i].items() if p > bound)
+
+        order = []
+        for i, primes, block in arith._factor_batch(values):
+            order.append(i)
+            f = factored[i]
+            assert values[i] == block * math.prod(p**e for p, e in primes.items())
+            assert all(is_prime(p) for p in primes)
+            assert primes == {p: e for p, e in f.items() if p in primes}
+            rest = [p for p in f if p not in primes]
+            assert block == math.prod(rest)
+            if block > 1:
+                # one or two primes, each dividing the value once
+                assert len(rest) <= 2 and all(f[p] == 1 for p in rest)
+                assert min(rest) > (2**21 if block >= 2**42 else 10**4)
+                assert 10**8 <= block < 10**12 or 2**42 <= block < 2**63
+        assert sorted(order) == list(range(len(values)))
+        # the values whose first-stage cofactor is a composite of 10^12 or
+        # more reach the second stage, and come last
+        second = [
+            i
+            for i in range(len(values))
+            if (m := cofactor(i, 10**4)) >= 10**12 and not is_prime(m)
+        ]
+        first = [i for i in range(len(values)) if i not in second]
+        assert order[: len(first)] == first
+        assert sorted(order[len(first) :]) == second
+        # each regime is reached: blocks of both stages and factorize
+        assert any(10**8 <= cofactor(i, 10**4) < 10**12 for i in first)
+        assert any(2**42 <= cofactor(i, 2**21) < 2**63 for i in second)
+        assert any(
+            (m := cofactor(i, 2**21)) >= 2**63 and not is_prime(m) for i in second
+        )
 
 
 class TestCharacters:

@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import textwrap
+import threading
 import warnings
 from pathlib import Path
 
 import pytest
 
-from lfsym import ecgeom, families
+from lfsym import ecgeom, families, stats
 from lfsym.cli import (
     CONSTANT_COLUMNS,
     DENSITY_COLUMNS,
@@ -174,18 +175,32 @@ class TestRunners:
         config2.run.threads = 4
         assert run_families(config1) == run_families(config2)
 
+    def test_one_thread_works_in_the_calling_thread(self, config_path, monkeypatch):
+        # so that a profiler of the command sees the families' work
+        idents = []
+        constant = stats.family_constant
+
+        def recorded(family, cfg):
+            idents.append(threading.get_ident())
+            return constant(family, cfg)
+
+        monkeypatch.setattr(stats, "family_constant", recorded)
+        config = load_config(config_path)
+        assert config.run.threads == 1
+        run_families(config)
+        assert idents and set(idents) == {threading.get_ident()}
+
     def test_one_conductor_pass_per_curve(self, tmp_path, monkeypatch):
-        # the factoring core behind conductor_proxy runs once per member
-        # curve, however many derived families read its conductor
+        # the conductor pass splits each member curve's discriminant once,
+        # however many derived families read its conductor
         calls = []
-        core = ecgeom._fiber_conductor
+        batch = ecgeom._factor_batch
 
-        def counted(A, primes, m, g2):
-            # the small primes and the cofactor determine the discriminant
-            calls.append((A, tuple(primes.items()), m))
-            return core(A, primes, m, g2)
+        def counted(values):
+            calls.extend(values)
+            return batch(values)
 
-        monkeypatch.setattr(ecgeom, "_fiber_conductor", counted)
+        monkeypatch.setattr(ecgeom, "_factor_batch", counted)
         ec = {"kind": "elliptic", "a_poly": "0 1", "t_min": 300, "t_max": 360}
         data = {
             "run": {"primes": 100},

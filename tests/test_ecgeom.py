@@ -407,7 +407,6 @@ class TestConductorBlocks:
             return wrapper
 
         monkeypatch.setattr(arith, "is_prime", counted(arith.is_prime))
-        monkeypatch.setattr(ecgeom, "is_prime", counted(ecgeom.is_prime))
         monkeypatch.setattr(arith, "_split", counted(arith._split))
         fc = ecgeom.family_conductors(SPEC_T1(2000, 2100))
         assert fc.blocks
@@ -518,7 +517,8 @@ def synthetic_pass(A, factors):
     """The conductor pass over one synthetic discriminant prod p^e of the
     given factors, and the exponents that its factorization gives."""
     delta = math.prod(p**e for p, e in factors.items())
-    [(_, exponents, block)] = ecgeom._conductor_pass([(0, A, delta)])
+    [(_, primes, block)] = arith._factor_batch([delta])
+    exponents = ecgeom._proxy_exponents(A, primes)
     full = {
         p: 8 if p == 2 else 5 if p == 3 else 1 if 48 * A % p else 2 for p in factors
     }
@@ -563,13 +563,13 @@ class TestSecondStage:
 
     def test_cofactor_above_2_63_is_factored(self, monkeypatch):
         seen = []
-        factor = ecgeom.factorize
+        factor = arith.factorize
 
         def counted(n):
             seen.append(n)
             return factor(n)
 
-        monkeypatch.setattr(ecgeom, "factorize", counted)
+        monkeypatch.setattr(arith, "factorize", counted)
         rest = math.prod(self.Q)
         assert rest >= 2**63
         factors = {2: 4, self.P: 3, **{q: 1 for q in self.Q}}
