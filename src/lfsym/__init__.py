@@ -54,11 +54,7 @@ from .rmt import (
     two_level_prediction,
 )
 from .satake import (
-    LocalCoefficients,
     SatakeSpectrum,
-    hecke_b,
-    rankin_product,
-    sym_power_b,
     sym_power_spectrum,
 )
 from .stats import (

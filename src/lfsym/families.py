@@ -1,25 +1,33 @@
 """Families of L-functions presented through their local data.
 
-A family is a finite collection of members, each counted once, each serving
-power-sum coefficients b(p^nu) at every prime, a log-conductor, a bad-prime
-predicate, and a form key with the key of its dual.  A key names the form in
-any family that holds it: ("kronecker", d) for a quadratic character, also of
-prime modulus, ("dirichlet", m, j) for another chi_j mod m, the minimal model
-for an elliptic curve, and by default the family and the member.  Each family
-defines its rows once, in ``_rows``, over an array of primes.  Statistics
-modules consume families through ``moment_table``, which holds the rows of
-every prime up to a cutoff; ``prime_moments`` is the row of one prime.  The
-degree-2 families, elliptic curves and the cusp form, share the base
-``HeckeFamily``: from ``trace_distribution``, the distinct normalized traces
-at p with their member counts, it aggregates any coefficient sequence of the
-members (their own, or a symmetric power's) as one matrix-vector product.
+A family is a finite collection of members, each counted once, each with a
+log-conductor and a form key with the key of its dual.  A key names the form
+in any family that holds it: ("kronecker", d) for a quadratic character, also
+of prime modulus, ("dirichlet", m, j) for another chi_j mod m, the minimal
+model for an elliptic curve, and by default the family and the member.
+
+The member-level contract is one matrix per prime: ``_member_b(members, p,
+nu_max)`` gives (good, b), where good[k] says whether the k-th member is
+unramified at p and b[nu-1, k] is its power sum b(p^nu), 0 where it is not.
+A convolution's matrix is the entrywise product of its factors' matrices.
+Each family defines its rows once, in ``_rows``, over an array of primes;
+``Family._rows``, the member matrix summed over its members, is the
+reference every faster row is tested against.  Statistics modules consume
+families through ``moment_table``, which holds the rows of every prime up to
+a cutoff; ``prime_moments`` is the row of one prime.  The degree-2 families,
+elliptic curves and the cusp form, share the base ``HeckeFamily``: their
+members' normalized traces (``_member_traces``) give their matrices, and
+from ``trace_distribution``, the distinct normalized traces at p with their
+member counts, it aggregates any coefficient sequence of the members (their
+own, or a symmetric power's) as one matrix-vector product.
 
 Each family keeps the last table it built, so a command computes a family's
 prime rows once, however many statistics and derived families read them:
 one table per family per command.  Derived families contract their
 factors' kept tables instead of recomputing the factors' rows; a
 convolution's (or twist's) rows are the products of its factors' rows,
-less the pairs (f, g) with g the dual of f, whose product is not cuspidal.
+less the pairs (f, g) with g the dual of f, whose product is not cuspidal:
+one member matrix of those pairs per prime.
 
 Character sums are exact narrow integers: the quadratic family gathers the
 int8 ``legendre_table(p)`` at its discriminants mod p, reduced by
@@ -31,8 +39,8 @@ the box rather than member by member.
 
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
 characters of fundamental discriminants (the Dirichlet family holds no
-character tables: its moments follow from orthogonality, and a member's
-character is built when asked for), one-parameter elliptic-curve
+character tables: its moments follow from orthogonality, and its members'
+values at p come from one discrete-log table), one-parameter elliptic-curve
 families, the level-one weight-12 cusp form, symmetric-power lifts and
 Rankin-Selberg convolutions.  A fixed twist f x G is the convolution of G
 with the one-member family {f}: a ``QuadraticFamily`` over one discriminant,
@@ -52,6 +60,7 @@ import numpy as np
 from . import weil
 from .arith import (
     DirichletCharacter,
+    _discrete_log,
     _reduce_mod,
     dirichlet_character,
     is_prime,
@@ -70,17 +79,8 @@ from .ecgeom import (
     family_conductors,
     minimal_model,
     rs_conductor_bounds,
-    trace_of_frobenius,
 )
-from .satake import (
-    LocalCoefficients,
-    hecke_b,
-    hecke_b_array,
-    rankin_product,
-    sym_power_b,
-    sym_power_b_array,
-    zero_coefficients,
-)
+from .satake import hecke_b_array, sym_power_b_array
 
 __all__ = [
     "Family",
@@ -188,14 +188,13 @@ class Family:
     def iter_members(self) -> Iterator:
         raise NotImplementedError
 
-    def local_coefficients(self, member, p: int, nu_max: int) -> LocalCoefficients:
+    def _member_b(self, members: list, p: int, nu_max: int) -> tuple:
+        """(good, b) of the members at p: good[k] is False where the k-th
+        member is ramified at p, and b[nu-1, k] is its b(p^nu), 0 there."""
         raise NotImplementedError
 
     def log_conductor(self, member) -> float:
         raise NotImplementedError
-
-    def bad_prime(self, member, p: int) -> bool:
-        return False
 
     def form_key(self, member):
         """The form a member is, by default the member of this family; a
@@ -222,18 +221,17 @@ class Family:
         return tot / w
 
     def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
-        """(good, total, sums) at the primes, as in a ``MomentTable``.  This
-        member loop is the reference for every family's faster rows."""
-        good, total = np.zeros(len(primes)), np.zeros(len(primes))
-        sums = np.zeros((len(primes), nu_max), dtype=np.complex128)
+        """(good, total, sums) at the primes, as in a ``MomentTable``: each
+        prime's member matrix summed over the members.  This is the
+        reference for every family's faster rows."""
+        members = list(self.iter_members())
+        good = np.empty(len(primes))
+        sums = np.empty((len(primes), nu_max), dtype=np.complex128)
         for i, p in enumerate(primes.tolist()):
-            for m in self.iter_members():
-                total[i] += 1
-                if not self.bad_prime(m, p):
-                    good[i] += 1
-                    b = self.local_coefficients(m, p, nu_max).b
-                    sums[i] += np.asarray(b, dtype=np.complex128)
-        return good, total, sums
+            ok, b = self._member_b(members, p, nu_max)
+            good[i] = np.count_nonzero(ok)
+            sums[i] = b.sum(axis=1)
+        return good, np.full(len(primes), float(len(members))), sums
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
         """The row of the prime p; ValueError if p is not prime."""
@@ -325,9 +323,9 @@ def _character_key(m: int, j: int) -> tuple:
 class DirichletFamily(Family):
     """All nontrivial Dirichlet characters of prime modulus m.
 
-    Member k is the character of index k + 1 (see ``dirichlet_character``),
-    built only when its coefficients are asked for: the family holds just m,
-    since its moments follow from orthogonality.
+    Member k is the character of index k + 1 (see ``dirichlet_character``).
+    The family holds just m, since its moments follow from orthogonality;
+    its members' values at p are read from one discrete-log table.
     """
 
     def __init__(self, modulus: int):
@@ -339,20 +337,21 @@ class DirichletFamily(Family):
     def iter_members(self) -> Iterator[int]:
         return iter(range(self.modulus - 2))
 
-    def _character(self, member) -> DirichletCharacter:
-        return dirichlet_character(self.modulus, member + 1)
-
-    def local_coefficients(self, member, p, nu_max):
-        """b(p^nu) = chi(p)^nu of the member's character, nu = 1..nu_max."""
-        chi = self._character(member)
-        b = np.array([chi.power_value(p, nu) for nu in range(1, nu_max + 1)])
-        return LocalCoefficients(p=p, degree=1, b=b)
+    def _member_b(self, members, p, nu_max):
+        """chi(p)^nu = e^(2 pi i (k nu mod e) / e), e = m - 1, for the
+        exponent k = (member + 1) * dlog(p) mod e: ``power_value`` bit for
+        bit, so the phase is taken in real arithmetic (numpy would divide a
+        complex array by e as a product with 1/e)."""
+        m = self.modulus
+        e = m - 1
+        good = np.full(len(members), p % m != 0)
+        k = (np.array(members, dtype=np.int64) + 1) * _discrete_log(m)[p % m] % e
+        nu = np.arange(1, nu_max + 1)[:, None]
+        b = np.exp(1j * (2 * np.pi * (k * nu % e) / e))
+        return good, np.where(good, b, 0)
 
     def log_conductor(self, member) -> float:
         return math.log(self.modulus)
-
-    def bad_prime(self, member, p: int) -> bool:
-        return p % self.modulus == 0
 
     def form_key(self, member) -> tuple:
         return _character_key(self.modulus, member + 1)
@@ -396,10 +395,14 @@ def fundamental_discriminants(
     prime used in downstream sums keeps subsampled residues equidistributed.
 
     Raises:
-        ValueError: If stride < 1.
+        ValueError: If stride < 1, or if |lo| or |hi| exceeds 2^62: the
+            candidates are int64, and ``_reduce_mod`` needs room below them
+            for every prime.
     """
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
+    if max(abs(lo), abs(hi)) > 2**62:
+        raise ValueError(f"discriminant bounds must lie within +-2^62: [{lo}, {hi})")
     cands = np.arange(lo, hi, stride, dtype=np.int64)
     if len(cands) == 0:
         return cands
@@ -449,17 +452,13 @@ class QuadraticFamily(Family):
     def iter_members(self) -> Iterator[int]:
         return iter(self.discriminants.tolist())
 
-    def local_coefficients(self, member, p, nu_max):
-        """b(p^nu) = (d|p)^nu of the member d, nu = 1..nu_max."""
-        chi = kronecker_symbol(int(member), p)
-        b = np.array([float(chi**nu) for nu in range(1, nu_max + 1)])
-        return LocalCoefficients(p=p, degree=1, b=b)
+    def _member_b(self, members, p, nu_max):
+        """b(p^nu) = (d|p)^nu of each member d."""
+        chi = np.array([float(kronecker_symbol(int(d), p)) for d in members])
+        return chi != 0, chi ** np.arange(1, nu_max + 1)[:, None]
 
     def log_conductor(self, member) -> float:
         return math.log(abs(member))
-
-    def bad_prime(self, member, p: int) -> bool:
-        return member % p == 0
 
     def form_key(self, member) -> tuple:
         return ("kronecker", member)
@@ -497,24 +496,24 @@ def quadratic_family(d_range: tuple[int, int], stride: int = 1) -> QuadraticFami
 class HeckeFamily(Family):
     """A degree-2 self-dual family whose members have Hecke eigenvalues.
 
-    Subclasses serve ``hecke_eigenvalue`` and ``trace_distribution``, whose
-    histogram gives the moments of the family and of its symmetric powers.
+    Subclasses serve ``_member_traces``, the members' normalized traces,
+    and ``trace_distribution``, whose histogram gives the moments of the
+    family and of its symmetric powers.
     """
 
     degree = 2
 
-    def hecke_eigenvalue(self, member, p: int) -> float:
+    def _member_traces(self, members: list, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """(good, a/sqrt p) of the members at p, the traces 0 where bad."""
         raise NotImplementedError
 
     def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def local_coefficients(self, member, p, nu_max):
-        """Zeros at a bad prime, else the power sums of the Satake pair with
-        trace ``hecke_eigenvalue``."""
-        if self.bad_prime(member, p):
-            return zero_coefficients(p, nu_max, degree=2)
-        return hecke_b(self.hecke_eigenvalue(member, p), nu_max, p=p)
+    def _member_b(self, members, p, nu_max):
+        """The power sums of the Satake pairs with the members' traces."""
+        good, traces = self._member_traces(members, p)
+        return good, np.where(good, hecke_b_array(traces, nu_max), 0.0)
 
     def sym_power_log_conductor(self, member, power: int) -> float:
         # a degree-2 archimedean factor of weight k has log Q ~ 2 log(k/2);
@@ -576,10 +575,15 @@ class EllipticFamily(HeckeFamily):
     def size(self) -> float:
         return float(len(self.members_list))
 
-    def hecke_eigenvalue(self, member: int, p: int) -> float:
-        """Normalized trace a_t(p)/sqrt(p) from the character sum (p >= 5)."""
-        spec = self.spec
-        return trace_of_frobenius(spec.A(member), spec.B(member), p) / math.sqrt(p)
+    def _member_traces(self, members, p):
+        """``residue_data(p)`` at each t mod p: a member is good where its
+        residue's weight is positive, and every member is bad at p < 5."""
+        if p < 5:
+            return np.zeros(len(members), dtype=bool), np.zeros(len(members))
+        a, weights = self.residue_data(p)
+        r = np.array([t % p for t in members], dtype=np.intp)  # t beyond int64
+        good = weights[r] > 0
+        return good, np.where(good, a[r], 0) / math.sqrt(p)
 
     @property
     def conductors(self) -> FamilyConductors:
@@ -595,9 +599,6 @@ class EllipticFamily(HeckeFamily):
         """The minimal model of E_t: equal exactly for curves isomorphic
         over Q."""
         return minimal_model(self.spec.A(member), self.spec.B(member))
-
-    def bad_prime(self, member, p: int) -> bool:
-        return p in (2, 3) or self.spec.discriminant(member) % p == 0
 
     def residue_data(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """(a_r table, member weights on good residues r mod p) for p >= 5.
@@ -705,8 +706,10 @@ class DeltaFamily(HeckeFamily):
     def iter_members(self) -> Iterator[str]:
         return iter(("delta",))
 
-    def hecke_eigenvalue(self, member, p: int) -> float:
-        return self.tau_through(p)[p - 1] / p**5.5
+    def _member_traces(self, members, p):
+        """tau(p) / p^(11/2), good at every p."""
+        value = self.tau_through(p)[p - 1] / p**5.5
+        return np.ones(len(members), dtype=bool), np.full(len(members), value)
 
     def log_conductor(self, member) -> float:
         return weil.log_analytic_conductor(weil.disc(12))
@@ -720,10 +723,10 @@ class DeltaFamily(HeckeFamily):
         Raises:
             ValueError: If the trace violates the Deligne bound |.| <= 2.
         """
-        value = self.hecke_eigenvalue("delta", p)
-        if abs(value) > 2.0:
+        values = self._member_traces(["delta"], p)[1]
+        if abs(values[0]) > 2.0:
             raise ValueError(f"tau({p}) beyond 2 p^(11/2)")
-        return np.array([value]), np.ones(1)
+        return values, np.ones(1)
 
     def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
         # one tau table of exactly the rows' reach
@@ -755,17 +758,12 @@ class SymLiftFamily(Family):
     def iter_members(self):
         return self.base.iter_members()
 
-    def local_coefficients(self, member, p, nu_max):
-        if self.base.bad_prime(member, p):
-            return zero_coefficients(p, nu_max, degree=self.degree)
-        a = self.base.hecke_eigenvalue(member, p)
-        return sym_power_b(a, self.power, nu_max, p=p)
+    def _member_b(self, members, p, nu_max):
+        good, traces = self.base._member_traces(members, p)
+        return good, np.where(good, sym_power_b_array(traces, self.power, nu_max), 0.0)
 
     def log_conductor(self, member) -> float:
         return self.base.sym_power_log_conductor(member, self.power)
-
-    def bad_prime(self, member, p: int) -> bool:
-        return self.base.bad_prime(member, p)
 
     def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
         # the base's table first, as a convolution reads its factors': its
@@ -795,8 +793,9 @@ class ConvolutionFamily(Family):
     elliptic curves isomorphic over Q) has a non-cuspidal product and is
     excluded.  Aggregated moments use the product structure: the sum over
     included pairs is the product of the factor sums minus the small
-    excluded correction, so its rows are products of the factors' kept
-    rows; ``Family._rows``, the member loop, is their reference.
+    excluded correction, one member matrix of the excluded pairs per prime,
+    so its rows are products of the factors' kept rows; ``Family._rows``,
+    every pair's member matrix summed, is their reference.
 
     The conductor of a pair is q_f^deg(g) q_g^deg(f) (coprime levels); an
     elliptic pair instead takes the midpoint of its Rankin-Selberg conductor
@@ -832,12 +831,12 @@ class ConvolutionFamily(Family):
     def size(self) -> float:
         return self.left.size() * self.right.size() - len(self.excluded)
 
-    def local_coefficients(self, member, p, nu_max):
-        f, g = member
-        return rankin_product(
-            self.left.local_coefficients(f, p, nu_max),
-            self.right.local_coefficients(g, p, nu_max),
-        )
+    def _member_b(self, members, p, nu_max):
+        """The products of the factors' matrices; a pair is good where both
+        of its members are."""
+        left_good, left_b = self.left._member_b([f for f, _ in members], p, nu_max)
+        right_good, right_b = self.right._member_b([g for _, g in members], p, nu_max)
+        return left_good & right_good, left_b * right_b
 
     def log_conductor(self, member) -> float:
         f, g = member
@@ -859,10 +858,6 @@ class ConvolutionFamily(Family):
             + self.right.degree * self.left.average_log_conductor()
         )
 
-    def bad_prime(self, member, p: int) -> bool:
-        f, g = member
-        return self.left.bad_prime(f, p) or self.right.bad_prime(g, p)
-
     def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
         """The products of the factors' kept rows at the primes, less the
         excluded pairs."""
@@ -873,14 +868,13 @@ class ConvolutionFamily(Family):
         sums = lt.sums[i]  # indexing by an array copies: multiply in place
         sums *= rt.sums[i]
         good = lt.good[i] * rt.good[i]
-        total = lt.total[i] * rt.total[i]
-        for k, p in enumerate(primes.tolist()):
-            for pair in self.excluded:
-                total[k] -= 1
-                if self.bad_prime(pair, p):
-                    continue
-                sums[k] -= self.local_coefficients(pair, p, nu_max).b
-                good[k] -= 1
+        total = lt.total[i] * rt.total[i] - len(self.excluded)
+        for k, p in enumerate(primes.tolist() if self.excluded else ()):
+            ok, b = self._member_b(self.excluded, p, nu_max)
+            # the good pairs one at a time, in their order: a pairwise np.sum
+            # would move the last bit
+            sums[k] = np.subtract.accumulate(np.vstack([sums[k], b.T[ok]]))[-1]
+            good[k] -= np.count_nonzero(ok)
         return good, total, sums
 
 
@@ -944,9 +938,6 @@ class CharacterTwist(DirichletFamily):
 
     def iter_members(self) -> Iterator[int]:
         return iter((self.char.index - 1,))
-
-    def _character(self, member) -> DirichletCharacter:
-        return self.char
 
 
 def kronecker_twist(d: int) -> KroneckerTwist:

@@ -2,9 +2,14 @@
 
 The coefficient sequence b(p), b(p^2), ... of an Euler factor is the sequence
 of power sums of its Satake parameters; it is what the explicit formula
-consumes.  This module implements the degree-2 Hecke recursion, symmetric
-power lifts and the Rankin-Selberg product rule b_{fxg}(p^nu) =
-b_f(p^nu) * b_g(p^nu).
+consumes.  This module computes them for many members at once: the array
+forms take a vector of normalized traces and return a matrix with rows
+nu = 1..nu_max and one column per trace, from the degree-2 Hecke recursion
+(``hecke_b_array``) or its symmetric power lift (``sym_power_b_array``).  A
+Rankin-Selberg product needs no routine of its own: its power sums factor,
+b_{fxg}(p^nu) = b_f(p^nu) * b_g(p^nu), so its matrix is the entrywise
+product of its factors' matrices.  ``SatakeSpectrum`` holds the parameters
+themselves and is the oracle the array forms are checked against.
 """
 
 from __future__ import annotations
@@ -14,52 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LocalCoefficients",
     "SatakeSpectrum",
-    "hecke_b",
     "hecke_a_values",
-    "rankin_product",
+    "hecke_b_array",
     "sym_power_spectrum",
-    "sym_power_b",
-    "ones_coefficients",
-    "zero_coefficients",
+    "sym_power_b_array",
 ]
 
 
 @dataclass(frozen=True)
-class LocalCoefficients:
-    """Power-sum coefficients b(p^nu) at a single prime.
-
-    Attributes:
-        p: The prime.
-        degree: Number of Satake parameters of the Euler factor.
-        b: Array b[nu-1] = b(p^nu), nu = 1..nu_max.  Real for self-dual
-            factors; complex only for non-self-dual character data.
-        ramanujan: Set when all Satake parameters are known unitary; then
-            |b(p^nu)| <= degree for every nu (checked on construction).
-    """
-
-    p: int
-    degree: int
-    b: np.ndarray
-    ramanujan: bool = False
-
-    def __post_init__(self) -> None:
-        if self.ramanujan and len(self.b):
-            if float(np.max(np.abs(self.b))) > self.degree + 1e-9:
-                raise ValueError("coefficients exceed the unitary bound")
-
-    @property
-    def nu_max(self) -> int:
-        return len(self.b)
-
-
-@dataclass(frozen=True)
 class SatakeSpectrum:
-    """Multiset of Satake parameters at p; the verification oracle.
-
-    Power sums of ``alphas`` must reproduce LocalCoefficients entries.
-    """
+    """Multiset of Satake parameters at p; the verification oracle."""
 
     p: int
     alphas: np.ndarray
@@ -68,15 +38,16 @@ class SatakeSpectrum:
     def degree(self) -> int:
         return len(self.alphas)
 
-    def power_sums(self, nu_max: int) -> LocalCoefficients:
-        """b(p^nu) = sum_j alpha_j^nu computed directly."""
+    def power_sums(self, nu_max: int) -> np.ndarray:
+        """b(p^nu) = sum_j alpha_j^nu computed directly, nu = 1..nu_max; real
+        when every imaginary part is below 1e-12."""
         b = np.array(
             [np.sum(self.alphas**nu) for nu in range(1, nu_max + 1)],
             dtype=np.complex128,
         )
         if np.max(np.abs(b.imag)) < 1e-12:
             b = b.real
-        return LocalCoefficients(p=self.p, degree=self.degree, b=b)
+        return b
 
 
 def spectrum_from_trace(p: int, a_p: float) -> SatakeSpectrum:
@@ -102,22 +73,6 @@ def hecke_a_values(a_p, n_max: int) -> np.ndarray:
     return a
 
 
-def hecke_b(a_p: float, nu_max: int, p: int = 2) -> LocalCoefficients:
-    """Degree-2 self-dual coefficients from the trace a_p.
-
-    The Satake pair {alpha, 1/alpha} obeys the power-sum recurrence
-    b(p^{nu+1}) = a_p * b(p^nu) - b(p^{nu-1}) with b(p^0) = 2, b(p) = a_p;
-    in particular b(p^2) = a_p^2 - 2.
-
-    Args:
-        a_p: Normalized trace of Frobenius (|a_p| <= 2 in the tempered case).
-        nu_max: Length of the coefficient sequence.
-        p: The prime label carried along.
-    """
-    b = hecke_b_array(a_p, nu_max)
-    return LocalCoefficients(p=p, degree=2, b=b, ramanujan=abs(a_p) <= 2.0)
-
-
 def hecke_b_array(a_p: np.ndarray, nu_max: int) -> np.ndarray:
     """Power sums b(p^nu) of the pairs {alpha, 1/alpha} with alpha + 1/alpha = a_p.
 
@@ -131,26 +86,6 @@ def hecke_b_array(a_p: np.ndarray, nu_max: int) -> np.ndarray:
         out[nu] = cur
         prev, cur = cur, a_p * cur - prev
     return out
-
-
-def rankin_product(x: LocalCoefficients, y: LocalCoefficients) -> LocalCoefficients:
-    """Coefficients of the Rankin-Selberg product Euler factor.
-
-    The product's Satake multiset is {alpha_i * beta_j}, so its power sums
-    factor: b(p^nu) = b_x(p^nu) * b_y(p^nu) entrywise.
-
-    Raises:
-        ValueError: If x and y live at different primes.
-    """
-    if x.p != y.p:
-        raise ValueError(f"prime mismatch: {x.p} != {y.p}")
-    n = min(x.nu_max, y.nu_max)
-    return LocalCoefficients(
-        p=x.p,
-        degree=x.degree * y.degree,
-        b=x.b[:n] * y.b[:n],
-        ramanujan=x.ramanujan and y.ramanujan,
-    )
 
 
 def sym_power_spectrum(spec: SatakeSpectrum, M: int) -> SatakeSpectrum:
@@ -170,17 +105,6 @@ def sym_power_spectrum(spec: SatakeSpectrum, M: int) -> SatakeSpectrum:
         raise ValueError("degenerate Satake parameter")
     exps = np.arange(M, -M - 1, -2)
     return SatakeSpectrum(p=spec.p, alphas=alpha ** exps.astype(complex))
-
-
-def sym_power_b(a_p: float, M: int, nu_max: int, p: int = 2) -> LocalCoefficients:
-    """Coefficients of sym^M of a degree-2 self-dual factor with trace a_p.
-
-    See sym_power_b_array, which this evaluates at a single trace.
-    """
-    if M < 1:
-        raise ValueError("M must be positive")
-    b = sym_power_b_array(a_p, M, nu_max)
-    return LocalCoefficients(p=p, degree=M + 1, b=b, ramanujan=abs(a_p) <= 2.0)
 
 
 def sym_power_b_array(a_p: np.ndarray, M: int, nu_max: int) -> np.ndarray:
@@ -203,13 +127,3 @@ def sym_power_b_array(a_p: np.ndarray, M: int, nu_max: int) -> np.ndarray:
     if nu_max >= 3:
         out[2:] = hecke_a_values(hecke_b_array(a_p, nu_max)[2:], M)[M]
     return out
-
-
-def ones_coefficients(p: int, nu_max: int) -> LocalCoefficients:
-    """The degree-1 trivial factor: b(p^nu) = 1 for all nu."""
-    return LocalCoefficients(p=p, degree=1, b=np.ones(nu_max), ramanujan=True)
-
-
-def zero_coefficients(p: int, nu_max: int, degree: int = 1) -> LocalCoefficients:
-    """All-zero coefficients, used at ramified primes."""
-    return LocalCoefficients(p=p, degree=degree, b=np.zeros(nu_max), ramanujan=True)

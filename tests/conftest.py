@@ -5,7 +5,6 @@ import pytest
 from hypothesis import settings
 
 from lfsym.families import Family
-from lfsym.satake import LocalCoefficients
 
 # Fixed examples, so that a failure in CI reproduces anywhere; selected with
 # pytest --hypothesis-profile=ci
@@ -24,8 +23,8 @@ class ZeroFamily(Family):
     def iter_members(self):
         return iter(range(self.n))
 
-    def local_coefficients(self, member, p, nu_max):
-        return LocalCoefficients(p=p, degree=2, b=np.zeros(nu_max))
+    def _member_b(self, members, p, nu_max):
+        return np.ones(len(members), dtype=bool), np.zeros((nu_max, len(members)))
 
     def log_conductor(self, member):
         return self._logc

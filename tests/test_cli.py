@@ -506,6 +506,12 @@ QUADRATIC_1_60 = {"id": "q", "kind": "quadratic", "d_min": 1, "d_max": 60}
             for key in ("sigma", "tolerance", "log_r")
             for flag in (True, False)
         ),
+        # discriminants beyond int64, in a family and in a twist
+        pytest.param(["constants"], {"families": [{
+            "id": "q", "kind": "quadratic", "d_min": 10**19,
+            "d_max": 10**19 + 100}]}, id="quadratic-beyond-int64"),
+        pytest.param(["constants"], {"twist": "kronecker 100000000000000000000001",
+                     "primes": 50}, id="kronecker-beyond-int64"),
         # an elliptic box [t_min, t_max) with no fiber at all
         *(
             pytest.param(["constants"], {"families": [{

@@ -1,3 +1,4 @@
+import collections
 import math
 import sys
 import threading
@@ -35,10 +36,22 @@ from lfsym.families import (
     twist_by_fixed,
 )
 from lfsym.rmt import fejer_test_function
+from lfsym.satake import hecke_b_array
 from lfsym.stats import ConstantConfig, family_constant
 
 EC1 = EllipticFamilySpec((0, 1), (1,), 2000, 2040)  # y^2 = x^3 + Tx + 1
 EC2 = EllipticFamilySpec((0, 1), (2,), 2000, 2040)  # y^2 = x^3 + Sx + 2
+
+
+def member_b(family, member, p, nu_max):
+    """(good, b) of one member at p: its column of the member matrix."""
+    good, b = family._member_b([member], p, nu_max)
+    return bool(good[0]), b[:, 0]
+
+
+def member_trace(family, member, p):
+    """The normalized trace a/sqrt(p) of one member of a HeckeFamily."""
+    return float(family._member_traces([member], p)[1][0])
 
 
 def moments_by_member_loop(family, p, nu_max):
@@ -47,12 +60,11 @@ def moments_by_member_loop(family, p, nu_max):
     good = total = 0.0
     for m in family.iter_members():
         total += 1
-        if family.bad_prime(m, p):
+        ok, b = member_b(family, m, p, nu_max)
+        if not ok:
             continue
         good += 1
-        sums += np.asarray(
-            family.local_coefficients(m, p, nu_max).b, dtype=np.complex128
-        )
+        sums += np.asarray(b, dtype=np.complex128)
     return good, total, sums
 
 
@@ -72,9 +84,9 @@ class TestDirichletFamily:
 
     def test_mod3_is_quadratic(self):
         fam = dirichlet_family(3)
-        b = fam.local_coefficients(0, 2, 3).b
+        b = member_b(fam, 0, 2, 3)[1]
         assert b[0] == pytest.approx(-1)  # chi(2) = -1
-        b = fam.local_coefficients(0, 7, 3).b
+        b = member_b(fam, 0, 7, 3)[1]
         assert b[0] == pytest.approx(1)  # 7 = 1 mod 3
 
     def test_orthogonality_average_at_2(self):
@@ -90,7 +102,7 @@ class TestDirichletFamily:
 
     def test_bad_prime(self):
         fam = dirichlet_family(7)
-        assert fam.bad_prime(0, 7)
+        assert not member_b(fam, 0, 7, 2)[0]
         assert fam.prime_moments(7, 2).good_weight == 0
 
     def test_moments_match_member_loop(self):
@@ -129,14 +141,14 @@ class TestQuadraticFamily:
     def test_chi5_at_2(self):
         assert kronecker_symbol(5, 2) == -1
         fam = quadratic_family((5, 6))
-        assert fam.local_coefficients(5, 2, 2).b[0] == pytest.approx(-1)
+        assert member_b(fam, 5, 2, 2)[1][0] == pytest.approx(-1)
 
     def test_square_coefficient_is_one(self):
         fam = quadratic_family((1000, 1200))
         for d in list(fam.iter_members())[:10]:
             for p in (3, 7, 11):
                 if d % p:
-                    assert fam.local_coefficients(d, p, 2).b[1] == 1.0
+                    assert member_b(fam, d, p, 2)[1][1] == 1.0
 
     def test_moments_match_member_loop(self):
         assert_moments_match_loop(quadratic_family((100, 300)), [2, 3, 5, 13], 4)
@@ -186,22 +198,22 @@ class TestEllipticFamily:
     def test_trace_example(self):
         fam = elliptic_family(EllipticFamilySpec((1,), (1,), 0, 1))
         # constant family: the t = 0 member is y^2 = x^3 + x + 1
-        assert fam.hecke_eigenvalue(0, 5) == pytest.approx(-3 / math.sqrt(5))
+        assert member_trace(fam, 0, 5) == pytest.approx(-3 / math.sqrt(5))
 
     def test_b_values(self):
         fam = elliptic_family(EC1)
         t = fam.members_list[0]
         p = 13
         a = trace_of_frobenius(EC1.A(t), EC1.B(t), p)
-        lc = fam.local_coefficients(t, p, 4)
-        assert lc.b[0] == pytest.approx(a / math.sqrt(p))
-        assert lc.b[1] == pytest.approx(a * a / p - 2)
+        b = member_b(fam, t, p, 4)[1]
+        assert b[0] == pytest.approx(a / math.sqrt(p))
+        assert b[1] == pytest.approx(a * a / p - 2)
 
     def test_hasse(self):
         fam = elliptic_family(EC1)
         for p in (5, 11, 29):
             for t in fam.members_list[:8]:
-                assert abs(fam.hecke_eigenvalue(t, p)) <= 2.0
+                assert abs(member_trace(fam, t, p)) <= 2.0
 
     def test_singular_fibers_skipped(self):
         # Delta(t) = -16 t^2 (4t + 27) vanishes at t = 0
@@ -213,11 +225,31 @@ class TestEllipticFamily:
     def test_bad_primes(self):
         fam = elliptic_family(EC1)
         t = fam.members_list[0]
-        assert fam.bad_prime(t, 2) and fam.bad_prime(t, 3)
+        assert not member_b(fam, t, 2, 2)[0] and not member_b(fam, t, 3, 2)[0]
         delta = EC1.discriminant(t)
         bad = [p for p in (5, 7, 11, 13) if delta % p == 0]
         for p in bad:
-            assert fam.bad_prime(t, p)
+            assert not member_b(fam, t, p, 2)[0]
+
+    @pytest.mark.parametrize("t_min", [50, 2**64 + 50], ids=["small", "beyond-int64"])
+    def test_member_matrix_equals_the_character_sum_oracle(self, t_min):
+        # the member matrix reads the residue table of the fast rows, so it
+        # is checked against the O(p) character sum of each curve
+        spec = EllipticFamilySpec((0, 1), (1,), t_min, t_min + 30)
+        fam = elliptic_family(spec)
+        members = fam.members_list
+        bad_seen = False
+        for p in sieve_primes(60).primes.tolist():
+            good, b = fam._member_b(members, p, 5)
+            for k, t in enumerate(members):
+                if p < 5 or spec.discriminant(t) % p == 0:
+                    bad_seen |= p >= 5
+                    assert not good[k] and not b[:, k].any(), (t, p)
+                    continue
+                a = trace_of_frobenius(spec.A(t), spec.B(t), p)
+                want = hecke_b_array(a / math.sqrt(p), 5)
+                assert good[k] and b[:, k].tobytes() == want.tobytes(), (t, p)
+        assert bad_seen
 
     def test_moments_match_member_loop(self):
         fam = elliptic_family(EllipticFamilySpec((0, 1), (1,), 50, 80))
@@ -306,10 +338,10 @@ class TestDeltaFamily:
 
     def test_normalized_second_coefficient(self):
         fam = cusp_form_delta()
-        assert fam.hecke_eigenvalue("delta", 2) == pytest.approx(
+        assert member_trace(fam, "delta", 2) == pytest.approx(
             -24 / 2**5.5, abs=1e-10
         )
-        assert fam.hecke_eigenvalue("delta", 2) == pytest.approx(-0.5303, abs=1e-4)
+        assert member_trace(fam, "delta", 2) == pytest.approx(-0.5303, abs=1e-4)
 
     def test_deligne_bound(self):
         tau = cusp_form_delta().tau_through(100)
@@ -319,10 +351,10 @@ class TestDeltaFamily:
     def test_tau_grows_when_a_read_passes_its_end(self):
         fam = cusp_form_delta()
         assert fam.tau == []
-        assert fam.hecke_eigenvalue("delta", 7) == pytest.approx(-16744 / 7**5.5)
+        assert member_trace(fam, "delta", 7) == pytest.approx(-16744 / 7**5.5)
         assert len(fam.tau) == 7
         # at least doubled, and exact at the new end
-        assert fam.hecke_eigenvalue("delta", 11) == pytest.approx(534612 / 11**5.5)
+        assert member_trace(fam, "delta", 11) == pytest.approx(534612 / 11**5.5)
         assert len(fam.tau) == 14
         assert fam.tau == ramanujan_tau_table(14)
 
@@ -357,7 +389,7 @@ class TestSymLift:
         # t = 0 member of x^3 + Tx + 1 has a_0(5) = 0, so B(5) = -1
         base = elliptic_family(EllipticFamilySpec((0, 1), (1,), 0, 5))
         lifted = sym_lift(base, 2)
-        assert lifted.local_coefficients(0, 5, 3).b[0] == pytest.approx(-1.0)
+        assert member_b(lifted, 0, 5, 3)[1][0] == pytest.approx(-1.0)
 
     def test_moments_match_member_loop(self):
         base = elliptic_family(EllipticFamilySpec((0, 1), (1,), 30, 60))
@@ -457,11 +489,9 @@ class TestConvolution:
         f, g = elliptic_family(EC1), elliptic_family(EC2)
         conv = convolve(f, g)
         t, s = f.members_list[0], g.members_list[1]
-        bf = f.local_coefficients(t, 7, 3).b
-        bg = g.local_coefficients(s, 7, 3).b
-        assert conv.local_coefficients((t, s), 7, 3).b == pytest.approx(
-            (bf * bg).tolist()
-        )
+        bf = member_b(f, t, 7, 3)[1]
+        bg = member_b(g, s, 7, 3)[1]
+        assert member_b(conv, (t, s), 7, 3)[1].tobytes() == (bf * bg).tobytes()
 
     def test_moments_product_identity(self):
         f, g = elliptic_family(EC1), elliptic_family(EC2)
@@ -477,9 +507,12 @@ class TestConvolution:
         conv = convolve(f, elliptic_family(EllipticFamilySpec((0, 1), (1,), 10, 25)))
         assert_moments_match_loop(conv, [5, 7], 3)
 
-    def test_self_convolution_reads_one_table_per_prime(self, monkeypatch):
-        # excluded pairs read their traces from the O(p) character sum, so
-        # the only residue table at a prime is the shared factor's own
+    def test_residue_tables_per_prime_do_not_grow_with_excluded_pairs(
+        self, monkeypatch
+    ):
+        # the excluded pairs at a prime are one member matrix, whatever
+        # their number, so a prime builds as many residue tables for 30
+        # pairs as for 60
         calls = []
         table = families.ap_residue_table
 
@@ -488,12 +521,40 @@ class TestConvolution:
             return table(spec, p)
 
         monkeypatch.setattr(families, "ap_residue_table", counted)
-        f = elliptic_family(EllipticFamilySpec((0, 1), (1,), 10, 40))
+        per_prime = []
+        for n in (30, 60):
+            f = elliptic_family(EllipticFamilySpec((0, 1), (1,), 10, 10 + n))
+            conv = convolve(f, f)
+            assert len(conv.excluded) == n
+            calls.clear()
+            for p in (5, 7, 11):
+                conv.prime_moments(p, 2)
+            per_prime.append(collections.Counter(calls))
+        assert per_prime[0] == per_prime[1]
+        assert sorted(per_prime[0]) == [5, 7, 11]
+
+    @pytest.mark.parametrize("m", [7, 11, 13])
+    def test_self_convolution_rows_subtract_excluded_pairs_in_order(self, m):
+        # the product of the factor's rows, less each good excluded pair's
+        # b_f * b_g, one pair at a time in the order of conv.excluded
+        f = dirichlet_family(m)
         conv = convolve(f, f)
-        assert len(conv.excluded) == 30
-        for p in (5, 7, 11):
-            conv.prime_moments(p, 2)
-        assert calls == [5, 7, 11]
+        assert len(conv.excluded) == m - 2
+        primes = sieve_primes(200).primes
+        good, total, sums = conv._rows(primes, 5)
+        table = f.moment_table(200, 5)
+        for i, p in enumerate(primes.tolist()):
+            row = table.sums[i] * table.sums[i]
+            weight = table.good[i] * table.good[i]
+            for a, c in conv.excluded:
+                ok_a, b_a = member_b(f, a, p, 5)
+                ok_c, b_c = member_b(f, c, p, 5)
+                if ok_a and ok_c:
+                    row = row - b_a * b_c
+                    weight -= 1
+            assert np.array_equal(sums[i], row), p
+            assert good[i] == weight
+            assert total[i] == (m - 2) ** 2 - (m - 2)
 
     def test_identity_policy_for_character_families(self):
         # chi_j chi_k is trivial when j + k = 0 mod 10: member k (index k + 1)
@@ -544,9 +605,9 @@ class TestTwists:
     def test_delta_twist_square_coefficient(self):
         tw = cusp_form_delta()
         for p in (2, 3, 5):
-            lc = tw.local_coefficients("delta", p, 2)
-            a = tw.hecke_eigenvalue("delta", p)
-            assert lc.b[1] == pytest.approx(a * a - 2)
+            b = member_b(tw, "delta", p, 2)[1]
+            a = member_trace(tw, "delta", p)
+            assert b[1] == pytest.approx(a * a - 2)
 
     def test_twisted_log_conductor(self):
         base = elliptic_family(EC1)
@@ -650,7 +711,7 @@ def character_pairs():
     prime exactly when they are equal."""
     primes = sieve_primes(300).primes.tolist()
     rows = [
-        (fam, f, np.array([fam.local_coefficients(f, p, 1).b[0] for p in primes]))
+        (fam, f, np.array([member_b(fam, f, p, 1)[1][0] for p in primes]))
         for fam, f in CHARACTER_MEMBERS
     ]
     return [(a, b) for a in rows for b in rows]
@@ -776,15 +837,14 @@ class TestMomentTable:
         }[kind]
         fam = build()
         members = list(fam.iter_members())
-        bad = [
-            (m, p)
-            for m in members[:: max(1, len(members) // 40)]
-            for p in sieve_primes(100).primes.tolist()
-            if fam.bad_prime(m, p)
-        ]
+        sample = members[:: max(1, len(members) // 40)]
+        bad = 0
+        for p in sieve_primes(100).primes.tolist():
+            good, b = fam._member_b(sample, p, 4)
+            assert good.dtype == bool and b.shape == (4, len(sample))
+            bad += np.count_nonzero(~good)
+            assert not b[:, ~good].any(), p
         assert bad or kind == "delta"
-        for m, p in bad:
-            assert not fam.local_coefficients(m, p, 4).b.any(), (m, p)
 
     def test_rows_are_prime_moments(self):
         fam = quadratic_family((100, 300))
@@ -1072,12 +1132,15 @@ class TestDirichletOnDemand:
     def test_members_match_characters_mod(self, m):
         chars = characters_mod(m)
         fam = dirichlet_family(m)
-        assert list(fam.iter_members()) == list(range(m - 2))
-        for k in fam.iter_members():
-            chi = chars[k + 1]
-            for p in (2, 3, 5, m, 29, 53):
-                b = fam.local_coefficients(k, p, 4).b
-                assert b.tolist() == [chi.power_value(p, nu) for nu in range(1, 5)]
+        members = list(fam.iter_members())
+        assert members == list(range(m - 2))
+        for p in (2, 3, 5, m, 29, 53):
+            good, b = fam._member_b(members, p, 4)
+            assert good.tolist() == [p != m] * len(members)
+            for k in members:
+                # bit for bit: a complex-division phase moves the last bit
+                want = np.array([chars[k + 1].power_value(p, nu) for nu in range(1, 5)])
+                assert b[:, k].tobytes() == want.tobytes(), (k, p)
 
     def test_character_twist_matches_characters_mod(self):
         char = character_twist(2003, 5).char
