@@ -12,24 +12,24 @@ Both statistics, ``ec-scan`` and the elliptic families read the Frobenius
 traces a_t(p) of every residue t mod p from one table, ``ap_residue_table``;
 the statistics and ``ec-scan`` read them through one pass,
 ``residue_moments``, which keeps the exact sums sum_t a_t(p) and
-sum_t a_t(p)^2 of one table per prime.  The table is built on one of two
-paths chosen by the degrees of A(T) and B(T):
+sum_t a_t(p)^2 of one table per prime.  The table takes one of two paths,
+each O(p log p):
 
-* degree <= 1 in both: f(t, x) = F0(x) + t F1(x) with F0 = x^3 + a0 x + b0
-  and F1 = a1 x + b1, so
-  a_t(p) = -sum_{F1(x)=0} chi(F0(x)) - sum_u h[u] chi(t + u), where
-  h[u] = sum_{F1(x)!=0, F0(x)/F1(x)=u} chi(F1(x)).  When a1 != 0 mod p,
-  F1 has one root and walks the units as g^k, k = 0..p-2, for the
-  primitive root g; then 1/F1 = g^-k and chi(F1) = (-1)^k are read by
-  position in one table of the powers g^k, in O(p).  When a1 = 0 mod p,
-  F1 = b1 is constant, and it vanishes identically when b1 = 0 mod p too.
-  The second sum is a cyclic correlation of two length-p sequences, taken
-  by real FFT in O(p log p).  The float result is rounded to int64 and
-  rejected (ValueError) when some entry lies more than 0.25 from an
-  integer or breaks the Hasse bound a^2 <= 4p;
-* otherwise the whole (t, x) character-sum grid, O(p^2) per prime, in the
-  width ``arith.residue_dtype(p)`` against the int8 Legendre table.  The
-  grid is also the exact oracle the correlation path is tested against.
+* A = a0 + a1 T with a1 != 0 mod p and B = b0 + b1 T: with
+  F0 = x^3 + a0 x + b0 and F1 = a1 x + b1 vanishing at x = root,
+  a_t(p) = -chi(F0(root)) - sum_u h[u] chi(t + u), where
+  h[u] = sum_{F1(x)!=0, F0(x)/F1(x)=u} chi(F1(x)).  F1 walks the units as
+  g^k for the primitive root g, so 1/F1 = g^-k and chi(F1) = (-1)^k are
+  read by position in one table of the powers g^k.  The second sum is a
+  cyclic correlation by real FFT, rounded to int64 and rejected (ValueError)
+  when an entry lies more than 0.25 from an integer or breaks a^2 <= 4p;
+* every other family reads that correlation at A = B = T,
+  U[s] = a_p(x^3 + s x + s): where A B != 0 mod p, E(A, B) is the
+  quadratic twist of E(s, s) by u = B / A with s = A^3 / B^2, so
+  a_t(p) = chi(A) chi(B) U[s].  Twisting by g takes (A, B) to
+  (g^2 A, g^3 B) and a to -a, so a(g^k, 0) = (-1)^(k // 2) a(g^(k mod 2), 0)
+  and a(0, g^k) = (-1)^(k // 3) a(0, g^(k mod 3)), at most five direct
+  O(p) sums; a = 0 at A = B = 0 mod p.
 
 Every array residue is taken with ``arith._reduce_mod``, and every array that
 indexes a table is intp.
@@ -71,6 +71,7 @@ from .arith import (
     _product_tree,
     _reduce_mod,
     factorize,
+    is_prime,
     legendre_table,
     primitive_root_powers,
     residue_dtype,
@@ -270,14 +271,22 @@ def _cubic_mod(x: np.ndarray, a0: int, b0: int, p: int) -> np.ndarray:
     return _reduce_mod(_reduce_mod(x * x, p) * x + a0 % p * x + b0 % p, p)
 
 
+def _require_prime(p: int) -> None:
+    """ValueError unless p is a prime >= 5, as every character sum needs."""
+    if p < 5 or not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime >= 5")
+
+
 def trace_of_frobenius(A: int, B: int, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) via the quadratic character sum, p >= 5.
+    """a_p = p + 1 - #E(F_p) via the quadratic character sum.
 
     a_p = -sum_{x mod p} legendre(x^3 + A x + B); valid (by the standard
     minimal-model analysis) also at multiplicative/additive fibers.
+
+    Raises:
+        ValueError: If p is not a prime >= 5.
     """
-    if p < 5:
-        raise ValueError("character-sum trace requires p >= 5")
+    _require_prime(p)
     chi = legendre_table(p)
     f = _cubic_mod(np.arange(p, dtype=residue_dtype(p)), A, B, p)
     return -int(chi[f.astype(np.intp)].sum(dtype=np.int64))
@@ -298,53 +307,38 @@ def ap_residue_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     """a_t(p) for t = 0..p-1 (t read mod p), as an exact int64 array.
 
     The table drives family sums, Nagao sums and second moments, since a_t(p)
-    only depends on t mod p.  When A and B have degree <= 1 in T it is a
-    cyclic correlation taken by FFT in O(p log p), with the unit inverses
-    and Legendre symbols it needs read from one primitive-root power table,
-    rounded to integers and checked for integrality and the Hasse bound;
-    otherwise the (t, x) character-sum grid is summed in chunks, O(p^2).
-    See the module docstring for the identity.
+    only depends on t mod p.  A = a0 + a1 T with a1 != 0 mod p and B of
+    degree <= 1 take their own FFT correlation, rounded to integers and
+    checked; every other family reads it at A = B = T through the quadratic
+    twist.  Both paths are O(p log p) (see the module docstring).
 
     Raises:
-        ValueError: If p < 5, or if the correlation path yields an entry
-            more than 0.25 from an integer or beyond the Hasse bound.
+        ValueError: If p is not a prime >= 5, or if the correlation yields
+            an entry more than 0.25 from an integer or beyond the Hasse bound.
     """
-    if p < 5:
-        raise ValueError("residue tables require p >= 5")
-    if len(spec.a_coeffs) > 2 or len(spec.b_coeffs) > 2:
-        return _ap_grid_table(spec, p)
-    return _ap_correlation_table(spec, p)
+    _require_prime(p)
+    a, b = spec.a_coeffs, spec.b_coeffs
+    if len(a) == 2 and len(b) <= 2 and a[1] % p:
+        return _ap_correlation_table(a[0], a[1], *(tuple(b) + (0, 0))[:2], p)
+    return _ap_twist_table(spec, p)
 
 
-def _ap_correlation_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
-    """a_t(p) = -sum_{F1=0} chi(F0) - sum_u h[u] chi(t + u), by real FFT,
-    where x^3 + A(t) x + B(t) = F0(x) + t F1(x) (degree <= 1 in T)."""
-    a0, a1 = (tuple(spec.a_coeffs) + (0, 0))[:2]
-    b0, b1 = (tuple(spec.b_coeffs) + (0, 0))[:2]
+def _ap_correlation_table(a0: int, a1: int, b0: int, b1: int, p: int) -> np.ndarray:
+    """a_t(p) of x^3 + (a0 + a1 t) x + b0 + b1 t = F0(x) + t F1(x), a1 != 0
+    mod p, as -chi(F0(root)) - sum_u h[u] chi(t + u) by real FFT."""
     pw = primitive_root_powers(p)
     chi = np.zeros(p, dtype=np.int64)
     chi[pw[0::2]] = 1
     chi[pw[1::2]] = -1
-    if a1 % p:
-        # F1 vanishes at x = root alone and equals g^k at x = root + g^k / a1;
-        # k runs over 1..p - 1, so that g^-k = pw[p - 1 - k] is pw reversed,
-        # and chi(F1(x)) = (-1)^k
-        inv_a1 = pow(a1, -1, p)
-        root = -b1 * inv_a1 % p
-        fixed = int(chi[(root**3 + a0 * root + b0) % p])
-        x = _reduce_mod(pw * (int(pw[1]) * inv_a1 % p) + root, p)
-        u = _reduce_mod(_cubic_mod(x, a0, b0, p) * pw[::-1], p)
-        h = np.bincount(u[1::2], minlength=p) - np.bincount(u[0::2], minlength=p)
-    else:
-        # F1 = b1 at every x: no root unless it vanishes identically
-        f0 = _cubic_mod(np.arange(p, dtype=np.intp), a0, b0, p)
-        if b1 % p:
-            fixed = 0
-            u = _reduce_mod(f0 * pow(b1, -1, p), p)
-            h = int(chi[b1 % p]) * np.bincount(u, minlength=p)
-        else:
-            fixed = int(chi[f0].sum())
-            h = np.zeros(p, dtype=np.int64)
+    # F1 vanishes at x = root alone and equals g^k at x = root + g^k / a1;
+    # k runs over 1..p - 1, so that g^-k = pw[p - 1 - k] is pw reversed,
+    # and chi(F1(x)) = (-1)^k
+    inv_a1 = pow(a1, -1, p)
+    root = -b1 * inv_a1 % p
+    fixed = int(chi[(root**3 + a0 * root + b0) % p])
+    x = _reduce_mod(pw * (int(pw[1]) * inv_a1 % p) + root, p)
+    u = _reduce_mod(_cubic_mod(x, a0, b0, p) * pw[::-1], p)
+    h = np.bincount(u[1::2], minlength=p) - np.bincount(u[0::2], minlength=p)
     # sum_u h[u] chi(t + u) as a linear correlation at lags t and t - p,
     # zero-padded to a power of two: numpy's FFT is slow at prime lengths
     n = 1 << (2 * p - 1).bit_length()
@@ -360,25 +354,32 @@ def _ap_correlation_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
     return a
 
 
-def _ap_grid_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
-    """a_t(p) for every t mod p from the whole (t, x) grid, in chunks."""
-    chi = legendre_table(p)
-    x = np.arange(p, dtype=residue_dtype(p))
-    cubes = _reduce_mod(_reduce_mod(x * x, p) * x, p)
-    Av = _eval_poly_mod(spec.a_coeffs, x, p)
-    Bv = _eval_poly_mod(spec.b_coeffs, x, p)
-    out = np.empty(p, dtype=np.int64)
-    # about 2^16 cells per chunk: at 2^22 and more the grid ran twice as
-    # slow at p = 2000, each chunk's temporaries paying for fresh pages
-    chunk = max(1, 2**16 // p)
-    for lo in range(0, p, chunk):
-        hi = min(p, lo + chunk)
-        f = Av[lo:hi, None] * x
-        f += cubes
-        f += Bv[lo:hi, None]
-        f = _reduce_mod(f, p).astype(np.intp)
-        out[lo:hi] = -chi[f].sum(axis=1, dtype=np.int64)
-    return out
+def _ap_twist_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
+    """a_t(p) for every t mod p from U[s] = a_p(x^3 + s x + s) by the twist
+    and class rules of the module docstring."""
+    pw = primitive_root_powers(p)
+    dlog = np.zeros(p, dtype=np.intp)
+    dlog[pw] = np.arange(p - 1)
+    r = np.arange(p, dtype=residue_dtype(p))
+    A = _eval_poly_mod(spec.a_coeffs, r, p).astype(np.intp)
+    B = _eval_poly_mod(spec.b_coeffs, r, p).astype(np.intp)
+    kA, kB = dlog[A], dlog[B]
+    # U at g^k, k < 5 (p - 1): s = g^(3 kA - 2 kB) needs no reduction mod p - 1
+    u = _ap_correlation_table(0, 1, 0, 1, p)[np.tile(pw, 5)]
+    a = u[3 * kA - 2 * kB + 2 * (p - 1)] * (1 - 2 * ((kA + kB) % 2))
+    a[(A | B) == 0] = 0
+    # (g^k, 0) and (0, g^k) from the classes k mod 2 and k mod 3 that occur
+    for rows, k, n, (ea, eb) in (
+        ((A != 0) & (B == 0), kA, 2, (1, 0)),
+        ((A == 0) & (B != 0), kB, 3, (0, 1)),
+    ):
+        k = k[rows]
+        traces = np.zeros(n, dtype=np.int64)
+        for c in np.unique(k % n):
+            x = int(pw[c])
+            traces[c] = trace_of_frobenius(ea * x, eb * x, p)
+        a[rows] = traces[k % n] * (1 - 2 * (k // n % 2))
+    return a
 
 
 def residue_moments(
@@ -390,7 +391,7 @@ def residue_moments(
     ``ap_residue_table`` per prime, only one of them alive at a time.
 
     Raises:
-        ValueError: If a prime is below 5, or a table fails its checks.
+        ValueError: If some p is not a prime >= 5, or a table fails its checks.
     """
     first = np.zeros(len(primes), dtype=np.int64)
     second = np.zeros(len(primes), dtype=np.int64)
@@ -427,10 +428,8 @@ def michel_moment(spec: EllipticFamilySpec, p: int) -> int:
     For non-constant j this is p^2 + O(p^{3/2}).
 
     Raises:
-        ValueError: If p < 5 or the family has constant j-invariant.
+        ValueError: If p is not a prime >= 5 or j is constant.
     """
-    if p < 5:
-        raise ValueError("second moment requires p >= 5")
     if spec.j_is_constant():
         raise ValueError("second-moment asymptotics require non-constant j")
     return int(residue_moments(spec, [p])[1][0])

@@ -585,7 +585,8 @@ GOLDEN = ROOT / "tests" / "golden"
 # character 7 1 and kronecker -4, a sym^2 lift and a degree-2 family
 GOLDEN_WORKLOADS = ("ec_pair", "characters", "ec_wide_box")
 GOLDEN_INIS = (
-    "hecke_p300", "forms_p300", "twists_p300", "ec_blocks_p200", "ec_big_p200"
+    "hecke_p300", "forms_p300", "twists_p300", "ec_blocks_p200", "ec_big_p200",
+    "ec_twist_p300",
 )
 # the columns that constants and density both print
 SHARED_COLUMNS = ("family_id", "sigma", "P", "c_est", "c_class", "r_est", "eps")
@@ -661,6 +662,17 @@ def test_twists_output_matches_golden_csv(command, capsys):
     assert main([command, "--config", config]) == 0
     expected = (GOLDEN / f"twists_p300_{command}.csv").read_text()
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["constants", "density"])
+def test_ec_twist_output_matches_golden_csv(command, capsys):
+    # families whose residue tables are read through the quadratic twist:
+    # degree 2 with rank 2, B = 0 (j = 1728), A = 0 (j = 0), and a convolution
+    config = str(GOLDEN / "ec_twist_p300.ini")
+    expected = (GOLDEN / f"ec_twist_p300_{command}.csv").read_text()
+    for threads in ("1", "2"):
+        assert main([command, "--config", config, "--threads", threads]) == 0
+        assert capsys.readouterr().out == expected, threads
 
 
 def test_delta_tau_reaches_the_support_edge(tmp_path, capsys, monkeypatch):
@@ -871,10 +883,15 @@ class TestOtherSubcommands:
         assert float(last[2]) > 0.5
 
     def test_ec_scan_matches_golden_csv(self, capsys):
-        # the correlation path (B = 1) and the grid path (B = T^2 + 1)
-        for golden, b_poly in (("ec_scan_p200", "1"), ("ec_scan_quad_p200", "1 0 1")):
-            argv = ["ec-scan", "--a-poly", "0 1", "--b-poly", b_poly, "--primes", "200"]
-            assert main(argv) == 0
+        # the correlation path (B = 1), and the twist path (B = T^2 + 1, and
+        # the rank-2 family x^3 - T^2 x + T^2 at P = 2000)
+        for golden, a_poly, b_poly, primes in (
+            ("ec_scan_p200", "0 1", "1", "200"),
+            ("ec_scan_quad_p200", "0 1", "1 0 1", "200"),
+            ("ec_scan_r2_p2000", "0 0 -1", "0 0 1", "2000"),
+        ):
+            argv = ["ec-scan", "--a-poly", a_poly, "--b-poly", b_poly]
+            assert main(argv + ["--primes", primes]) == 0
             expected = (GOLDEN / f"{golden}.csv").read_text()
             assert capsys.readouterr().out == expected, golden
 

@@ -200,9 +200,10 @@ class TestPointCounting:
                 assert table[r] == trace_of_frobenius(r, 1, p)
 
 
-# linear specs for the correlation path: the two of the paper's example,
-# a1 = 0 with b1 != 0, a constant curve, b1 = 0, negative coefficients, and
-# coefficients that all vanish mod 5, 7 and 11 (1155 = 3 5 7 11)
+# linear specs: the two of the paper's example, a1 = 0 with b1 != 0, a
+# constant curve, b1 = 0, negative coefficients, and coefficients that all
+# vanish mod 5, 7 and 11 (1155 = 3 5 7 11); those with a1 = 0 mod p take the
+# twist path
 LINEAR_SPECS = [
     SPEC_T1(0, 1),
     SPEC_T2(0, 1),
@@ -212,21 +213,44 @@ LINEAR_SPECS = [
     EllipticFamilySpec((-3, -5), (-7, -2), 0, 1),
     EllipticFamilySpec((1155, 2310), (-3465, 1155), 0, 1),
 ]
+# the rank-2 family x^3 - T^2 x + T^2 (A = B = 0 at t = 0), j = 1728
+# (B = 0) and j = 0 (A = 0) families, and degrees 2 to 4
+SPEC_R2 = EllipticFamilySpec((0, 0, -1), (0, 0, 1), 0, 1)
+SPEC_J1728 = EllipticFamilySpec((1, 0, 1), (0,), 0, 1)
+SPEC_J0 = EllipticFamilySpec((0,), (1, 1, 1), 0, 1)
+TWIST_SPECS = [
+    SPEC_R2,
+    SPEC_J1728,
+    SPEC_J0,
+    SPEC_QUAD(0, 1),
+    EllipticFamilySpec((1, 2, 3), (4, 5, 6, 7), 0, 1),
+    EllipticFamilySpec((0, 0, 0, 0, 1), (1, 2, 0, 0, 1), 0, 1),
+]
 ORACLE_PRIMES = [int(q) for q in sieve_primes(600).primes if q >= 5] + [1999]
 
 
+def grid_table(spec, p):
+    """a_t(p) for every t mod p from the whole (t, x) character-sum grid,
+    O(p^2): the exact oracle of both table paths."""
+    chi = np.array(legendre(p))
+    x = np.arange(p, dtype=np.int64)
+    A = np.array([spec.A(t) % p for t in range(p)], dtype=np.int64)[:, None]
+    B = np.array([spec.B(t) % p for t in range(p)], dtype=np.int64)[:, None]
+    return -chi[(x**3 + A * x + B) % p].sum(axis=1)
+
+
 class TestCorrelationTable:
-    @pytest.mark.parametrize("spec", LINEAR_SPECS)
+    @pytest.mark.parametrize("spec", LINEAR_SPECS + TWIST_SPECS)
     def test_matches_grid(self, spec):
         for p in ORACLE_PRIMES:
             table = ap_residue_table(spec, p)
             assert table.dtype == np.int64
-            assert np.array_equal(table, ecgeom._ap_grid_table(spec, p)), p
+            assert np.array_equal(table, grid_table(spec, p)), p
 
     @pytest.mark.parametrize("p", [9967, 9973, 10007])
     def test_rows_match_trace_of_frobenius(self, p):
         rng = np.random.default_rng(p)
-        for spec in LINEAR_SPECS[:2]:
+        for spec in LINEAR_SPECS[:2] + [SPEC_R2, SPEC_J1728, SPEC_J0]:
             table = ap_residue_table(spec, p)
             for t in rng.integers(0, p, size=12):
                 t = int(t)
@@ -242,20 +266,42 @@ class TestCorrelationTable:
         with pytest.raises(ValueError, match="Hasse"):
             ap_residue_table(SPEC_T1(0, 1), 7)
 
-    def test_linear_spec_skips_grid(self, monkeypatch):
+    def test_one_correlation_per_table(self, monkeypatch):
+        # a linear spec with a1 != 0 mod p correlates its own coefficients;
+        # every other spec reads the correlation at A = B = T
         calls = []
-        grid = ecgeom._ap_grid_table
+        correlation = ecgeom._ap_correlation_table
 
-        def counted(spec, p):
-            calls.append(p)
-            return grid(spec, p)
+        def counted(*args):
+            calls.append(args)
+            return correlation(*args)
 
-        monkeypatch.setattr(ecgeom, "_ap_grid_table", counted)
-        for p in (5, 101, 1999):
-            ap_residue_table(SPEC_T1(0, 1), p)
-        assert calls == []
-        ap_residue_table(EllipticFamilySpec((0, 0, 1), (1,), 0, 1), 11)
-        assert calls == [11]
+        monkeypatch.setattr(ecgeom, "_ap_correlation_table", counted)
+        for spec in LINEAR_SPECS + TWIST_SPECS:
+            a0, a1 = (spec.a_coeffs + (0, 0))[:2]
+            b0, b1 = (spec.b_coeffs + (0, 0))[:2]
+            linear = len(spec.a_coeffs) == 2 and len(spec.b_coeffs) <= 2
+            for p in (5, 7, 11, 101):
+                calls.clear()
+                ap_residue_table(spec, p)
+                own = linear and a1 % p != 0
+                expected = (a0, a1, b0, b1, p) if own else (0, 1, 0, 1, p)
+                assert calls == [expected], (spec, p)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ap_residue_table(EllipticFamilySpec((0, 0, 1), (1,), 0, 1), 9),
+            lambda: ap_residue_table(SPEC_T1(0, 1), 9),
+            lambda: trace_of_frobenius(1, 1, 9),
+            lambda: michel_moment(SPEC_T1(0, 1), 15),
+            lambda: residue_moments(SPEC_T1(0, 1), [25]),
+        ],
+        ids=["degree-2-table", "linear-table", "trace", "michel", "moments"],
+    )
+    def test_composite_p_rejected(self, call):
+        with pytest.raises(ValueError, match=r"p = \d+ is not a prime >= 5"):
+            call()
 
 
 def linear_identity_sum(spec, p):
@@ -285,7 +331,7 @@ class TestResidueMoments:
                 ), (spec, p)
 
     def test_sums_match_table(self):
-        # a linear and a degree-2 family: the correlation and grid paths
+        # a linear and a degree-2 family: the correlation and twist paths
         for spec in (SPEC_T1(0, 1), SPEC_QUAD(0, 1)):
             first, second = residue_moments(spec, self.PRIMES)
             assert first.dtype == second.dtype == np.int64
