@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -102,8 +103,10 @@ def is_prime(n: int) -> bool:
     Below 2^64 it tests the seven bases 2, 325, 9375, 28178, 450775,
     9780504, 1795265022, skipping a base that n divides; from 2^64 on it
     tests the prime bases 2..41, which no composite below psi_13 passes.  At
-    or above psi_13 it is a strong probable-prime test.
+    or above psi_13 it is a strong probable-prime test.  n may be any
+    integer type (numpy integers too).
     """
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -59,6 +59,7 @@ and their counts are those of full factorizations.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -316,6 +317,7 @@ def ap_residue_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
         ValueError: If p is not a prime >= 5, or if the correlation yields
             an entry more than 0.25 from an integer or beyond the Hasse bound.
     """
+    p = operator.index(p)  # numpy integers too
     _require_prime(p)
     a, b = spec.a_coeffs, spec.b_coeffs
     if len(a) == 2 and len(b) <= 2 and a[1] % p:

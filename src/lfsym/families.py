@@ -123,16 +123,16 @@ class PrimeMoments:
 class MomentTable:
     """The family's rows at every prime up to a cutoff, as arrays.
 
-    Row i describes primes[i]: good[i] and total[i] are its good and total
-    weights, and sums[i, nu-1] its good-member sum of b(p^nu)
-    (complex128).  Every prime-side statistic is a masked contraction of
-    these rows against test-function weights.  The arrays are read-only.
+    Row i describes primes[i]: good[i] is its good weight, the number of
+    members unramified there, and sums[i, nu-1] its good-member sum of
+    b(p^nu) (complex128).  Every prime-side statistic is a masked
+    contraction of these rows against test-function weights.  The arrays
+    are read-only.
     """
 
     primes: np.ndarray
     log_p: np.ndarray
     good: np.ndarray
-    total: np.ndarray
     sums: np.ndarray
 
     def __post_init__(self):
@@ -145,7 +145,7 @@ class MomentTable:
         return MomentTable(*map(np.concatenate, pairs))
 
 
-_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
+_Rows = tuple[np.ndarray, np.ndarray]
 
 
 def _weighted_rows(primes: np.ndarray, nu_max: int, base, btab) -> _Rows:
@@ -160,7 +160,7 @@ def _weighted_rows(primes: np.ndarray, nu_max: int, base, btab) -> _Rows:
         # any nu_max
         sums[i] = np.einsum("ik,k->i", btab(values, nu_max), weights)
         good[i] = weights.sum()
-    return good, np.full(len(primes), base.size()), sums
+    return good, sums
 
 
 def _primes_between(lo: int, P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +221,7 @@ class Family:
         return tot / w
 
     def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
-        """(good, total, sums) at the primes, as in a ``MomentTable``: each
+        """(good, sums) at the primes, as in a ``MomentTable``: each
         prime's member matrix summed over the members.  This is the
         reference for every family's faster rows."""
         members = list(self.iter_members())
@@ -231,14 +231,14 @@ class Family:
             ok, b = self._member_b(members, p, nu_max)
             good[i] = np.count_nonzero(ok)
             sums[i] = b.sum(axis=1)
-        return good, np.full(len(primes), float(len(members))), sums
+        return good, sums
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
         """The row of the prime p; ValueError if p is not prime."""
-        if not is_prime(int(p)):  # numpy integers too
+        if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        good, total, sums = self._rows(np.array([p]), nu_max)
-        return PrimeMoments(p, float(good[0]), float(total[0]), sums[0])
+        good, sums = self._rows(np.array([p]), nu_max)
+        return PrimeMoments(p, float(good[0]), self.size(), sums[0])
 
     def moment_table(self, P: int, nu_max: int) -> MomentTable:
         """_Rows for every prime p <= P, with nu_max columns each.
@@ -253,7 +253,8 @@ class Family:
 
         Raises:
             ValueError: If nu_max < 1, or if a prime p <= P has more good
-                than total weight, or |sum b(p)| > degree * good.
+                weight than the family has members, or
+                |sum b(p)| > degree * good.
         """
         if nu_max < 1:
             raise ValueError(f"nu_max must be at least 1, got {nu_max}")
@@ -267,9 +268,7 @@ class Family:
                 kept = self._kept = (P, old.extended(rows))
         t = kept[1]
         n = int(np.searchsorted(t.primes, P, side="right"))
-        return MomentTable(
-            t.primes[:n], t.log_p[:n], t.good[:n], t.total[:n], t.sums[:n, :nu_max]
-        )
+        return MomentTable(t.primes[:n], t.log_p[:n], t.good[:n], t.sums[:n, :nu_max])
 
     def _table_lock(self) -> threading.Lock:
         with _LOCK_GUARD:
@@ -282,17 +281,18 @@ class Family:
 
     def _checked(self, t: MomentTable) -> MomentTable:
         """t, once its weights and sums pass the guards."""
-        over = np.flatnonzero(t.good > t.total)
+        size = self.size()
+        over = np.flatnonzero(t.good > size)
         if len(over):
             i = over[0]
             raise ValueError(
                 f"{self.family_id}: good weight {t.good[i]} exceeds total "
-                f"weight {t.total[i]} at p = {t.primes[i]}"
+                f"weight {size} at p = {t.primes[i]}"
             )
         # Ramanujan: |b(p)| <= degree for every good member; the slack covers
         # rounding in sums built from products of factor sums
         beyond = np.flatnonzero(
-            np.abs(t.sums[:, 0]) > self.degree * (t.good + 1e-9 * t.total)
+            np.abs(t.sums[:, 0]) > self.degree * (t.good + 1e-9 * size)
         )
         if len(beyond):
             i = beyond[0]
@@ -372,7 +372,7 @@ class DirichletFamily(Family):
         ).reshape(len(primes), nu_max)
         good = np.where(primes % m == 0, 0.0, m - 2.0)
         sums[good == 0] = 0  # every member is bad at p = m
-        return good, np.full(len(primes), m - 2.0), sums
+        return good, sums
 
 
 def dirichlet_family(m: int) -> DirichletFamily:
@@ -481,7 +481,7 @@ class QuadraticFamily(Family):
             good[i] = np.count_nonzero(chi)
             sums[i, 0::2] = chi.sum(dtype=np.int64)  # nu odd
             sums[i, 1::2] = good[i]  # nu even: chi^2 = 1 on good members
-        return good, np.full(len(primes), float(len(d))), sums
+        return good, sums
 
 
 def quadratic_family(d_range: tuple[int, int], stride: int = 1) -> QuadraticFamily:
@@ -657,32 +657,28 @@ def elliptic_family(spec: EllipticFamilySpec) -> EllipticFamily:
 
 
 def ramanujan_tau_table(n_max: int) -> list[int]:
-    """tau(1..n_max) as exact integers, from the 24th power of the
-    pentagonal-number series (Euler product of the eta function).
+    """tau(1..n_max) as exact integers, from Jacobi's identity
+    prod (1 - q^n)^3 = sum_k (-1)^k (2k + 1) q^(k(k+1)/2): Delta/q is that
+    series to the 8th power.
 
     Raises:
         ValueError: If n_max < 1.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    # (exponent, sign) of the pentagonal terms q^(k(3k-1)/2) below q^n_max;
-    # series holds the coefficients of q^0 .. q^(n_max - 1) of the product
-    pent = sorted(
-        (k * (3 * k - 1) // 2, -1 if k % 2 else 1)
-        for k in range(-math.isqrt(n_max) - 1, math.isqrt(n_max) + 2)
-        if k and k * (3 * k - 1) // 2 < n_max
-    )
-    series = [0] * n_max
-    series[0] = 1
-    for _ in range(24):
+    # (exponent, coefficient) of Jacobi's terms below q^n_max; series holds
+    # the coefficients of q^0 .. q^(n_max - 1) of the product
+    jacobi = [
+        (k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
+        for k in range(math.isqrt(2 * n_max) + 1)
+        if k * (k + 1) // 2 < n_max
+    ]
+    series = [1] + [0] * (n_max - 1)
+    for _ in range(8):
         nxt = [0] * n_max
-        for e, s in [(0, 1)] + pent:
-            if s == 1:
-                for i in range(n_max - e):
-                    nxt[i + e] += series[i]
-            else:
-                for i in range(n_max - e):
-                    nxt[i + e] -= series[i]
+        for e, c in jacobi:
+            # zip stops at the end of nxt: terms past q^(n_max - 1) drop
+            nxt[e:] = [x + c * y for x, y in zip(nxt[e:], series)]
         series = nxt
     return series  # series[n-1] = tau(n)
 
@@ -868,14 +864,13 @@ class ConvolutionFamily(Family):
         sums = lt.sums[i]  # indexing by an array copies: multiply in place
         sums *= rt.sums[i]
         good = lt.good[i] * rt.good[i]
-        total = lt.total[i] * rt.total[i] - len(self.excluded)
         for k, p in enumerate(primes.tolist() if self.excluded else ()):
             ok, b = self._member_b(self.excluded, p, nu_max)
             # the good pairs one at a time, in their order: a pairwise np.sum
             # would move the last bit
             sums[k] = np.subtract.accumulate(np.vstack([sums[k], b.T[ok]]))[-1]
             good[k] -= np.count_nonzero(ok)
-        return good, total, sums
+        return good, sums
 
 
 def convolve(f: Family, g: Family) -> Family:
@@ -911,7 +906,7 @@ class KroneckerTwist(QuadraticFamily):
         sums = (chi[:, None].astype(float) ** np.arange(1, nu_max + 1)).astype(
             np.complex128
         )
-        return (chi != 0).astype(float), np.ones(len(primes)), sums
+        return (chi != 0).astype(float), sums
 
 
 class CharacterTwist(DirichletFamily):

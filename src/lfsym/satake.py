@@ -4,8 +4,11 @@ The coefficient sequence b(p), b(p^2), ... of an Euler factor is the sequence
 of power sums of its Satake parameters; it is what the explicit formula
 consumes.  This module computes them for many members at once: the array
 forms take a vector of normalized traces and return a matrix with rows
-nu = 1..nu_max and one column per trace, from the degree-2 Hecke recursion
-(``hecke_b_array``) or its symmetric power lift (``sym_power_b_array``).  A
+nu = 1..nu_max and one column per trace.  Its one recursion is the degree-2
+Hecke recursion for b(p^n) = alpha^n + alpha^-n (``hecke_b_array``).  A
+symmetric power regroups it: the sym^M spectrum to the nu-th power is
+{alpha^(nu (M - 2j)) : j = 0..M}, so B(p^nu) = b(p^(M nu)) +
+b(p^((M - 2) nu)) + ..., plus 1 when M is even (``sym_power_b_array``).  A
 Rankin-Selberg product needs no routine of its own: its power sums factor,
 b_{fxg}(p^nu) = b_f(p^nu) * b_g(p^nu), so its matrix is the entrywise
 product of its factors' matrices.  ``SatakeSpectrum`` holds the parameters
@@ -20,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "SatakeSpectrum",
-    "hecke_a_values",
     "hecke_b_array",
     "sym_power_spectrum",
     "sym_power_b_array",
@@ -55,22 +57,6 @@ def spectrum_from_trace(p: int, a_p: float) -> SatakeSpectrum:
     disc = complex(a_p) ** 2 - 4
     alpha = (a_p + np.sqrt(complex(disc))) / 2
     return SatakeSpectrum(p=p, alphas=np.array([alpha, 1 / alpha]))
-
-
-def hecke_a_values(a_p, n_max: int) -> np.ndarray:
-    """Hecke eigenvalue sequence a(p^n), n = 0..n_max, from a(p) = a_p.
-
-    Uses a(p^{n+1}) = a_p * a(p^n) - a(p^{n-1}) with a(p^0) = 1; rows
-    n = 0..n_max, columns follow a_p (a scalar gives a 1-d sequence).
-    """
-    a_p = np.asarray(a_p, dtype=float)
-    a = np.empty((n_max + 1,) + a_p.shape)
-    a[0] = 1.0
-    if n_max >= 1:
-        a[1] = a_p
-    for n in range(1, n_max):
-        a[n + 1] = a_p * a[n] - a[n - 1]
-    return a
 
 
 def hecke_b_array(a_p: np.ndarray, nu_max: int) -> np.ndarray:
@@ -110,20 +96,15 @@ def sym_power_spectrum(spec: SatakeSpectrum, M: int) -> SatakeSpectrum:
 def sym_power_b_array(a_p: np.ndarray, M: int, nu_max: int) -> np.ndarray:
     """Power sums of the sym^M spectra of the traces a_p.
 
-    B(p) = a(p^M); B(p^2) is the alternating sum
-    a(p^{2M}) - a(p^{2M-2}) + ... + (-1)^M a(p^0).  For nu >= 3 the spectrum
-    {alpha^{M-2j}} raised to the nu-th power is the sym^M spectrum of the
-    pair with trace b(p^nu), so B(p^nu) is a(p^M) of that trace: the Hecke
-    recursion again, in exact real arithmetic.  Rows nu = 1..nu_max,
-    columns follow a_p.
+    B(p^nu) is the constant 1 when M is even plus b(p^(m nu)) for
+    m = M, M - 2, ... > 0, added in that order, from one ``hecke_b_array``
+    table through M nu_max.  Row nu reads only the table's rows m nu, so its
+    bits do not depend on nu_max.  Rows nu = 1..nu_max, columns follow a_p.
     """
     a_p = np.asarray(a_p, dtype=float)
-    a = hecke_a_values(a_p, 2 * M)
-    out = np.empty((nu_max,) + a_p.shape)
-    out[0] = a[M]
-    if nu_max >= 2:
-        signs = (-1.0) ** (M - np.arange(M + 1))
-        out[1] = np.tensordot(signs, a[0 : 2 * M + 1 : 2], axes=(0, 0))
-    if nu_max >= 3:
-        out[2:] = hecke_a_values(hecke_b_array(a_p, nu_max)[2:], M)[M]
+    b = hecke_b_array(a_p, M * nu_max)
+    nu = np.arange(1, nu_max + 1)
+    out = np.full((nu_max,) + a_p.shape, float(M % 2 == 0))
+    for m in range(M, 0, -2):
+        out += b[m * nu - 1]
     return out

@@ -81,7 +81,9 @@ def _first_moment(t: MomentTable, w1: np.ndarray, log_r: float) -> tuple[float, 
     return -2.0 * float(acc), float(np.sum((lp / (p * log_r)) * w))
 
 
-def _second_moment(t: MomentTable, w2: np.ndarray, log_r: float) -> tuple[float, float]:
+def _second_moment(
+    t: MomentTable, w2: np.ndarray, log_r: float, size: float
+) -> tuple[float, float]:
     """The calibrated symmetry-constant estimate and its bad mass.
 
     Both run over the primes with w2 != 0 where some member is good.  The
@@ -91,12 +93,12 @@ def _second_moment(t: MomentTable, w2: np.ndarray, log_r: float) -> tuple[float,
     p^{-1/2} times the bad fraction of the family.
     """
     live = (w2 != 0) & (t.good > 0)
-    p, lp, good, total = t.primes[live], t.log_p[live], t.good[live], t.total[live]
+    p, lp, good = t.primes[live], t.log_p[live], t.good[live]
     weight = (lp / (p * log_r)) * w2[live]
     num = float(np.sum(weight * (t.sums[live, 1].real / good)))
     den = float(np.sum(weight))
     c_estimate = num / den if den > 0 else float("nan")
-    return c_estimate, float(np.sum((total - good) / total / np.sqrt(p)))
+    return c_estimate, float(np.sum((size - good) / size / np.sqrt(p)))
 
 
 def pnt_prime_sum(Fhat: TestFunction, nu: int, R: float, P: int) -> float:
@@ -155,7 +157,7 @@ def _density_breakdown(
     breakdown.
     """
     on = hats[0] != 0
-    bad_mass = float(np.sum((t.total - t.good)[on] / np.sqrt(t.primes[on])))
+    bad_mass = float(np.sum((size - t.good[on]) / np.sqrt(t.primes[on])))
     # a prime leaves every harmonic from the first one whose weight vanishes
     # there on (the hats in the library decay monotonically in |u|)
     live = on & (t.good > 0)
@@ -271,7 +273,7 @@ def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
     if size == 0:
         raise ValueError(f"{f.family_id} has no members")
     t, hats = _weighted_table(f, phi, log_r, P, max(2, config.nu_max))
-    c_est, bad_mass = _second_moment(t, hats[1], log_r)
+    c_est, bad_mass = _second_moment(t, hats[1], log_r, size)
 
     # calibrated rank: divide the first-moment sum by twice its own weight
     # total, against which a rank-r family's main term is exactly r.

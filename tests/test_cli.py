@@ -586,7 +586,7 @@ GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_WORKLOADS = ("ec_pair", "characters", "ec_wide_box")
 GOLDEN_INIS = (
     "hecke_p300", "forms_p300", "twists_p300", "ec_blocks_p200", "ec_big_p200",
-    "ec_twist_p300",
+    "ec_twist_p300", "sym_lifts_p1000",
 )
 # the columns that constants and density both print
 SHARED_COLUMNS = ("family_id", "sigma", "P", "c_est", "c_class", "r_est", "eps")
@@ -670,6 +670,18 @@ def test_ec_twist_output_matches_golden_csv(command, capsys):
     # degree 2 with rank 2, B = 0 (j = 1728), A = 0 (j = 0), and a convolution
     config = str(GOLDEN / "ec_twist_p300.ini")
     expected = (GOLDEN / f"ec_twist_p300_{command}.csv").read_text()
+    for threads in ("1", "2"):
+        assert main([command, "--config", config, "--threads", threads]) == 0
+        assert capsys.readouterr().out == expected, threads
+
+
+@pytest.mark.parametrize("command", ["constants", "density"])
+def test_sym_lifts_output_matches_golden_csv(command, capsys):
+    # high symmetric powers, whose columns regroup Hecke power sums up to
+    # b(p^(M nu)): Delta's sym^4, sym^2 and sym^3 of an elliptic box and
+    # their convolution, and sym^5 of a degree-2 family
+    config = str(GOLDEN / "sym_lifts_p1000.ini")
+    expected = (GOLDEN / f"sym_lifts_p1000_{command}.csv").read_text()
     for threads in ("1", "2"):
         assert main([command, "--config", config, "--threads", threads]) == 0
         assert capsys.readouterr().out == expected, threads

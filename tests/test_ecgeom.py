@@ -256,6 +256,15 @@ class TestCorrelationTable:
                 t = int(t)
                 assert table[t] == trace_of_frobenius(spec.A(t), spec.B(t), p)
 
+    @pytest.mark.parametrize("p", [11, 1999])
+    def test_numpy_integer_prime(self, p):
+        # the linear path (x^3 + Tx + 1) and the twist path (x^3 - T^2 x + T^2)
+        # read a numpy integer as the Python int it holds
+        assert arith.is_prime(np.int64(p)) == arith.is_prime(p)
+        for spec in (SPEC_T1(0, 1), SPEC_R2):
+            want = ap_residue_table(spec, p)
+            assert np.array_equal(ap_residue_table(spec, np.int64(p)), want)
+
     def test_off_integer_result_rejected(self, monkeypatch):
         monkeypatch.setattr(np.fft, "irfft", lambda x, n: np.full(n, 0.2))
         with pytest.raises(ValueError, match="off integers"):

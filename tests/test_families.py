@@ -322,6 +322,24 @@ class TestEllipticFamily:
 KNOWN_TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 
 
+def pentagonal_tau_table(n_max):
+    """Independent oracle: tau(1..n_max) from the 24th power of Euler's
+    pentagonal series prod (1 - q^n) = sum_k (-1)^k q^(k(3k-1)/2)."""
+    pent = [
+        (k * (3 * k - 1) // 2, -1 if k % 2 else 1)
+        for k in range(-math.isqrt(n_max) - 1, math.isqrt(n_max) + 2)
+        if k * (3 * k - 1) // 2 < n_max
+    ]
+    series = [1] + [0] * (n_max - 1)
+    for _ in range(24):
+        nxt = [0] * n_max
+        for e, s in pent:
+            for i in range(n_max - e):
+                nxt[i + e] += s * series[i]
+        series = nxt
+    return series
+
+
 class TestDeltaFamily:
     def test_tau_values(self):
         assert ramanujan_tau_table(10) == KNOWN_TAU
@@ -335,6 +353,20 @@ class TestDeltaFamily:
         tau = ramanujan_tau_table(36)
         for m, n in [(2, 3), (2, 5), (3, 5), (4, 9), (5, 7)]:
             assert tau[m * n - 1] == tau[m - 1] * tau[n - 1]
+
+    def test_tau_ramanujan_congruence(self):
+        # tau(n) = sigma_11(n) mod 691
+        n_max = 2000
+        sigma = [0] * (n_max + 1)
+        for d in range(1, n_max + 1):
+            for m in range(d, n_max + 1, d):
+                sigma[m] += d**11
+        tau = ramanujan_tau_table(n_max)
+        assert all((tau[n - 1] - sigma[n]) % 691 == 0 for n in range(1, n_max + 1))
+
+    def test_tau_matches_pentagonal_product(self):
+        assert ramanujan_tau_table(1000) == pentagonal_tau_table(1000)
+        assert ramanujan_tau_table(1) == [1]
 
     def test_normalized_second_coefficient(self):
         fam = cusp_form_delta()
@@ -541,8 +573,9 @@ class TestConvolution:
         conv = convolve(f, f)
         assert len(conv.excluded) == m - 2
         primes = sieve_primes(200).primes
-        good, total, sums = conv._rows(primes, 5)
+        good, sums = conv._rows(primes, 5)
         table = f.moment_table(200, 5)
+        assert conv.size() == (m - 2) ** 2 - (m - 2)
         for i, p in enumerate(primes.tolist()):
             row = table.sums[i] * table.sums[i]
             weight = table.good[i] * table.good[i]
@@ -554,7 +587,6 @@ class TestConvolution:
                     weight -= 1
             assert np.array_equal(sums[i], row), p
             assert good[i] == weight
-            assert total[i] == (m - 2) ** 2 - (m - 2)
 
     def test_identity_policy_for_character_families(self):
         # chi_j chi_k is trivial when j + k = 0 mod 10: member k (index k + 1)
@@ -634,7 +666,7 @@ class TestTwists:
         assert twisted.excluded == conv.excluded == []
         assert list(twisted.iter_members()) == list(conv.iter_members())
         a, b = twisted.moment_table(59, 4), conv.moment_table(59, 4)
-        for field in ("primes", "good", "total", "sums"):
+        for field in ("primes", "good", "sums"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         assert twisted.average_log_conductor() == conv.average_log_conductor()
 
@@ -665,7 +697,7 @@ class TestTwists:
         h.moment_table(300, 6)
         for table in (h._build_table(0, 1000, 6), h.moment_table(1000, 6)):
             assert table.primes.tobytes() == primes.tobytes()
-            for a, b in zip((table.good, table.total, table.sums), legendre):
+            for a, b in zip((table.good, table.sums), legendre):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
@@ -822,7 +854,7 @@ class TestMomentTable:
         spec = EllipticFamilySpec((0, 1), (1,), 20, 60)
         one = build(elliptic_family(spec)).moment_table(50, 1)
         two = build(elliptic_family(spec)).moment_table(50, 2)
-        for field in ("primes", "log_p", "good", "total"):
+        for field in ("primes", "log_p", "good"):
             assert getattr(one, field).tobytes() == getattr(two, field).tobytes()
         assert one.sums.tobytes() == two.sums[:, :1].copy().tobytes()
 
@@ -854,7 +886,7 @@ class TestMomentTable:
         for i, p in enumerate(table.primes.tolist()):
             mom = fam.prime_moments(p, 3)
             assert table.good[i] == mom.good_weight
-            assert table.total[i] == mom.total_weight
+            assert mom.total_weight == fam.size()
             assert table.sums[i].tolist() == mom.sums.tolist()
 
     def test_cutoff_below_two_is_empty(self):
@@ -863,14 +895,14 @@ class TestMomentTable:
 
     def test_good_above_total_rejected(self, monkeypatch):
         fam = dirichlet_family(7)
-        monkeypatch.setattr(fam, "_rows", constant_rows(6, 5, 0))
+        monkeypatch.setattr(fam, "_rows", constant_rows(6, 0))
         with pytest.raises(ValueError, match="exceeds"):
             fam.moment_table(20, 2)
 
     def test_ramanujan_violation_rejected(self, monkeypatch):
         # a degree-1 family whose summed b(p) outgrows its good weight
         fam = dirichlet_family(7)
-        monkeypatch.setattr(fam, "_rows", constant_rows(5, 6, 5.5))
+        monkeypatch.setattr(fam, "_rows", constant_rows(5, 5.5))
         with pytest.raises(ValueError, match="degree"):
             fam.moment_table(20, 2)
 
@@ -886,14 +918,13 @@ class TestMomentTable:
             ROW_COUNT_FAMILIES[kind]().prime_moments(p, 2)
 
 
-def constant_rows(good, total, sums):
-    """A ``_rows`` with the same weights and sums at every prime."""
+def constant_rows(good, sums):
+    """A ``_rows`` with the same good weight and sums at every prime."""
 
     def rows(primes, nu_max):
         n = len(primes)
         return (
             np.full(n, float(good)),
-            np.full(n, float(total)),
             np.full((n, nu_max), sums, dtype=np.complex128),
         )
 
@@ -901,7 +932,7 @@ def constant_rows(good, total, sums):
 
 
 def assert_tables_equal(a, b):
-    for field in ("primes", "log_p", "good", "total", "sums"):
+    for field in ("primes", "log_p", "good", "sums"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype and x.shape == y.shape, field
         assert np.array_equal(x, y), field
@@ -960,7 +991,7 @@ class TestOneRowBuilder:
         for i, p in enumerate(table.primes):  # numpy integers
             mom = fam.prime_moments(p, 4)
             assert (mom.p, mom.good_weight, mom.total_weight) == (
-                p, table.good[i], table.total[i]
+                p, table.good[i], fam.size()
             )
             assert mom.sums.tobytes() == table.sums[i].tobytes(), p
 
@@ -974,7 +1005,7 @@ class TestOneRowBuilder:
         table = build().moment_table(199, 4)
         pick = np.arange(1, len(table.primes), 3)
         rows = build()._rows(table.primes[pick], 4)
-        for got, want in zip(rows, (table.good, table.total, table.sums)):
+        for got, want in zip(rows, (table.good, table.sums)):
             assert got.tobytes() == want[pick].tobytes()
 
     def test_only_the_base_defines_the_row_entry_points(self):
@@ -996,11 +1027,11 @@ class TestDerivedTables:
         # the pairs in another order, so the sums agree to rounding
         table = fam.moment_table(97, 6)
         primes = sieve_primes(97).primes
-        good, total, sums = families.Family._rows(fam, primes, 6)
+        good, sums = families.Family._rows(fam, primes, 6)
         assert np.array_equal(table.primes, primes)
         assert np.array_equal(table.log_p, np.log(primes.astype(float)))
         assert np.array_equal(table.good, good)
-        assert np.array_equal(table.total, total)
+        assert fam.size() == len(list(fam.iter_members()))
         assert np.allclose(table.sums, sums, rtol=1e-12, atol=1e-9)
 
     def test_factor_rows_computed_once(self, monkeypatch):

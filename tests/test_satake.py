@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from lfsym.satake import (
     SatakeSpectrum,
-    hecke_a_values,
     hecke_b_array,
     spectrum_from_trace,
     sym_power_b_array,
@@ -18,6 +17,15 @@ def brute_force_power_sums(alphas, nu_max):
     return np.array(
         [sum(a**nu for a in alphas) for nu in range(1, nu_max + 1)]
     )
+
+
+def hecke_eigenvalue(a_p, M):
+    """Independent oracle: a(p^M) = sin((M + 1) theta) / sin theta for
+    a_p = 2 cos theta, and its limit (M + 1) (+-1)^M at a_p = +-2."""
+    theta = np.arccos(a_p / 2)
+    if np.sin(theta) == 0:
+        return (M + 1) * np.sign(a_p) ** M
+    return np.sin((M + 1) * theta) / np.sin(theta)
 
 
 class TestHecke:
@@ -51,19 +59,6 @@ class TestHecke:
             oracle = spectrum_from_trace(3, float(av)).power_sums(8)
             assert table[:, j] == pytest.approx(np.asarray(oracle).real, abs=1e-9)
             assert hecke_b_array(float(av), 8).tolist() == table[:, j].tolist()
-
-    def test_a_values_recursion(self):
-        a = hecke_a_values(1.0, 4)
-        assert a[0] == 1 and a[1] == 1
-        assert a[2] == pytest.approx(1 * 1 - 1)  # = 0
-        assert a[3] == pytest.approx(1 * 0 - 1)
-
-    def test_a_values_columns_follow_traces(self):
-        traces = np.array([-1.2, 0.5, 1.9])
-        table = hecke_a_values(traces, 5)
-        assert table.shape == (6, 3)
-        for j, t in enumerate(traces):
-            assert table[:, j].tolist() == hecke_a_values(t, 5).tolist()
 
 
 class TestRankinProduct:
@@ -150,12 +145,13 @@ class TestSymPowerSpectrum:
 
     def test_first_power_sum_is_hecke_eigenvalue(self):
         # power sum at nu=1 of the sym^M spectrum equals a(p^M)
-        for a_p in (-1.9, -0.4, 0.9, 1.5):
-            a = hecke_a_values(a_p, 6)
+        for a_p in (-2.0, -1.9, -0.4, 0.0, 0.9, 1.5, 2.0):
             spec = spectrum_from_trace(11, a_p)
-            for M in range(1, 7):
+            for M in range(1, 9):
                 lifted = sym_power_spectrum(spec, M)
-                assert lifted.power_sums(2)[0] == pytest.approx(a[M])
+                assert lifted.power_sums(2)[0] == pytest.approx(
+                    hecke_eigenvalue(a_p, M), abs=1e-9
+                )
 
     def test_degree_check(self):
         with pytest.raises(ValueError):
@@ -187,15 +183,36 @@ class TestSymPowerB:
         assert sym_power_spectrum(spectrum_from_trace(3, 0.5), 4).degree == 5
         assert sym_power_b_array(2.0, 4, 3) == pytest.approx([5, 5, 5])
 
+    def test_first_row_is_hecke_eigenvalue(self):
+        # B(p) = a(p^M), against the sine formula rather than a recursion
+        a = np.array([-2.0, -1.7, -0.3, 0.0, 0.8, 1.95, 2.0])
+        for M in range(1, 9):
+            first = sym_power_b_array(a, M, 3)[0]
+            oracle = [hecke_eigenvalue(av, M) for av in a]
+            assert first == pytest.approx(oracle, abs=1e-9), M
+
+    def test_columns_follow_traces(self):
+        # a lone trace gives its column, and the first rows keep their bits
+        # for any nu_max (the kept-table slicing rule)
+        traces = np.array([-2.0, -1.2, 0.0, 0.5, 1.9, 2.0])
+        for M in (1, 2, 3, 4, 5):
+            table = sym_power_b_array(traces, M, 12)
+            assert table.shape == (12, 6)
+            assert table[:5].tobytes() == sym_power_b_array(traces, M, 5).tobytes()
+            for j, t in enumerate(traces):
+                assert table[:, j].tolist() == sym_power_b_array(t, M, 12).tolist()
+
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(11)
-        for _ in range(1000):
-            a_p = float(rng.uniform(-2, 2))
-            M = int(rng.integers(1, 7))
+        cases = [(a_p, M) for a_p in (-2.0, 0.0, 2.0) for M in range(1, 9)]
+        cases += [
+            (float(rng.uniform(-2, 2)), int(rng.integers(1, 9))) for _ in range(1000)
+        ]
+        for a_p, M in cases:
             lifted = sym_power_spectrum(spectrum_from_trace(3, a_p), M)
-            oracle = lifted.power_sums(6)
-            got = sym_power_b_array(a_p, M, 6)
-            assert np.max(np.abs(got - np.asarray(oracle).real)) < 1e-9
+            oracle = lifted.power_sums(12)
+            got = sym_power_b_array(a_p, M, 12)
+            assert np.max(np.abs(got - np.asarray(oracle).real)) < 1e-9, (a_p, M)
 
     def test_array_form_matches(self):
         a = np.array([-1.9, -0.3, 0.0, 1.1, 2.0])
