@@ -24,7 +24,6 @@ import json
 import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -345,8 +344,9 @@ def _reported_as_config_error(what: str):
 def run_families(config: ExperimentConfig) -> list[dict]:
     """One row per declared family with the columns of every command.
 
-    Each family's c, r and 1-level density come from one ``family_constant``
-    call; a convolution also gets the product of its factors' c estimates.
+    Every family's c, r and 1-level density come from one
+    ``family_constants`` call; a convolution also gets the product of its
+    factors' c estimates.
     """
     built = config.resolve()
     run = config.run
@@ -359,17 +359,12 @@ def run_families(config: ExperimentConfig) -> list[dict]:
         nu_max=run.nu_max,
     )
 
-    def work(item):
-        ident, family = item
-        with _reported_as_config_error(f"family {ident!r}"):
-            return ident, stats.family_constant(family, cfg)
-
-    # threads = 1 runs in the calling thread, so that a profiler sees the work
-    if run.threads <= 1:
-        results = dict(map(work, built.items()))
-    else:
-        with ThreadPoolExecutor(max_workers=run.threads) as pool:
-            results = dict(pool.map(work, built.items()))
+    try:
+        estimates = stats.family_constants(list(built.values()), cfg, run.threads)
+    except fam_mod.FamilyError as exc:
+        ident = next(i for i, f in built.items() if f is exc.family)
+        raise ConfigError(f"family {ident!r}: {exc}") from exc
+    results = dict(zip(built, estimates))
 
     rows = []
     for decl in config.declarations:

@@ -4,7 +4,8 @@ A family is a finite collection of members, each counted once, each with a
 log-conductor and a form key with the key of its dual.  A key names the form
 in any family that holds it: ("kronecker", d) for a quadratic character, also
 of prime modulus, ("dirichlet", m, j) for another chi_j mod m, the minimal
-model for an elliptic curve, and by default the family and the member.
+model for an elliptic curve, ("sym", M, the base's key) for a symmetric-power
+lift, and by default the family and the member.
 
 The member-level contract is one matrix per prime: ``_member_b(members, p,
 nu_max)`` gives (good, b), where good[k] says whether the k-th member is
@@ -13,21 +14,21 @@ A convolution's matrix is the entrywise product of its factors' matrices.
 Each family defines its rows once, in ``_rows``, over an array of primes;
 ``Family._rows``, the member matrix summed over its members, is the
 reference every faster row is tested against.  Statistics modules consume
-families through ``moment_table``, which holds the rows of every prime up to
-a cutoff; ``prime_moments`` is the row of one prime.  The degree-2 families,
-elliptic curves and the cusp form, share the base ``HeckeFamily``: their
-members' normalized traces (``_member_traces``) give their matrices, and
+families through ``moment_tables``, which gives each family the rows of
+every prime up to a cutoff; ``prime_moments`` is the row of one prime.  The
+degree-2 families, elliptic curves and the cusp form, share the base
+``HeckeFamily``: their members' normalized traces (``_member_traces``) give
+their matrices.  An elliptic family aggregates its members' coefficients
 from ``trace_distribution``, the distinct normalized traces at p with their
-member counts, it aggregates any coefficient sequence of the members (their
-own, or a symmetric power's) as one matrix-vector product.
+member counts, as one matrix-vector product.
 
-Each family keeps the last table it built, so a command computes a family's
-prime rows once, however many statistics and derived families read them:
-one table per family per command.  Derived families contract their
-factors' kept tables instead of recomputing the factors' rows; a
-convolution's (or twist's) rows are the products of its factors' rows,
-less the pairs (f, g) with g the dual of f, whose product is not cuspidal:
-one member matrix of those pairs per prime.
+A derived family's row at p depends only on its factors' rows at p
+(``_factors``), so one pass, ``moment_tables``, builds the rows of every
+family a command reads, each prime's row once per family, factors first:
+a convolution's (or twist's) rows are the products of its factors' rows,
+less the pairs (f, g) with g the dual of f, whose product is not cuspidal
+(one member matrix of those pairs per prime), and a symmetric-power lift
+regroups its base's Hecke power sums.  Nothing is kept between passes.
 
 Character sums are exact narrow integers: the quadratic family gathers the
 int8 ``legendre_table(p)`` at its discriminants mod p, reduced by
@@ -51,7 +52,7 @@ the twist takes its coefficients, conductor, bad primes and keys.
 from __future__ import annotations
 
 import math
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -87,6 +88,8 @@ __all__ = [
     "HeckeFamily",
     "PrimeMoments",
     "MomentTable",
+    "FamilyError",
+    "moment_tables",
     "dirichlet_family",
     "quadratic_family",
     "elliptic_family",
@@ -139,40 +142,16 @@ class MomentTable:
         for f in fields(self):
             getattr(self, f.name).setflags(write=False)
 
-    def extended(self, rows: MomentTable) -> MomentTable:
-        """This table followed by the rows of later primes."""
-        pairs = ((getattr(self, f.name), getattr(rows, f.name)) for f in fields(self))
-        return MomentTable(*map(np.concatenate, pairs))
-
 
 _Rows = tuple[np.ndarray, np.ndarray]
 
 
-def _weighted_rows(primes: np.ndarray, nu_max: int, base, btab) -> _Rows:
-    """Rows of a ``HeckeFamily`` base's members: btab(values, nu_max)[nu-1, k]
-    is b(p^nu) of those with the k-th trace of its distribution at p."""
-    good = np.empty(len(primes))
-    sums = np.empty((len(primes), nu_max), dtype=np.complex128)
-    for i, p in enumerate(primes.tolist()):
-        values, weights = base.trace_distribution(p)
-        # row by row, unlike BLAS btab @ weights, whose summation order
-        # depends on the row count: a table's first rows keep their bits for
-        # any nu_max
-        sums[i] = np.einsum("ik,k->i", btab(values, nu_max), weights)
-        good[i] = weights.sum()
-    return good, sums
+class FamilyError(ValueError):
+    """A ValueError raised by the rows or the estimate of ``family``."""
 
-
-def _primes_between(lo: int, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """(primes, log_p) of the primes lo < p <= P."""
-    table = sieve_primes(max(P, 2))
-    keep = (table.primes > lo) & (table.primes <= P)
-    return table.primes[keep], table.log_p[keep]
-
-
-# guards the lazy creation of each family's table lock, so that subclasses
-# need not call a base __init__
-_LOCK_GUARD = threading.Lock()
+    def __init__(self, family: Family, message: str):
+        super().__init__(message)
+        self.family = family
 
 
 class Family:
@@ -180,8 +159,6 @@ class Family:
 
     family_id: str = "family"
     degree: int = 1
-    # (cutoff, table) of the last moment table built
-    _kept: tuple[int, MomentTable] | None = None
 
     # -- member-level contract ------------------------------------------------
 
@@ -220,10 +197,16 @@ class Family:
             raise ValueError(f"family {self.family_id} is empty")
         return tot / w
 
-    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
-        """(good, sums) at the primes, as in a ``MomentTable``: each
-        prime's member matrix summed over the members.  This is the
-        reference for every family's faster rows."""
+    def _factors(self, nu_max: int) -> tuple:
+        """The (family, columns) pairs whose rows at the same primes ``_rows``
+        reads to build nu_max columns."""
+        return ()
+
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
+        """(good, sums) at the primes, as in a ``MomentTable``, from the rows
+        of ``_factors(nu_max)`` at the same primes.  Here each prime's member
+        matrix summed over the members: the reference for every family's
+        faster rows."""
         members = list(self.iter_members())
         good = np.empty(len(primes))
         sums = np.empty((len(primes), nu_max), dtype=np.complex128)
@@ -234,77 +217,123 @@ class Family:
         return good, sums
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
-        """The row of the prime p; ValueError if p is not prime."""
+        """The row of the prime p, from the row of p alone of each family it
+        reads; ValueError if p is not prime or nu_max < 1."""
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        good, sums = self._rows(np.array([p]), nu_max)
+        good, sums = _pass_rows(_plan({self: p}, nu_max), np.array([p]))[self]
         return PrimeMoments(p, float(good[0]), self.size(), sums[0])
 
     def moment_table(self, P: int, nu_max: int) -> MomentTable:
-        """_Rows for every prime p <= P, with nu_max columns each.
+        """The rows of every prime p <= P, with nu_max columns each: the
+        ``moment_tables`` pass of this family alone."""
+        return moment_tables({self: P}, nu_max)[self]
 
-        The family keeps the last table it built.  A request with a cutoff
-        and a column count no larger than the kept ones is answered by a
-        slice of it, bit-identical to a fresh build: a row does not depend on
-        the cutoff, nor its first columns on nu_max.  A larger cutoff appends
-        the rows of the new primes to the kept table; more columns build a
-        new table in its place.  New rows are checked before they are kept.
-        Concurrent callers wait for one build.
-
-        Raises:
-            ValueError: If nu_max < 1, or if a prime p <= P has more good
-                weight than the family has members, or
-                |sum b(p)| > degree * good.
-        """
-        if nu_max < 1:
-            raise ValueError(f"nu_max must be at least 1, got {nu_max}")
-        with self._table_lock():
-            kept = self._kept
-            if kept is None or nu_max > kept[1].sums.shape[1]:
-                kept = self._kept = (P, self._checked(self._build_table(0, P, nu_max)))
-            elif P > kept[0]:
-                cutoff, old = kept
-                rows = self._checked(self._build_table(cutoff, P, old.sums.shape[1]))
-                kept = self._kept = (P, old.extended(rows))
-        t = kept[1]
-        n = int(np.searchsorted(t.primes, P, side="right"))
-        return MomentTable(t.primes[:n], t.log_p[:n], t.good[:n], t.sums[:n, :nu_max])
-
-    def _table_lock(self) -> threading.Lock:
-        with _LOCK_GUARD:
-            return self.__dict__.setdefault("_lock", threading.Lock())
-
-    def _build_table(self, lo: int, P: int, nu_max: int) -> MomentTable:
-        """The rows of the primes lo < p <= P."""
-        primes, log_p = _primes_between(lo, P)
-        return MomentTable(primes, log_p, *self._rows(primes, nu_max))
-
-    def _checked(self, t: MomentTable) -> MomentTable:
-        """t, once its weights and sums pass the guards."""
+    def _checked(self, primes: np.ndarray, rows: _Rows) -> _Rows:
+        """The rows at the primes, once their weights and sums pass the
+        guards."""
+        good, sums = rows
         size = self.size()
-        over = np.flatnonzero(t.good > size)
+        over = np.flatnonzero(good > size)
         if len(over):
             i = over[0]
             raise ValueError(
-                f"{self.family_id}: good weight {t.good[i]} exceeds total "
-                f"weight {size} at p = {t.primes[i]}"
+                f"{self.family_id}: good weight {good[i]} exceeds total "
+                f"weight {size} at p = {primes[i]}"
             )
         # Ramanujan: |b(p)| <= degree for every good member; the slack covers
         # rounding in sums built from products of factor sums
-        beyond = np.flatnonzero(
-            np.abs(t.sums[:, 0]) > self.degree * (t.good + 1e-9 * size)
-        )
+        beyond = np.flatnonzero(np.abs(sums[:, 0]) > self.degree * (good + 1e-9 * size))
         if len(beyond):
             i = beyond[0]
             raise ValueError(
-                f"{self.family_id}: |sum of b(p)| = {abs(t.sums[i, 0])} exceeds "
-                f"degree * good weight = {self.degree * t.good[i]} at "
-                f"p = {t.primes[i]}"
+                f"{self.family_id}: |sum of b(p)| = {abs(sums[i, 0])} exceeds "
+                f"degree * good weight = {self.degree * good[i]} at p = {primes[i]}"
             )
-        return t
+        return rows
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.family_id!r}>"
+
+
+def _plan(requests: dict, nu_max: int) -> dict:
+    """{family: (reach, columns)} of the requested families and of every
+    family they read, factors first: the largest cutoff and column count
+    that the family or a family reading it asks for.
+
+    Raises:
+        ValueError: If nu_max < 1.
+    """
+    if nu_max < 1:
+        raise ValueError(f"nu_max must be at least 1, got {nu_max}")
+    plan: dict = {}
+
+    def ask(f: Family, reach: int, cols: int) -> None:
+        for g, need in f._factors(cols):
+            ask(g, reach, need)
+        old = plan.get(f, (0, 0))
+        plan[f] = (max(old[0], reach), max(old[1], cols))
+
+    for f, P in requests.items():
+        ask(f, P, nu_max)
+    return plan
+
+
+def _pass_rows(plan: dict, primes: np.ndarray) -> dict:
+    """The checked rows of every family of the plan at its primes among the
+    ascending ``primes``, factors first; a family reads its factors' rows
+    at its own primes."""
+    rows: dict = {}
+    for f, (reach, cols) in plan.items():
+        n = int(np.searchsorted(primes, reach, side="right"))
+        factor_rows = [
+            (rows[g][0][:n], rows[g][1][:n, :need]) for g, need in f._factors(cols)
+        ]
+        try:
+            rows[f] = f._checked(primes[:n], f._rows(primes[:n], cols, factor_rows))
+        except ValueError as exc:
+            raise FamilyError(f, str(exc)) from exc
+    return rows
+
+
+def moment_tables(requests: dict, nu_max: int, threads: int = 1) -> dict:
+    """{family: its table through its cutoff, nu_max columns} for the
+    {family: cutoff} requests, from one pass over the primes.
+
+    The pass closes the requests over ``_factors``, taking families by
+    identity, and builds and checks each family's rows once, factors
+    first.  At threads > 1 each of ``threads`` threads builds the block
+    primes[b::threads]; threads = 1 builds all in the calling thread.  A
+    row depends only on its prime, and its first columns not on the column
+    count, so the tables are bit-identical for any threads and requests.
+
+    Raises:
+        ValueError: If nu_max < 1.
+        FamilyError: If a family's rows fail, or break a guard: good weight
+            above the family's size or |sum b(p)| above degree * good.  Its
+            ``family`` is the first requested family that reads the failing one.
+    """
+    plan = _plan(requests, nu_max)
+    table = sieve_primes(max([reach for reach, _ in plan.values()] + [2]))
+    args = [plan] * threads, [table.primes[b::threads] for b in range(threads)]
+    try:
+        if threads == 1:
+            blocks = list(map(_pass_rows, *args))
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                blocks = list(pool.map(_pass_rows, *args))
+    except FamilyError as exc:
+        exc.family = next(f for f in requests if exc.family in _plan({f: 0}, 1))
+        raise
+    tables = {}
+    for f, P in requests.items():
+        n = int(np.searchsorted(table.primes, P, side="right"))
+        good, sums = np.empty(n), np.empty((n, nu_max), dtype=np.complex128)
+        for b, (g, s) in enumerate(rows[f] for rows in blocks):
+            k = len(good[b::threads])
+            good[b::threads], sums[b::threads] = g[:k], s[:k, :nu_max]
+        tables[f] = MomentTable(table.primes[:n], table.log_p[:n], good, sums)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +388,7 @@ class DirichletFamily(Family):
     def dual_key(self, member) -> tuple:
         return _character_key(self.modulus, -(member + 1))
 
-    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
         m = self.modulus
         # orthogonality: the sum over all nontrivial characters of chi(a) is
         # m - 2 when a = 1 mod m and -1 otherwise; here a = p^nu.
@@ -469,7 +498,7 @@ class QuadraticFamily(Family):
     def size(self) -> float:
         return float(len(self.discriminants))
 
-    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
         d = self._residue_d
         good = np.empty(len(primes))
         sums = np.empty((len(primes), nu_max), dtype=np.complex128)
@@ -496,18 +525,14 @@ def quadratic_family(d_range: tuple[int, int], stride: int = 1) -> QuadraticFami
 class HeckeFamily(Family):
     """A degree-2 self-dual family whose members have Hecke eigenvalues.
 
-    Subclasses serve ``_member_traces``, the members' normalized traces,
-    and ``trace_distribution``, whose histogram gives the moments of the
-    family and of its symmetric powers.
+    Subclasses serve ``_member_traces``, the members' normalized traces; a
+    symmetric-power lift regroups the power sums of the family's rows.
     """
 
     degree = 2
 
     def _member_traces(self, members: list, p: int) -> tuple[np.ndarray, np.ndarray]:
         """(good, a/sqrt p) of the members at p, the traces 0 where bad."""
-        raise NotImplementedError
-
-    def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def _member_b(self, members, p, nu_max):
@@ -520,9 +545,6 @@ class HeckeFamily(Family):
         # the lift has (power + 1)/2 or power/2 such factors
         scale = (power + 1) / 2.0 if power % 2 else power / 2.0
         return scale * self.log_conductor(member)
-
-    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
-        return _weighted_rows(primes, nu_max, self, hecke_b_array)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +564,7 @@ class EllipticFamily(HeckeFamily):
     kept with the family: the per-fiber proxies serve ``log_conductor`` and
     convolutions, the prime-power counts the convolution's average.
 
-    Semantically immutable; the memoized conductors and trace distributions
-    (at most 2 isqrt(4p) + 1 entries per prime) are one-shot fills of
+    Semantically immutable; the memoized conductors are a one-shot fill of
     deterministic values, so concurrent readers can at worst duplicate work.
     """
 
@@ -567,7 +588,6 @@ class EllipticFamily(HeckeFamily):
             f"t=[{spec.t_min},{spec.t_max}))"
         )
         self._conductors: FamilyConductors | None = None
-        self._traces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def iter_members(self) -> Iterator[int]:
         return iter(self.members_list)
@@ -624,25 +644,35 @@ class EllipticFamily(HeckeFamily):
         return a, counts * (delta_mod != 0)
 
     def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct a_t(p)/sqrt(p), number of good members at each); memoized.
+        """(distinct a_t(p)/sqrt(p), number of good members at each).
 
         Empty at p = 2, 3, where every fiber is bad.
 
         Raises:
             ValueError: If a trace violates the Hasse bound a^2 <= 4p.
         """
-        if p not in self._traces:
-            if p < 5:
-                self._traces[p] = (np.empty(0), np.empty(0))
-            else:
-                a, weights = self.residue_data(p)
-                if np.any(a * a > 4 * p):
-                    raise ValueError(f"{self.family_id}: trace beyond 2 sqrt({p})")
-                off = math.isqrt(4 * p)
-                hist = np.bincount(a + off, weights=weights, minlength=2 * off + 1)
-                held = np.flatnonzero(hist)
-                self._traces[p] = ((held - off) / math.sqrt(p), hist[held])
-        return self._traces[p]
+        if p < 5:
+            return np.empty(0), np.empty(0)
+        a, weights = self.residue_data(p)
+        if np.any(a * a > 4 * p):
+            raise ValueError(f"{self.family_id}: trace beyond 2 sqrt({p})")
+        off = math.isqrt(4 * p)
+        hist = np.bincount(a + off, weights=weights, minlength=2 * off + 1)
+        held = np.flatnonzero(hist)
+        return (held - off) / math.sqrt(p), hist[held]
+
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
+        """Each prime's trace distribution weighs its traces' power sums."""
+        good = np.empty(len(primes))
+        sums = np.empty((len(primes), nu_max), dtype=np.complex128)
+        for i, p in enumerate(primes.tolist()):
+            values, weights = self.trace_distribution(p)
+            # row by row, unlike BLAS b @ weights, whose summation order
+            # depends on the row count: a table's first rows keep their bits
+            # for any nu_max
+            sums[i] = np.einsum("ik,k->i", hecke_b_array(values, nu_max), weights)
+            good[i] = weights.sum()
+        return good, sums
 
 
 def elliptic_family(spec: EllipticFamilySpec) -> EllipticFamily:
@@ -684,8 +714,8 @@ def ramanujan_tau_table(n_max: int) -> list[int]:
 
 
 class DeltaFamily(HeckeFamily):
-    """The singleton family of the level-1 weight-12 cusp form, holding
-    tau(n) only as far as the prime sums have read."""
+    """The singleton family of the level-1 weight-12 cusp form, computing
+    tau(n) only as far as the prime sums read."""
 
     def __init__(self):
         self.tau: list[int] = []
@@ -713,21 +743,23 @@ class DeltaFamily(HeckeFamily):
     def sym_power_log_conductor(self, member, power: int) -> float:
         return weil.log_analytic_conductor(weil.sym_power(weil.disc(12), power))
 
-    def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """The single normalized trace tau(p)/p^(11/2), with weight 1.
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
+        """The power sums of tau(p) / p^(11/2), from the kept tau table if it
+        reaches the last prime, else from a table of exactly that reach, not
+        kept: each block of a pass computes tau as if it were alone.
 
         Raises:
-            ValueError: If the trace violates the Deligne bound |.| <= 2.
+            ValueError: If a trace violates the Deligne bound |.| <= 2.
         """
-        values = self._member_traces(["delta"], p)[1]
-        if abs(values[0]) > 2.0:
-            raise ValueError(f"tau({p}) beyond 2 p^(11/2)")
-        return values, np.ones(1)
-
-    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
-        # one tau table of exactly the rows' reach
-        self.tau_through(int(primes.max(initial=0)))
-        return super()._rows(primes, nu_max)
+        ps = primes.tolist()
+        tau = self.tau  # one read: a concurrent grow rebinds self.tau
+        if len(tau) < max(ps, default=0):
+            tau = ramanujan_tau_table(ps[-1])
+        traces = np.array([tau[p - 1] / p**5.5 for p in ps])
+        beyond = np.flatnonzero(np.abs(traces) > 2.0)
+        if len(beyond):
+            raise ValueError(f"tau({ps[beyond[0]]}) beyond 2 p^(11/2)")
+        return np.ones(len(ps)), hecke_b_array(traces, nu_max).T.astype(np.complex128)
 
 
 def cusp_form_delta() -> DeltaFamily:
@@ -761,13 +793,28 @@ class SymLiftFamily(Family):
     def log_conductor(self, member) -> float:
         return self.base.sym_power_log_conductor(member, self.power)
 
-    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
-        # the base's table first, as a convolution reads its factors': its
-        # data then reach the last prime at once (Delta's tau in one call)
-        self.base.moment_table(int(primes.max(initial=0)), nu_max)
-        return _weighted_rows(
-            primes, nu_max, self.base, lambda v, n: sym_power_b_array(v, self.power, n)
-        )
+    def form_key(self, member) -> tuple:
+        """The lift of the base's form: lifts of one form in two families
+        are one form."""
+        return ("sym", self.power, self.base.form_key(member))
+
+    def dual_key(self, member) -> tuple:
+        return ("sym", self.power, self.base.dual_key(member))
+
+    def _factors(self, nu_max: int) -> tuple:
+        return ((self.base, self.power * nu_max),)
+
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
+        """The base's rows regrouped as ``sym_power_b_array`` regroups power
+        sums: B(p^nu) = [M even] good + the base's sums of b(p^(m nu)) for
+        m = M, M - 2, ... > 0, added in that order."""
+        ((good, base_sums),) = factor_rows
+        nu = np.arange(1, nu_max + 1)
+        sums = np.zeros((len(primes), nu_max), dtype=np.complex128)
+        sums += good[:, None] * (self.power % 2 == 0)
+        for m in range(self.power, 0, -2):
+            sums += base_sums[:, m * nu - 1]
+        return good, sums
 
 
 def sym_lift(f: Family, M: int) -> Family:
@@ -790,8 +837,8 @@ class ConvolutionFamily(Family):
     excluded.  Aggregated moments use the product structure: the sum over
     included pairs is the product of the factor sums minus the small
     excluded correction, one member matrix of the excluded pairs per prime,
-    so its rows are products of the factors' kept rows; ``Family._rows``,
-    every pair's member matrix summed, is their reference.
+    so its rows are products of the factors' rows; ``Family._rows``, every
+    pair's member matrix summed, is their reference.
 
     The conductor of a pair is q_f^deg(g) q_g^deg(f) (coprime levels); an
     elliptic pair instead takes the midpoint of its Rankin-Selberg conductor
@@ -854,16 +901,14 @@ class ConvolutionFamily(Family):
             + self.right.degree * self.left.average_log_conductor()
         )
 
-    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
-        """The products of the factors' kept rows at the primes, less the
-        excluded pairs."""
-        reach = int(primes.max(initial=0))
-        lt = self.left.moment_table(reach, nu_max)
-        rt = self.right.moment_table(reach, nu_max)
-        i = np.searchsorted(lt.primes, primes)
-        sums = lt.sums[i]  # indexing by an array copies: multiply in place
-        sums *= rt.sums[i]
-        good = lt.good[i] * rt.good[i]
+    def _factors(self, nu_max: int) -> tuple:
+        return ((self.left, nu_max), (self.right, nu_max))
+
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
+        """The products of the factors' rows, less the excluded pairs."""
+        (left_good, left_sums), (right_good, right_sums) = factor_rows
+        sums = left_sums * right_sums
+        good = left_good * right_good
         for k, p in enumerate(primes.tolist() if self.excluded else ()):
             ok, b = self._member_b(self.excluded, p, nu_max)
             # the good pairs one at a time, in their order: a pairwise np.sum
@@ -899,7 +944,7 @@ class KroneckerTwist(QuadraticFamily):
         self.d = d
         self.family_id = f"chi({d})"
 
-    def _rows(self, primes: np.ndarray, nu_max: int) -> _Rows:
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
         """The quadratic family's rows of d, from chi(p) at every prime at
         once."""
         chi = np.array([kronecker_symbol(self.d, p) for p in primes.tolist()])

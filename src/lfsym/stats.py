@@ -6,8 +6,8 @@ structure: the first-moment sum over b(p) detects the family rank, and the
 second-moment sum over b(p^2) detects the symmetry constant: it is near +1
 for symplectic-type families, -1 for orthogonal, 0 for unitary.
 
-``family_constant`` reads c, r and the 1-level density off one moment
-table per family (see ``Family.moment_table``): every statistic is a
+``family_constants`` reads c, r and the 1-level density off one moment
+table per family, all from one ``moment_tables`` pass: every statistic is a
 masked contraction of that table against phi_hat(nu log p / log R),
 evaluated once per harmonic nu over the table's primes.  Bad primes are
 excluded member-by-member, and the excluded mass is reported so its
@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import sieve_primes
-from .families import Family, MomentTable
+from .families import Family, FamilyError, MomentTable, moment_tables
 from .rmt import TestFunction
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "ConstantConfig",
     "pnt_prime_sum",
     "family_constant",
+    "family_constants",
     "predicted_density",
 ]
 
@@ -51,21 +52,13 @@ def _support_bound(sigma: float, log_r: float, nu: int, P: int) -> int:
     return min(P, int(edge) + 1)
 
 
-def _weighted_table(
-    f: Family, phi: TestFunction, log_r: float, P: int, nu_max: int
-) -> tuple[MomentTable, list[np.ndarray]]:
-    """f's moment table with nu_max rows through the last prime p <= P with
-    a nonzero weight phi_hat(log p / log R), and the weights
-    phi_hat(nu log p / log R) on the table's primes for nu = 1..nu_max."""
+def _first_weights(phi: TestFunction, log_r: float, P: int) -> tuple[int, np.ndarray]:
+    """The last prime p <= P with a nonzero weight phi_hat(log p / log R),
+    1 if there is none, and the weights of the primes through it."""
     table = sieve_primes(max(_support_bound(phi.sigma, log_r, 1, P), 2))
     w1 = np.asarray(phi.phi_hat(table.log_p / log_r), dtype=float)
     n = int(np.flatnonzero(w1)[-1]) + 1 if w1.any() else 0
-    cutoff = int(table.primes[n - 1]) if n else 1
-    t = f.moment_table(cutoff, nu_max)
-    hats = [w1[:n]]
-    for nu in range(2, nu_max + 1):
-        hats.append(np.asarray(phi.phi_hat(nu * t.log_p / log_r)))
-    return t, hats
+    return (int(table.primes[n - 1]) if n else 1), w1[:n]
 
 
 def _first_moment(t: MomentTable, w1: np.ndarray, log_r: float) -> tuple[float, float]:
@@ -240,8 +233,15 @@ def _classify(estimate: float, tol: float) -> Optional[int]:
 
 
 def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
-    """Estimate and classify the family constant (c, epsilon, r) and report
-    the family's 1-level density.
+    """``family_constants`` of the one family f."""
+    return family_constants([f], config)[0]
+
+
+def family_constants(
+    families: list[Family], config: ConstantConfig, threads: int = 1
+) -> list[FamilyConstant]:
+    """Estimate and classify the family constant (c, epsilon, r) of each
+    family and report its 1-level density.
 
     c comes from the calibrated second-moment average and is classified
     against {-1, 0, +1}: the estimate must fall within the tolerance of one
@@ -251,28 +251,58 @@ def family_constant(f: Family, config: ConstantConfig) -> FamilyConstant:
     unitary or symplectic and unknown otherwise; r is the calibrated
     first-moment estimate.  The density sums ``config.nu_max`` harmonics
     and is predicted from the class (c when indeterminate) and r.  Every
-    statistic reads one moment table.
+    statistic of a family reads its one moment table, and one
+    ``moment_tables`` pass over ``threads`` threads builds them all.
 
-    log R is the family's average log-conductor unless the config fixes it.
+    log R is each family's average log-conductor unless the config fixes it.
 
     Raises:
-        ValueError: If phi(0) = 0, log R is not positive, nu_max < 1 or the
-            family has no members.
+        ValueError: If phi(0) = 0 or nu_max < 1.
+        FamilyError: If a family's log R is not positive, the family has no
+            members or its rows fail (see ``moment_tables``).
     """
     phi = config.phi
     P = config.prime_cutoff
     if config.nu_max < 1:
         raise ValueError(f"nu_max must be at least 1, got {config.nu_max}")
-    log_r = config.log_r if config.log_r is not None else f.average_log_conductor()
     if phi.phi0 == 0:
         raise ValueError("degenerate test function: phi(0) = 0")
-    if log_r <= 0:
-        raise ValueError("log R must be positive")
-    # zero for a convolution that excludes every pair it has (delta x delta)
-    size = f.size()
-    if size == 0:
-        raise ValueError(f"{f.family_id} has no members")
-    t, hats = _weighted_table(f, phi, log_r, P, max(2, config.nu_max))
+    setups = []
+    for f in families:
+        try:
+            log_r = f.average_log_conductor() if config.log_r is None else config.log_r
+            if log_r <= 0:
+                raise ValueError("log R must be positive")
+            size = f.size()
+            if size == 0:  # a convolution that excludes every pair (delta x delta)
+                raise ValueError(f"{f.family_id} has no members")
+        except ValueError as exc:
+            raise FamilyError(f, str(exc)) from exc
+        setups.append((f, log_r, size, *_first_weights(phi, log_r, P)))
+    nu_max = max(2, config.nu_max)
+    tables = moment_tables({s[0]: s[3] for s in setups}, nu_max, threads)
+    return [
+        _estimate(f, config, tables[f], log_r, size, w1)
+        for f, log_r, size, _, w1 in setups
+    ]
+
+
+def _estimate(
+    f: Family,
+    config: ConstantConfig,
+    t: MomentTable,
+    log_r: float,
+    size: float,
+    w1: np.ndarray,
+) -> FamilyConstant:
+    """f's constants from its table t and the weights phi_hat(log p / log R)
+    of t's primes, w1."""
+    phi = config.phi
+    P = config.prime_cutoff
+    hats = [w1] + [
+        np.asarray(phi.phi_hat(nu * t.log_p / log_r))
+        for nu in range(2, max(2, config.nu_max) + 1)
+    ]
     c_est, bad_mass = _second_moment(t, hats[1], log_r, size)
 
     # calibrated rank: divide the first-moment sum by twice its own weight

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lfsym import ecgeom, families, stats
+from lfsym import ecgeom, families
 from lfsym.cli import (
     CONSTANT_COLUMNS,
     DENSITY_COLUMNS,
@@ -176,19 +176,20 @@ class TestRunners:
         assert run_families(config1) == run_families(config2)
 
     def test_one_thread_works_in_the_calling_thread(self, config_path, monkeypatch):
-        # so that a profiler of the command sees the families' work
+        # so that a profiler of the command sees the families' work: one
+        # pass over all the primes, in the calling thread
         idents = []
-        constant = stats.family_constant
+        pass_rows = families._pass_rows
 
-        def recorded(family, cfg):
+        def recorded(plan, primes):
             idents.append(threading.get_ident())
-            return constant(family, cfg)
+            return pass_rows(plan, primes)
 
-        monkeypatch.setattr(stats, "family_constant", recorded)
+        monkeypatch.setattr(families, "_pass_rows", recorded)
         config = load_config(config_path)
         assert config.run.threads == 1
         run_families(config)
-        assert idents and set(idents) == {threading.get_ident()}
+        assert idents == [threading.get_ident()]
 
     def test_one_conductor_pass_per_curve(self, tmp_path, monkeypatch):
         # the conductor pass splits each member curve's discriminant once,
@@ -708,10 +709,10 @@ def test_delta_tau_reaches_the_support_edge(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_hecke_tau_stops_at_the_last_prime_read(threads, monkeypatch, capsys):
-    # the sums read tau(p) up to p = 293; a read past a kept table appends
-    # rows, and a lift sizes its base's tau once, so tau never runs past it;
-    # every delta family and twist is one Delta, so tau(1..293) is computed
-    # once
+    # the sums read tau(p) up to p = 293; one pass builds Delta's rows, each
+    # block of primes from one tau table of the block's reach, and every
+    # delta family and twist is one Delta, so tau never runs past 293 and
+    # tau(1..293) is computed once
     calls = []
 
     def counted(n_max):
@@ -778,37 +779,36 @@ def _family_classes(cls):
     + list(GOLDEN_INIS),
 )
 def test_one_moment_table_per_family(config, args, capsys, monkeypatch):
-    # every (family, prime) row is computed once per command: derived
-    # families read their factors' kept tables, and c, r and D1 of a family
-    # come from one table, so the commands agree.  Rows are counted where
-    # each _rows makes them, each kind apart, since an override may call the
-    # base's rows, and where a table is built of them.
-    rows, built = [], []
-    build_table = Family._build_table
+    # every (family, prime) row is computed once per command: one pass
+    # builds every family's rows, derived families read their factors' rows
+    # from it, and c, r and D1 of a family come from one table, so the
+    # commands agree.  Rows are counted where each _rows makes them, each
+    # kind apart, since an override may call the base's rows.
+    rows, passes = [], []
+    pass_rows = families._pass_rows
 
     def counted(cls, make_rows):
-        def wrapper(self, primes, nu_max):
+        def wrapper(self, primes, nu_max, factor_rows=()):
             rows.extend((cls, id(self), p) for p in primes.tolist())
-            return make_rows(self, primes, nu_max)
+            return make_rows(self, primes, nu_max, factor_rows)
 
         return wrapper
 
-    def counted_build(self, lo, P, nu_max):
-        table = build_table(self, lo, P, nu_max)
-        built.extend((id(self), p) for p in table.primes.tolist())
-        return table
+    def counted_pass(plan, primes):
+        passes.append(len(primes))
+        return pass_rows(plan, primes)
 
     for cls in _family_classes(Family):
         if "_rows" in vars(cls):
             monkeypatch.setattr(cls, "_rows", counted(cls, vars(cls)["_rows"]))
-    monkeypatch.setattr(Family, "_build_table", counted_build)
+    monkeypatch.setattr(families, "_pass_rows", counted_pass)
     outputs = {}
     for command in ("constants", "density"):
         rows.clear()
-        built.clear()
+        passes.clear()
         assert main([command, "--config", str(config)] + args) == 0
         assert len(rows) == len(set(rows)) > 0
-        assert len(built) == len(set(built))
+        assert len(passes) == 1
         lines = csv.DictReader(io.StringIO(capsys.readouterr().out))
         outputs[command] = [[row[c] for c in SHARED_COLUMNS] for row in lines]
     assert outputs["constants"] == outputs["density"]

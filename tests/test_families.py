@@ -453,6 +453,18 @@ class TestSymLift:
         with pytest.raises(ValueError):
             sym_lift(dirichlet_family(7), 2)
 
+    def test_lifts_of_one_curve_are_one_form(self):
+        # the boxes [10, 30) and [20, 40) of x^3 + Tx + 1 share ten curves,
+        # so their symmetric squares share ten forms, whose self-products
+        # are not cuspidal; lifts to different powers share none
+        e1 = elliptic_family(EllipticFamilySpec((0, 1), (1,), 10, 30))
+        e2 = elliptic_family(EllipticFamilySpec((0, 1), (1,), 20, 40))
+        assert len(convolve(e1, e2).excluded) == 10
+        lifts = convolve(sym_lift(e1, 2), sym_lift(e2, 2))
+        assert lifts.excluded == [(t, t) for t in range(20, 30)]
+        assert convolve(sym_lift(e1, 2), sym_lift(e2, 3)).excluded == []
+        assert_moments_match_loop(lifts, [5, 11, 13], 3)
+
     def test_twisted_family_rejected(self):
         # degree 2, but a twist has no Hecke eigenvalues of its own
         twisted = twist_by_fixed(kronecker_twist(5), elliptic_family(EC1))
@@ -573,8 +585,8 @@ class TestConvolution:
         conv = convolve(f, f)
         assert len(conv.excluded) == m - 2
         primes = sieve_primes(200).primes
-        good, sums = conv._rows(primes, 5)
         table = f.moment_table(200, 5)
+        good, sums = conv._rows(primes, 5, [(table.good, table.sums)] * 2)
         assert conv.size() == (m - 2) ** 2 - (m - 2)
         for i, p in enumerate(primes.tolist()):
             row = table.sums[i] * table.sums[i]
@@ -689,13 +701,13 @@ class TestTwists:
 
     @pytest.mark.parametrize("d", [-4, 5, -7, 8, 12])
     def test_table_equals_the_per_prime_path_bitwise(self, d):
-        # the chi(p) rows, fresh and grown from a smaller kept table, against
-        # the quadratic family's Legendre rows of d alone
+        # the chi(p) rows, in one block and in three, against the quadratic
+        # family's Legendre rows of d alone
         h = kronecker_twist(d)
         primes = sieve_primes(1000).primes
         legendre = families.QuadraticFamily._rows(h, primes, 6)
-        h.moment_table(300, 6)
-        for table in (h._build_table(0, 1000, 6), h.moment_table(1000, 6)):
+        for threads in (1, 3):
+            table = families.moment_tables({h: 1000}, 6, threads)[h]
             assert table.primes.tobytes() == primes.tobytes()
             for a, b in zip((table.good, table.sums), legendre):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -921,7 +933,7 @@ class TestMomentTable:
 def constant_rows(good, sums):
     """A ``_rows`` with the same good weight and sums at every prime."""
 
-    def rows(primes, nu_max):
+    def rows(primes, nu_max, factor_rows=()):
         n = len(primes)
         return (
             np.full(n, float(good)),
@@ -966,9 +978,9 @@ def count_quadratic_rows(monkeypatch):
     calls = []
     rows = families.QuadraticFamily._rows
 
-    def counted(self, primes, nu_max):
+    def counted(self, primes, nu_max, factor_rows=()):
         calls.extend(primes.tolist())
-        return rows(self, primes, nu_max)
+        return rows(self, primes, nu_max, factor_rows)
 
     monkeypatch.setattr(families.QuadraticFamily, "_rows", counted)
     return calls
@@ -999,19 +1011,19 @@ class TestOneRowBuilder:
         "kind", ["convolution", "twist"] + list(DERIVED_FAMILIES)
     )
     def test_convolution_rows_at_scattered_primes(self, kind):
-        # a convolution finds its primes in the factors' tables, so any
+        # a convolution reads its factors' rows at its own primes, so any
         # subset of them gives the table's rows
         build = {**ROW_COUNT_FAMILIES, **DERIVED_FAMILIES}[kind]
         table = build().moment_table(199, 4)
         pick = np.arange(1, len(table.primes), 3)
-        rows = build()._rows(table.primes[pick], 4)
+        rows = pass_rows(build(), table.primes[pick], 4)
         for got, want in zip(rows, (table.good, table.sums)):
             assert got.tobytes() == want[pick].tobytes()
 
     def test_only_the_base_defines_the_row_entry_points(self):
         for cls in family_subclasses(families.Family):
             assert "prime_moments" not in vars(cls), cls
-            assert "_build_table" not in vars(cls), cls
+            assert "moment_table" not in vars(cls), cls
 
 
 class TestDerivedTables:
@@ -1039,12 +1051,14 @@ class TestDerivedTables:
         calls = count_quadratic_rows(monkeypatch)
         q = quadratic_family((100, 300))
         derived = [q, twist_by_fixed(kronecker_twist(-4), q), convolve(q, q)]
-        for fam in derived:
-            fam.moment_table(97, 4)
+        families.moment_tables({fam: 97 for fam in derived}, 4)
         assert calls == sieve_primes(97).primes.tolist()
 
 
 class TestKeptTable:
+    """No table is kept: a table does not depend on the requests before it,
+    nor on concurrent ones."""
+
     @pytest.mark.parametrize("kind", ["dirichlet", "elliptic-linear", "twist"])
     @pytest.mark.parametrize("P, nu_max", [(97, 10), (200, 3), (60, 2)])
     def test_slice_equals_fresh_build(self, kind, P, nu_max):
@@ -1054,13 +1068,6 @@ class TestKeptTable:
             kept.moment_table(P, nu_max),
             ROW_COUNT_FAMILIES[kind]().moment_table(P, nu_max),
         )
-
-    def test_smaller_request_builds_nothing(self, monkeypatch):
-        fam = quadratic_family((100, 300))
-        fam.moment_table(200, 10)
-        monkeypatch.setattr(fam, "_build_table", None)
-        fam.moment_table(150, 4)
-        fam.moment_table(200, 10)
 
     def test_larger_request_replaces_kept_table(self):
         fam = quadratic_family((100, 300))
@@ -1080,15 +1087,6 @@ class TestKeptTable:
         for P in (7, 8, 60, 199):
             grown.moment_table(P, 4)
         assert_tables_equal(grown.moment_table(199, 4), build().moment_table(199, 4))
-
-    def test_larger_cutoff_computes_only_new_rows(self, monkeypatch):
-        calls = count_quadratic_rows(monkeypatch)
-        q = quadratic_family((100, 300))
-        qq = convolve(q, q)
-        for P in (30, 97, 200):
-            qq.moment_table(P, 4)
-            q.moment_table(P, 4)
-        assert calls == sieve_primes(200).primes.tolist()
 
     def test_tables_grown_from_several_threads_equal_fresh_builds(self):
         def derived_of(q):
@@ -1115,8 +1113,8 @@ class TestKeptTable:
             assert_tables_equal(fam.moment_table(300, 4), fresh.moment_table(300, 4))
 
     def test_lone_delta_lift_computes_tau_once(self, monkeypatch):
-        # the lift reads its base's table first, so tau is sized once to
-        # the lift's cutoff instead of doubling prime by prime
+        # the lift reads its base's rows from the same pass, so tau is sized
+        # once to the lift's cutoff instead of doubling prime by prime
         calls = []
 
         def counted(n_max):
@@ -1133,29 +1131,107 @@ class TestKeptTable:
         with pytest.raises(ValueError):
             table.sums[0, 0] = 1.0
 
-    def test_concurrent_callers_share_one_build(self, monkeypatch):
-        calls = count_quadratic_rows(monkeypatch)
-        q = quadratic_family((100, 300))
-        derived = [q, twist_by_fixed(kronecker_twist(-4), q), convolve(q, q)]
-        results = {}
 
-        def work(i):
-            results[i] = derived[i % 3].moment_table(300, 4)
+def pass_rows(fam, primes, nu_max):
+    """fam's rows at the ascending primes, from a pass over them alone."""
+    plan = families._plan({fam: int(primes.max(initial=0))}, nu_max)
+    return families._pass_rows(plan, primes)[fam]
 
+
+PASS_FAMILIES = {
+    **ROW_COUNT_FAMILIES,
+    **DERIVED_FAMILIES,
+    "elliptic-sym3": lambda: sym_lift(elliptic_family(EC1), 3),
+    "delta-sym4": lambda: sym_lift(cusp_form_delta(), 4),
+}
+
+
+class TestPass:
+    @pytest.mark.parametrize("kind", list(PASS_FAMILIES))
+    def test_rows_do_not_depend_on_the_split(self, kind):
+        # what makes every table bit-identical for any threads: the rows of
+        # the interleaved block primes[b::T] are the rows of all the primes
+        # at those positions
+        build = PASS_FAMILIES[kind]
+        primes = sieve_primes(199).primes
+        whole = pass_rows(build(), primes, 4)
+        for T in (1, 2, 3):
+            for b in range(T):
+                part = pass_rows(build(), primes[b::T], 4)
+                for got, want in zip(part, whole):
+                    assert got.tobytes() == want[b::T].tobytes(), (T, b)
+
+    @pytest.mark.parametrize("kind", list(PASS_FAMILIES))
+    def test_threads_give_equal_tables(self, kind):
+        fam = PASS_FAMILIES[kind]()
+        one = families.moment_tables({fam: 199}, 4, 1)[fam]
+        for threads in (2, 3):
+            table = families.moment_tables({fam: 199}, 4, threads)[fam]
+            assert_tables_equal(table, one)
+
+    def test_many_threads_give_the_tables_of_one(self):
+        # more threads than cores, switching often: the blocks share the
+        # family objects and still give one thread's bits
+        def requests():
+            delta, ec = cusp_form_delta(), elliptic_family(EC1)
+            derived = [sym_lift(delta, 3), sym_lift(ec, 2), convolve(delta, ec)]
+            return {fam: 150 + 10 * i for i, fam in enumerate([delta, ec, *derived])}
+
+        one = families.moment_tables(requests(), 4, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(12)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+            many = families.moment_tables(requests(), 4, 8)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert calls == sieve_primes(300).primes.tolist()
-        for i in range(3, 12):
-            assert_tables_equal(results[i], results[i % 3])
+        for a, b in zip(one.values(), many.values()):
+            assert_tables_equal(a, b)
+
+    def test_one_pass_builds_each_quadratic_row_once(self, monkeypatch):
+        # q, chi(-4) x q and q x q at three cutoffs: q's rows reach the
+        # largest, once per prime however many blocks
+        q = quadratic_family((100, 300))
+        requests = {
+            q: 50,
+            twist_by_fixed(kronecker_twist(-4), q): 199,
+            convolve(q, q): 97,
+        }
+        calls = count_quadratic_rows(monkeypatch)
+        for threads in (1, 3):
+            calls.clear()
+            tables = families.moment_tables(requests, 4, threads)
+            assert sorted(calls) == sieve_primes(199).primes.tolist()
+            for fam, P in requests.items():
+                assert tables[fam].primes.tolist() == sieve_primes(P).primes.tolist()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda q: convolve(q, quadratic_family((-300, -100))),
+            lambda q: convolve(sym_lift(elliptic_family(EC1), 2), q),
+        ],
+        ids=["quadratic-pair", "lift-x-quadratic"],
+    )
+    def test_prime_moments_builds_only_row_p(self, build, monkeypatch):
+        calls = count_quadratic_rows(monkeypatch)
+        fam = build(quadratic_family((100, 300)))
+        mom = fam.prime_moments(97, 4)
+        assert calls.count(97) == len(calls) >= 1
+        table = build(quadratic_family((100, 300))).moment_table(97, 4)
+        assert mom.sums.tobytes() == table.sums[-1].tobytes()
+
+    @pytest.mark.parametrize(
+        "power, base",
+        [(2, lambda: elliptic_family(EC1)), (3, lambda: elliptic_family(EC1)),
+         (5, cusp_form_delta), (4, cusp_form_delta)],
+        ids=["elliptic-sym2", "elliptic-sym3", "delta-sym5", "delta-sym4"],
+    )
+    def test_lift_columns_keep_their_bits_for_any_nu_max(self, power, base):
+        widest = sym_lift(base(), power).moment_table(199, 8)
+        for nu_max in range(1, 8):
+            table = sym_lift(base(), power).moment_table(199, nu_max)
+            assert table.sums.tobytes() == widest.sums[:, :nu_max].copy().tobytes()
+            assert table.good.tobytes() == widest.good.tobytes()
 
 
 class TestDirichletOnDemand:
