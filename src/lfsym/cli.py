@@ -106,11 +106,10 @@ class ExperimentConfig:
     def resolve(self) -> dict[str, fam_mod.Family]:
         """Instantiate declared families; references resolve in order.
 
-        Every ``delta`` family and ``delta`` twist is one shared
-        ``DeltaFamily``, so that tau is computed once per command.
+        Every ``delta`` family and ``delta`` twist is ``cusp_form_delta()``,
+        one stateless instance, so one pass computes its rows once.
         """
         built: dict[str, fam_mod.Family] = {}
-        delta = fam_mod.cusp_form_delta()
         pending = list(self.declarations)
         progress = True
         while pending and progress:
@@ -118,7 +117,7 @@ class ExperimentConfig:
             remaining = []
             for decl in pending:
                 try:
-                    built[decl.ident] = _build_family(decl, built, delta)
+                    built[decl.ident] = _build_family(decl, built)
                     progress = True
                 except _Unresolved:
                     remaining.append(decl)
@@ -166,9 +165,7 @@ FAMILY_OPTIONS = {
 }
 
 
-def _build_family(
-    decl: FamilyDecl, built: dict, delta: fam_mod.Family
-) -> fam_mod.Family:
+def _build_family(decl: FamilyDecl, built: dict) -> fam_mod.Family:
     kind = decl.kind
     opt = decl.options
     if kind not in FAMILY_OPTIONS:
@@ -193,7 +190,7 @@ def _build_family(
             )
             return fam_mod.elliptic_family(spec)
         if kind == "delta":
-            return delta
+            return fam_mod.cusp_form_delta()
         if kind == "sym_lift":
             base = opt["base"]
             if base not in built:
@@ -208,14 +205,12 @@ def _build_family(
             base = opt["base"]
             if base not in built:
                 raise _Unresolved(base)
-            return fam_mod.twist_by_fixed(
-                _build_twist(opt["twist"], delta), built[base]
-            )
+            return fam_mod.twist_by_fixed(_build_twist(opt["twist"]), built[base])
     except KeyError as exc:
         raise ConfigError(f"family {decl.ident!r}: missing option {exc}") from exc
 
 
-def _build_twist(text: str, delta: fam_mod.Family) -> fam_mod.Family:
+def _build_twist(text: str) -> fam_mod.Family:
     kind, *rest = str(text).split() or [""]
     args = [int(tok) for tok in rest]
     if kind == "kronecker" and len(args) == 1:
@@ -223,7 +218,7 @@ def _build_twist(text: str, delta: fam_mod.Family) -> fam_mod.Family:
     if kind == "character" and len(args) == 2:
         return fam_mod.character_twist(*args)
     if kind == "delta" and not args:
-        return delta
+        return fam_mod.cusp_form_delta()
     raise ValueError(
         f"bad twist spec {text!r}: expected 'kronecker D', "
         "'character MODULUS INDEX' or 'delta'"

@@ -5,11 +5,13 @@ log-conductor and a form key with the key of its dual.  A key names the form
 in any family that holds it: ("kronecker", d) for a quadratic character, also
 of prime modulus, ("dirichlet", m, j) for another chi_j mod m, the minimal
 model for an elliptic curve, ("sym", M, the base's key) for a symmetric-power
-lift, and by default the family and the member.
+lift, the set of its factors' keys for a convolution's pair, and by default
+the family and the member.
 
-The member-level contract is one matrix per prime: ``_member_b(members, p,
-nu_max)`` gives (good, b), where good[k] says whether the k-th member is
-unramified at p and b[nu-1, k] is its power sum b(p^nu), 0 where it is not.
+The member-level contract is one matrix per prime: ``_member_bs(members,
+primes, nu_max)`` gives (good, b) at each prime of a block, where good[k]
+says whether the k-th member is unramified at p and b[nu-1, k] is its power
+sum b(p^nu), 0 where it is not.
 A convolution's matrix is the entrywise product of its factors' matrices.
 Each family defines its rows once, in ``_rows``, over an array of primes;
 ``Family._rows``, the member matrix summed over its members, is the
@@ -17,10 +19,11 @@ reference every faster row is tested against.  Statistics modules consume
 families through ``moment_tables``, which gives each family the rows of
 every prime up to a cutoff; ``prime_moments`` is the row of one prime.  The
 degree-2 families, elliptic curves and the cusp form, share the base
-``HeckeFamily``: their members' normalized traces (``_member_traces``) give
-their matrices.  An elliptic family aggregates its members' coefficients
-from ``trace_distribution``, the distinct normalized traces at p with their
-member counts, as one matrix-vector product.
+``HeckeFamily``, whose one row builder weighs the Hecke power sums of each
+prime's distinct normalized traces by their member counts
+(``_trace_distributions``: an elliptic family's residue histogram, or the
+cusp form's tau(p)/p^(11/2) with weight 1).  Their members' normalized
+traces (``_member_traces``) give their matrices.
 
 A derived family's row at p depends only on its factors' rows at p
 (``_factors``), so one pass, ``moment_tables``, builds the rows of every
@@ -28,7 +31,8 @@ family a command reads, each prime's row once per family, factors first:
 a convolution's (or twist's) rows are the products of its factors' rows,
 less the pairs (f, g) with g the dual of f, whose product is not cuspidal
 (one member matrix of those pairs per prime), and a symmetric-power lift
-regroups its base's Hecke power sums.  Nothing is kept between passes.
+regroups its base's Hecke power sums (``satake.sym_power_sums``, on rows and
+on member matrices alike).  Nothing is kept between passes.
 
 Character sums are exact narrow integers: the quadratic family gathers the
 int8 ``legendre_table(p)`` at its discriminants mod p, reduced by
@@ -81,7 +85,7 @@ from .ecgeom import (
     minimal_model,
     rs_conductor_bounds,
 )
-from .satake import hecke_b_array, sym_power_b_array
+from .satake import hecke_b_array, sym_power_sums
 
 __all__ = [
     "Family",
@@ -165,9 +169,10 @@ class Family:
     def iter_members(self) -> Iterator:
         raise NotImplementedError
 
-    def _member_b(self, members: list, p: int, nu_max: int) -> tuple:
-        """(good, b) of the members at p: good[k] is False where the k-th
-        member is ramified at p, and b[nu-1, k] is its b(p^nu), 0 there."""
+    def _member_bs(self, members: list, primes, nu_max: int) -> Iterator[tuple]:
+        """(good, b) of the members at each prime, in order: good[k] is False
+        where the k-th member is ramified at p, b[nu-1, k] its b(p^nu), 0
+        there.  A block is one call, which may share work (Delta's tau)."""
         raise NotImplementedError
 
     def log_conductor(self, member) -> float:
@@ -210,8 +215,7 @@ class Family:
         members = list(self.iter_members())
         good = np.empty(len(primes))
         sums = np.empty((len(primes), nu_max), dtype=np.complex128)
-        for i, p in enumerate(primes.tolist()):
-            ok, b = self._member_b(members, p, nu_max)
+        for i, (ok, b) in enumerate(self._member_bs(members, primes, nu_max)):
             good[i] = np.count_nonzero(ok)
             sums[i] = b.sum(axis=1)
         return good, sums
@@ -366,18 +370,20 @@ class DirichletFamily(Family):
     def iter_members(self) -> Iterator[int]:
         return iter(range(self.modulus - 2))
 
-    def _member_b(self, members, p, nu_max):
+    def _member_bs(self, members, primes, nu_max):
         """chi(p)^nu = e^(2 pi i (k nu mod e) / e), e = m - 1, for the
         exponent k = (member + 1) * dlog(p) mod e: ``power_value`` bit for
         bit, so the phase is taken in real arithmetic (numpy would divide a
         complex array by e as a product with 1/e)."""
         m = self.modulus
         e = m - 1
-        good = np.full(len(members), p % m != 0)
-        k = (np.array(members, dtype=np.int64) + 1) * _discrete_log(m)[p % m] % e
         nu = np.arange(1, nu_max + 1)[:, None]
-        b = np.exp(1j * (2 * np.pi * (k * nu % e) / e))
-        return good, np.where(good, b, 0)
+        index, dlog = np.array(members, dtype=np.int64) + 1, _discrete_log(m)
+        for p in primes.tolist():
+            good = np.full(len(members), p % m != 0)
+            k = index * dlog[p % m] % e
+            b = np.exp(1j * (2 * np.pi * (k * nu % e) / e))
+            yield good, np.where(good, b, 0)
 
     def log_conductor(self, member) -> float:
         return math.log(self.modulus)
@@ -481,10 +487,11 @@ class QuadraticFamily(Family):
     def iter_members(self) -> Iterator[int]:
         return iter(self.discriminants.tolist())
 
-    def _member_b(self, members, p, nu_max):
+    def _member_bs(self, members, primes, nu_max):
         """b(p^nu) = (d|p)^nu of each member d."""
-        chi = np.array([float(kronecker_symbol(int(d), p)) for d in members])
-        return chi != 0, chi ** np.arange(1, nu_max + 1)[:, None]
+        for p in primes.tolist():
+            chi = np.array([float(kronecker_symbol(int(d), p)) for d in members])
+            yield chi != 0, chi ** np.arange(1, nu_max + 1)[:, None]
 
     def log_conductor(self, member) -> float:
         return math.log(abs(member))
@@ -525,20 +532,37 @@ def quadratic_family(d_range: tuple[int, int], stride: int = 1) -> QuadraticFami
 class HeckeFamily(Family):
     """A degree-2 self-dual family whose members have Hecke eigenvalues.
 
-    Subclasses serve ``_member_traces``, the members' normalized traces; a
-    symmetric-power lift regroups the power sums of the family's rows.
+    Subclasses serve ``_trace_distributions``, from which ``_rows`` builds
+    every row, and ``_member_traces``, the members' normalized traces.
     """
 
     degree = 2
 
-    def _member_traces(self, members: list, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(good, a/sqrt p) of the members at p, the traces 0 where bad."""
+    def _trace_distributions(self, primes: np.ndarray) -> Iterator[tuple]:
+        """(distinct a/sqrt p, number of good members at each) at each of
+        the primes, in order."""
         raise NotImplementedError
 
-    def _member_b(self, members, p, nu_max):
+    def _member_traces(self, members: list, primes) -> Iterator[tuple]:
+        """(good, a/sqrt p, 0 where bad) of the members at each prime."""
+        raise NotImplementedError
+
+    def _member_bs(self, members, primes, nu_max):
         """The power sums of the Satake pairs with the members' traces."""
-        good, traces = self._member_traces(members, p)
-        return good, np.where(good, hecke_b_array(traces, nu_max), 0.0)
+        for good, traces in self._member_traces(members, primes):
+            yield good, np.where(good, hecke_b_array(traces, nu_max), 0.0)
+
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
+        """Each prime's trace distribution weighs its traces' power sums."""
+        good = np.empty(len(primes))
+        sums = np.empty((len(primes), nu_max), dtype=np.complex128)
+        for i, (values, weights) in enumerate(self._trace_distributions(primes)):
+            # row by row, unlike BLAS b @ weights, whose summation order
+            # depends on the row count: a table's first rows keep their bits
+            # for any nu_max
+            sums[i] = np.einsum("ik,k->i", hecke_b_array(values, nu_max), weights)
+            good[i] = weights.sum()
+        return good, sums
 
     def sym_power_log_conductor(self, member, power: int) -> float:
         # a degree-2 archimedean factor of weight k has log Q ~ 2 log(k/2);
@@ -563,9 +587,6 @@ class EllipticFamily(HeckeFamily):
     Conductors come from one ``family_conductors`` pass, run on first use and
     kept with the family: the per-fiber proxies serve ``log_conductor`` and
     convolutions, the prime-power counts the convolution's average.
-
-    Semantically immutable; the memoized conductors are a one-shot fill of
-    deterministic values, so concurrent readers can at worst duplicate work.
     """
 
     def __init__(self, spec: EllipticFamilySpec):
@@ -595,15 +616,17 @@ class EllipticFamily(HeckeFamily):
     def size(self) -> float:
         return float(len(self.members_list))
 
-    def _member_traces(self, members, p):
+    def _member_traces(self, members, primes):
         """``residue_data(p)`` at each t mod p: a member is good where its
         residue's weight is positive, and every member is bad at p < 5."""
-        if p < 5:
-            return np.zeros(len(members), dtype=bool), np.zeros(len(members))
-        a, weights = self.residue_data(p)
-        r = np.array([t % p for t in members], dtype=np.intp)  # t beyond int64
-        good = weights[r] > 0
-        return good, np.where(good, a[r], 0) / math.sqrt(p)
+        for p in primes.tolist():
+            if p < 5:
+                yield np.zeros(len(members), dtype=bool), np.zeros(len(members))
+                continue
+            a, weights = self.residue_data(p)
+            r = np.array([t % p for t in members], dtype=np.intp)  # t beyond int64
+            good = weights[r] > 0
+            yield good, np.where(good, a[r], 0) / math.sqrt(p)
 
     @property
     def conductors(self) -> FamilyConductors:
@@ -643,36 +666,24 @@ class EllipticFamily(HeckeFamily):
         counts[: max(0, end - p)] += 1
         return a, counts * (delta_mod != 0)
 
-    def trace_distribution(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct a_t(p)/sqrt(p), number of good members at each).
-
-        Empty at p = 2, 3, where every fiber is bad.
+    def _trace_distributions(self, primes):
+        """The histogram of the traces at each p, weighed by
+        ``residue_data``; empty at p = 2, 3, where every fiber is bad.
 
         Raises:
             ValueError: If a trace violates the Hasse bound a^2 <= 4p.
         """
-        if p < 5:
-            return np.empty(0), np.empty(0)
-        a, weights = self.residue_data(p)
-        if np.any(a * a > 4 * p):
-            raise ValueError(f"{self.family_id}: trace beyond 2 sqrt({p})")
-        off = math.isqrt(4 * p)
-        hist = np.bincount(a + off, weights=weights, minlength=2 * off + 1)
-        held = np.flatnonzero(hist)
-        return (held - off) / math.sqrt(p), hist[held]
-
-    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
-        """Each prime's trace distribution weighs its traces' power sums."""
-        good = np.empty(len(primes))
-        sums = np.empty((len(primes), nu_max), dtype=np.complex128)
-        for i, p in enumerate(primes.tolist()):
-            values, weights = self.trace_distribution(p)
-            # row by row, unlike BLAS b @ weights, whose summation order
-            # depends on the row count: a table's first rows keep their bits
-            # for any nu_max
-            sums[i] = np.einsum("ik,k->i", hecke_b_array(values, nu_max), weights)
-            good[i] = weights.sum()
-        return good, sums
+        for p in primes.tolist():
+            if p < 5:
+                yield np.empty(0), np.empty(0)
+                continue
+            a, weights = self.residue_data(p)
+            if np.any(a * a > 4 * p):
+                raise ValueError(f"{self.family_id}: trace beyond 2 sqrt({p})")
+            off = math.isqrt(4 * p)
+            hist = np.bincount(a + off, weights=weights, minlength=2 * off + 1)
+            held = np.flatnonzero(hist)
+            yield (held - off) / math.sqrt(p), hist[held]
 
 
 def elliptic_family(spec: EllipticFamilySpec) -> EllipticFamily:
@@ -714,28 +725,32 @@ def ramanujan_tau_table(n_max: int) -> list[int]:
 
 
 class DeltaFamily(HeckeFamily):
-    """The singleton family of the level-1 weight-12 cusp form, computing
-    tau(n) only as far as the prime sums read."""
+    """The singleton family of the level-1 weight-12 cusp form; it keeps no
+    state, so ``cusp_form_delta`` shares one instance."""
 
-    def __init__(self):
-        self.tau: list[int] = []
-        self.family_id = "delta"
-
-    def tau_through(self, n: int) -> list[int]:
-        """The kept tau table, grown to max(n, 2 len) if shorter than n."""
-        # a local name: a concurrent grow rebinds self.tau, never this list
-        tau = self.tau
-        if len(tau) < n:
-            tau = self.tau = ramanujan_tau_table(max(n, 2 * len(tau)))
-        return tau
+    family_id = "delta"
 
     def iter_members(self) -> Iterator[str]:
         return iter(("delta",))
 
-    def _member_traces(self, members, p):
-        """tau(p) / p^(11/2), good at every p."""
-        value = self.tau_through(p)[p - 1] / p**5.5
-        return np.ones(len(members), dtype=bool), np.full(len(members), value)
+    def _trace_distributions(self, primes):
+        """tau(p) / p^(11/2) with weight 1 at each p, from one tau table
+        through the last prime.
+
+        Raises:
+            ValueError: If tau(p)^2 > 4 p^11, beyond the Deligne bound.
+        """
+        ps = primes.tolist()
+        tau = ramanujan_tau_table(ps[-1]) if ps else []
+        for p in ps:
+            if tau[p - 1] ** 2 > 4 * p**11:
+                raise ValueError(f"tau({p}) beyond 2 p^(11/2)")
+            yield np.array([tau[p - 1] / p**5.5]), np.ones(1)
+
+    def _member_traces(self, members, primes):
+        """tau(p) / p^(11/2), good at every p: one tau table per call."""
+        for value, _ in self._trace_distributions(primes):
+            yield np.ones(len(members), dtype=bool), np.full(len(members), value[0])
 
     def log_conductor(self, member) -> float:
         return weil.log_analytic_conductor(weil.disc(12))
@@ -743,27 +758,13 @@ class DeltaFamily(HeckeFamily):
     def sym_power_log_conductor(self, member, power: int) -> float:
         return weil.log_analytic_conductor(weil.sym_power(weil.disc(12), power))
 
-    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
-        """The power sums of tau(p) / p^(11/2), from the kept tau table if it
-        reaches the last prime, else from a table of exactly that reach, not
-        kept: each block of a pass computes tau as if it were alone.
 
-        Raises:
-            ValueError: If a trace violates the Deligne bound |.| <= 2.
-        """
-        ps = primes.tolist()
-        tau = self.tau  # one read: a concurrent grow rebinds self.tau
-        if len(tau) < max(ps, default=0):
-            tau = ramanujan_tau_table(ps[-1])
-        traces = np.array([tau[p - 1] / p**5.5 for p in ps])
-        beyond = np.flatnonzero(np.abs(traces) > 2.0)
-        if len(beyond):
-            raise ValueError(f"tau({ps[beyond[0]]}) beyond 2 p^(11/2)")
-        return np.ones(len(ps)), hecke_b_array(traces, nu_max).T.astype(np.complex128)
+_DELTA = DeltaFamily()
 
 
 def cusp_form_delta() -> DeltaFamily:
-    return DeltaFamily()
+    """The cusp form Delta: one instance, which every family may share."""
+    return _DELTA
 
 
 # ---------------------------------------------------------------------------
@@ -786,9 +787,10 @@ class SymLiftFamily(Family):
     def iter_members(self):
         return self.base.iter_members()
 
-    def _member_b(self, members, p, nu_max):
-        good, traces = self.base._member_traces(members, p)
-        return good, np.where(good, sym_power_b_array(traces, self.power, nu_max), 0.0)
+    def _member_bs(self, members, primes, nu_max):
+        """The base's matrices regrouped, their good flags as ``zero``."""
+        for good, b in self.base._member_bs(members, primes, self.power * nu_max):
+            yield good, sym_power_sums(b, good, self.power)
 
     def log_conductor(self, member) -> float:
         return self.base.sym_power_log_conductor(member, self.power)
@@ -805,16 +807,9 @@ class SymLiftFamily(Family):
         return ((self.base, self.power * nu_max),)
 
     def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
-        """The base's rows regrouped as ``sym_power_b_array`` regroups power
-        sums: B(p^nu) = [M even] good + the base's sums of b(p^(m nu)) for
-        m = M, M - 2, ... > 0, added in that order."""
+        """The base's rows regrouped, their good weight as ``zero``."""
         ((good, base_sums),) = factor_rows
-        nu = np.arange(1, nu_max + 1)
-        sums = np.zeros((len(primes), nu_max), dtype=np.complex128)
-        sums += good[:, None] * (self.power % 2 == 0)
-        for m in range(self.power, 0, -2):
-            sums += base_sums[:, m * nu - 1]
-        return good, sums
+        return good, sym_power_sums(base_sums.T, good, self.power).T
 
 
 def sym_lift(f: Family, M: int) -> Family:
@@ -874,12 +869,22 @@ class ConvolutionFamily(Family):
     def size(self) -> float:
         return self.left.size() * self.right.size() - len(self.excluded)
 
-    def _member_b(self, members, p, nu_max):
+    def form_key(self, member) -> frozenset:
+        """The set of the factors' keys: f x g and g x f are one form."""
+        f, g = member
+        return frozenset({self.left.form_key(f), self.right.form_key(g)})
+
+    def dual_key(self, member) -> frozenset:
+        f, g = member
+        return frozenset({self.left.dual_key(f), self.right.dual_key(g)})
+
+    def _member_bs(self, members, primes, nu_max):
         """The products of the factors' matrices; a pair is good where both
         of its members are."""
-        left_good, left_b = self.left._member_b([f for f, _ in members], p, nu_max)
-        right_good, right_b = self.right._member_b([g for _, g in members], p, nu_max)
-        return left_good & right_good, left_b * right_b
+        lefts = self.left._member_bs([f for f, _ in members], primes, nu_max)
+        rights = self.right._member_bs([g for _, g in members], primes, nu_max)
+        for (left_good, left_b), (right_good, right_b) in zip(lefts, rights):
+            yield left_good & right_good, left_b * right_b
 
     def log_conductor(self, member) -> float:
         f, g = member
@@ -909,8 +914,8 @@ class ConvolutionFamily(Family):
         (left_good, left_sums), (right_good, right_sums) = factor_rows
         sums = left_sums * right_sums
         good = left_good * right_good
-        for k, p in enumerate(primes.tolist() if self.excluded else ()):
-            ok, b = self._member_b(self.excluded, p, nu_max)
+        excluded = self._member_bs(self.excluded, primes, nu_max) if self.excluded else ()
+        for k, (ok, b) in enumerate(excluded):
             # the good pairs one at a time, in their order: a pairwise np.sum
             # would move the last bit
             sums[k] = np.subtract.accumulate(np.vstack([sums[k], b.T[ok]]))[-1]
@@ -947,10 +952,8 @@ class KroneckerTwist(QuadraticFamily):
     def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
         """The quadratic family's rows of d, from chi(p) at every prime at
         once."""
-        chi = np.array([kronecker_symbol(self.d, p) for p in primes.tolist()])
-        sums = (chi[:, None].astype(float) ** np.arange(1, nu_max + 1)).astype(
-            np.complex128
-        )
+        chi = np.array([float(kronecker_symbol(self.d, p)) for p in primes.tolist()])
+        sums = (chi[:, None] ** np.arange(1, nu_max + 1)).astype(np.complex128)
         return (chi != 0).astype(float), sums
 
 

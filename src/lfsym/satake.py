@@ -6,9 +6,10 @@ consumes.  This module computes them for many members at once: the array
 forms take a vector of normalized traces and return a matrix with rows
 nu = 1..nu_max and one column per trace.  Its one recursion is the degree-2
 Hecke recursion for b(p^n) = alpha^n + alpha^-n (``hecke_b_array``).  A
-symmetric power regroups it: the sym^M spectrum to the nu-th power is
-{alpha^(nu (M - 2j)) : j = 0..M}, so B(p^nu) = b(p^(M nu)) +
-b(p^((M - 2) nu)) + ..., plus 1 when M is even (``sym_power_b_array``).  A
+symmetric power regroups its power sums: the sym^M spectrum to the nu-th
+power is {alpha^(nu (M - 2j)) : j = 0..M}, so B(p^nu) = b(p^(M nu)) +
+b(p^((M - 2) nu)) + ..., plus 1 when M is even (``sym_power_sums``, which
+regroups a family's summed rows as well as a member matrix).  A
 Rankin-Selberg product needs no routine of its own: its power sums factor,
 b_{fxg}(p^nu) = b_f(p^nu) * b_g(p^nu), so its matrix is the entrywise
 product of its factors' matrices.  ``SatakeSpectrum`` holds the parameters
@@ -25,7 +26,7 @@ __all__ = [
     "SatakeSpectrum",
     "hecke_b_array",
     "sym_power_spectrum",
-    "sym_power_b_array",
+    "sym_power_sums",
 ]
 
 
@@ -93,18 +94,18 @@ def sym_power_spectrum(spec: SatakeSpectrum, M: int) -> SatakeSpectrum:
     return SatakeSpectrum(p=spec.p, alphas=alpha ** exps.astype(complex))
 
 
-def sym_power_b_array(a_p: np.ndarray, M: int, nu_max: int) -> np.ndarray:
-    """Power sums of the sym^M spectra of the traces a_p.
+def sym_power_sums(b: np.ndarray, zero, M: int) -> np.ndarray:
+    """Power sums of sym^M regrouped from the Hecke power sums b, whose
+    first axis is nu = 1..M nu_max: B(p^nu) = [M even] zero +
+    b(p^(M nu)) + b(p^((M - 2) nu)) + ..., added in that order.
 
-    B(p^nu) is the constant 1 when M is even plus b(p^(m nu)) for
-    m = M, M - 2, ... > 0, added in that order, from one ``hecke_b_array``
-    table through M nu_max.  Row nu reads only the table's rows m nu, so its
-    bits do not depend on nu_max.  Rows nu = 1..nu_max, columns follow a_p.
+    zero is what the parameter alpha^0 = 1 of an even M adds: 1 for a good
+    member, 0 for a bad one (whose b is 0), or a row's good weight.  Row nu
+    reads only b's rows m nu, so its bits do not depend on nu_max.
     """
-    a_p = np.asarray(a_p, dtype=float)
-    b = hecke_b_array(a_p, M * nu_max)
-    nu = np.arange(1, nu_max + 1)
-    out = np.full((nu_max,) + a_p.shape, float(M % 2 == 0))
+    nu = np.arange(1, len(b) // M + 1)
+    out = np.zeros((len(nu),) + b.shape[1:], dtype=b.dtype)
+    out += zero * (M % 2 == 0)
     for m in range(M, 0, -2):
         out += b[m * nu - 1]
     return out

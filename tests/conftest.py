@@ -23,8 +23,9 @@ class ZeroFamily(Family):
     def iter_members(self):
         return iter(range(self.n))
 
-    def _member_b(self, members, p, nu_max):
-        return np.ones(len(members), dtype=bool), np.zeros((nu_max, len(members)))
+    def _member_bs(self, members, primes, nu_max):
+        for _ in primes:
+            yield np.ones(len(members), dtype=bool), np.zeros((nu_max, len(members)))
 
     def log_conductor(self, member):
         return self._logc

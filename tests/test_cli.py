@@ -609,9 +609,9 @@ def test_demo_output_matches_golden_csv(command, capsys):
 @pytest.mark.parametrize("command", ["constants", "density"])
 def test_hecke_output_matches_golden_csv(command, capsys):
     # Delta, its lifts, a delta twist and convolutions that exclude pairs;
-    # with two threads, several families grow Delta's tau table at once
+    # with T threads, Delta's rows come from T block tau tables
     expected = (GOLDEN / f"hecke_p300_{command}.csv").read_text()
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3"):
         config = str(GOLDEN / "hecke_p300.ini")
         assert main([command, "--config", config, "--threads", threads]) == 0
         assert capsys.readouterr().out == expected, threads
@@ -707,7 +707,7 @@ def test_delta_tau_reaches_the_support_edge(tmp_path, capsys, monkeypatch):
     assert calls == [97]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_hecke_tau_stops_at_the_last_prime_read(threads, monkeypatch, capsys):
     # the sums read tau(p) up to p = 293; one pass builds Delta's rows, each
     # block of primes from one tau table of the block's reach, and every
@@ -725,6 +725,32 @@ def test_hecke_tau_stops_at_the_last_prime_read(threads, monkeypatch, capsys):
     assert calls and max(calls) == 293
     assert calls.count(293) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_excluded_delta_pairs_read_one_tau_table_per_block(
+    threads, tmp_path, monkeypatch, capsys
+):
+    # qd x qd excludes every (X, X), whose member matrices hold tau(p):
+    # each block of primes builds Delta's rows from one tau table and each
+    # factor's matrices of the excluded pairs from one more, never one table
+    # per prime
+    calls = []
+
+    def counted(n_max):
+        calls.append(n_max)
+        return ramanujan_tau_table(n_max)
+
+    monkeypatch.setattr(families, "ramanujan_tau_table", counted)
+    path = tmp_path / "qdqd.ini"
+    path.write_text(
+        "[run]\nprimes = 300\n[family q]\nkind = quadratic\nd_min = 10\n"
+        "d_max = 40\n[family qd]\nkind = twist\ntwist = delta\nbase = q\n"
+        "[family cc]\nkind = convolve\nleft = qd\nright = qd\n"
+    )
+    assert main(["constants", "--config", str(path), "--threads", threads]) == 0
+    assert capsys.readouterr().out.count("\ncc,") == 1
+    assert len(calls) == 3 * int(threads)
 
 
 @pytest.mark.parametrize(

@@ -45,13 +45,14 @@ EC2 = EllipticFamilySpec((0, 1), (2,), 2000, 2040)  # y^2 = x^3 + Sx + 2
 
 def member_b(family, member, p, nu_max):
     """(good, b) of one member at p: its column of the member matrix."""
-    good, b = family._member_b([member], p, nu_max)
+    ((good, b),) = family._member_bs([member], np.array([p]), nu_max)
     return bool(good[0]), b[:, 0]
 
 
 def member_trace(family, member, p):
     """The normalized trace a/sqrt(p) of one member of a HeckeFamily."""
-    return float(family._member_traces([member], p)[1][0])
+    ((_, traces),) = family._member_traces([member], np.array([p]))
+    return float(traces[0])
 
 
 def moments_by_member_loop(family, p, nu_max):
@@ -239,8 +240,8 @@ class TestEllipticFamily:
         fam = elliptic_family(spec)
         members = fam.members_list
         bad_seen = False
-        for p in sieve_primes(60).primes.tolist():
-            good, b = fam._member_b(members, p, 5)
+        primes = sieve_primes(60).primes
+        for p, (good, b) in zip(primes.tolist(), fam._member_bs(members, primes, 5)):
             for k, t in enumerate(members):
                 if p < 5 or spec.discriminant(t) % p == 0:
                     bad_seen |= p >= 5
@@ -280,12 +281,12 @@ class TestEllipticFamily:
 
     def test_trace_distribution_is_a_short_histogram(self):
         fam = elliptic_family(EllipticFamilySpec((0, 1), (1,), 50, 150))
-        for p in (5, 7, 31, 97):
-            values, weights = fam.trace_distribution(p)
+        primes = np.array([3, 5, 7, 31, 97])
+        for p, (values, weights) in zip(primes, fam._trace_distributions(primes)):
             assert len(values) <= 2 * math.isqrt(4 * p) + 1
             assert len(set(values.tolist())) == len(values)
             assert weights.sum() == fam.prime_moments(p, 2).good_weight
-        assert len(fam.trace_distribution(3)[0]) == 0
+            assert (len(values) == 0) == (p == 3)
 
     def test_hasse_violation_rejected(self, monkeypatch):
         monkeypatch.setattr(
@@ -376,30 +377,31 @@ class TestDeltaFamily:
         assert member_trace(fam, "delta", 2) == pytest.approx(-0.5303, abs=1e-4)
 
     def test_deligne_bound(self):
-        tau = cusp_form_delta().tau_through(100)
+        tau = ramanujan_tau_table(100)
         for p in [int(q) for q in sieve_primes(100).primes]:
-            assert abs(tau[p - 1]) <= 2 * p**5.5
+            assert tau[p - 1] ** 2 <= 4 * p**11
 
-    def test_tau_grows_when_a_read_passes_its_end(self):
+    def test_delta_is_one_stateless_instance(self):
         fam = cusp_form_delta()
-        assert fam.tau == []
+        assert fam is cusp_form_delta()
+        state = dict(vars(fam))
+        fam.moment_table(200, 4)
         assert member_trace(fam, "delta", 7) == pytest.approx(-16744 / 7**5.5)
-        assert len(fam.tau) == 7
-        # at least doubled, and exact at the new end
         assert member_trace(fam, "delta", 11) == pytest.approx(534612 / 11**5.5)
-        assert len(fam.tau) == 14
-        assert fam.tau == ramanujan_tau_table(14)
+        assert vars(fam) == state
 
     def test_moments_match_member_loop(self):
         assert_moments_match_loop(cusp_form_delta(), [2, 3, 5, 59], 4)
 
     def test_deligne_violation_rejected(self, monkeypatch):
-        fam = cusp_form_delta()
-        tau = list(fam.tau_through(10))
-        tau[4] = 3 * 5**6  # tau(5) beyond 2 * 5^5.5
-        monkeypatch.setattr(fam, "tau", tau)
+        def faulty(n_max):
+            tau = ramanujan_tau_table(n_max)
+            tau[4] = 3 * 5**6  # tau(5) beyond 2 * 5^5.5
+            return tau
+
+        monkeypatch.setattr(families, "ramanujan_tau_table", faulty)
         with pytest.raises(ValueError, match="tau"):
-            fam.prime_moments(5, 2)
+            cusp_form_delta().prime_moments(5, 2)
 
     def test_log_conductor_from_gamma_shift(self):
         # GammaC(s + 11/2) contributes (11/2)(13/2)/4
@@ -795,6 +797,32 @@ class TestFormKeys:
         conv = convolve(dirichlet_family(m), dirichlet_family(m))
         assert set(conv.excluded) == trivial
 
+    def test_convolution_keys_are_the_sets_of_their_factors_keys(self):
+        # C pairs the characters chi_1, chi_2, chi_3 mod 5 (members 0, 1, 2;
+        # member i's conjugate is 2 - i).  A pair (X, Y) of C x C is excluded
+        # iff Y's factors are the conjugates of X's, in either order, and
+        # then X x Y is trivial.  X x X is the quadratic character when X's
+        # factors differ, so those pairs are kept.
+        c = convolve(dirichlet_family(5), dirichlet_family(5))
+        cc = convolve(c, c)
+        assert c.form_key((0, 1)) == c.form_key((1, 0))
+        assert c.dual_key((0, 1)) == c.form_key((2, 1))
+        conjugate = {
+            (x, y)
+            for x in c.iter_members()
+            for y in c.iter_members()
+            if sorted(y) == sorted(2 - i for i in x)
+        }
+        assert set(cc.excluded) == conjugate and len(conjugate) == 10
+        primes = np.array([2, 3, 7, 13])
+        _, b = zip(*cc._member_bs(cc.excluded, primes, 1))
+        assert np.allclose(b, 1)
+        squares = [((0, 1),) * 2, ((1, 0),) * 2, ((1, 2),) * 2, ((2, 1),) * 2]
+        assert set(squares) <= set(cc.iter_members())
+        _, b = zip(*cc._member_bs(squares, primes, 1))
+        assert np.allclose(b, -1)
+        assert_moments_match_loop(cc, [2, 3, 7, 11], 2)
+
     @pytest.mark.parametrize(
         "make, excluded",
         [
@@ -883,8 +911,8 @@ class TestMomentTable:
         members = list(fam.iter_members())
         sample = members[:: max(1, len(members) // 40)]
         bad = 0
-        for p in sieve_primes(100).primes.tolist():
-            good, b = fam._member_b(sample, p, 4)
+        primes = sieve_primes(100).primes
+        for p, (good, b) in zip(primes.tolist(), fam._member_bs(sample, primes, 4)):
             assert good.dtype == bool and b.shape == (4, len(sample))
             bad += np.count_nonzero(~good)
             assert not b[:, ~good].any(), p
@@ -1241,8 +1269,8 @@ class TestDirichletOnDemand:
         fam = dirichlet_family(m)
         members = list(fam.iter_members())
         assert members == list(range(m - 2))
-        for p in (2, 3, 5, m, 29, 53):
-            good, b = fam._member_b(members, p, 4)
+        primes = np.array([2, 3, 5, m, 29, 53])
+        for p, (good, b) in zip(primes.tolist(), fam._member_bs(members, primes, 4)):
             assert good.tolist() == [p != m] * len(members)
             for k in members:
                 # bit for bit: a complex-division phase moves the last bit

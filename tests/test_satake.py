@@ -7,8 +7,8 @@ from lfsym.satake import (
     SatakeSpectrum,
     hecke_b_array,
     spectrum_from_trace,
-    sym_power_b_array,
     sym_power_spectrum,
+    sym_power_sums,
 )
 
 
@@ -17,6 +17,12 @@ def brute_force_power_sums(alphas, nu_max):
     return np.array(
         [sum(a**nu for a in alphas) for nu in range(1, nu_max + 1)]
     )
+
+
+def sym_power_table(a_p, M, nu_max):
+    """Power sums of the sym^M spectra of the traces a_p: the regroup of
+    one ``hecke_b_array`` table through M nu_max, every member good."""
+    return sym_power_sums(hecke_b_array(a_p, M * nu_max), 1.0, M)
 
 
 def hecke_eigenvalue(a_p, M):
@@ -114,7 +120,7 @@ class TestRankinProduct:
         rng = np.random.default_rng(5)
         for M in (2, 3):
             a1, a2 = rng.uniform(-2, 2, size=(2, 50))
-            prod = sym_power_b_array(a1, M, 6) * hecke_b_array(a2, 6)
+            prod = sym_power_table(a1, M, 6) * hecke_b_array(a2, 6)
             for j in range(50):
                 s1 = sym_power_spectrum(spectrum_from_trace(2, a1[j]), M).alphas
                 s2 = spectrum_from_trace(2, a2[j]).alphas
@@ -162,10 +168,10 @@ class TestSymPowerB:
     def test_sym2_first_entry(self):
         # B(p) = a(p^2) = a_p^2 - 1
         for a_p in (-1.2, 0.0, 0.7):
-            assert sym_power_b_array(a_p, 2, 4)[0] == pytest.approx(a_p**2 - 1)
+            assert sym_power_table(a_p, 2, 4)[0] == pytest.approx(a_p**2 - 1)
 
     def test_sym2_trace_zero(self):
-        b = sym_power_b_array(0.0, 2, 4)
+        b = sym_power_table(0.0, 2, 4)
         assert b[0] == pytest.approx(-1)
         # brute force over the explicit spectrum {-1, 1, -1}
         oracle = brute_force_power_sums([-1, 1, -1], 4).real
@@ -174,20 +180,20 @@ class TestSymPowerB:
 
     def test_sym1_is_hecke(self):
         for a_p in (-1.5, 0.3, 1.9):
-            assert sym_power_b_array(a_p, 1, 6) == pytest.approx(
+            assert sym_power_table(a_p, 1, 6) == pytest.approx(
                 hecke_b_array(a_p, 6).tolist()
             )
 
     def test_degree(self):
         # at alpha = 1 every power sum of sym^M is its degree M + 1
         assert sym_power_spectrum(spectrum_from_trace(3, 0.5), 4).degree == 5
-        assert sym_power_b_array(2.0, 4, 3) == pytest.approx([5, 5, 5])
+        assert sym_power_table(2.0, 4, 3) == pytest.approx([5, 5, 5])
 
     def test_first_row_is_hecke_eigenvalue(self):
         # B(p) = a(p^M), against the sine formula rather than a recursion
         a = np.array([-2.0, -1.7, -0.3, 0.0, 0.8, 1.95, 2.0])
         for M in range(1, 9):
-            first = sym_power_b_array(a, M, 3)[0]
+            first = sym_power_table(a, M, 3)[0]
             oracle = [hecke_eigenvalue(av, M) for av in a]
             assert first == pytest.approx(oracle, abs=1e-9), M
 
@@ -196,11 +202,11 @@ class TestSymPowerB:
         # for any nu_max (the kept-table slicing rule)
         traces = np.array([-2.0, -1.2, 0.0, 0.5, 1.9, 2.0])
         for M in (1, 2, 3, 4, 5):
-            table = sym_power_b_array(traces, M, 12)
+            table = sym_power_table(traces, M, 12)
             assert table.shape == (12, 6)
-            assert table[:5].tobytes() == sym_power_b_array(traces, M, 5).tobytes()
+            assert table[:5].tobytes() == sym_power_table(traces, M, 5).tobytes()
             for j, t in enumerate(traces):
-                assert table[:, j].tolist() == sym_power_b_array(t, M, 12).tolist()
+                assert table[:, j].tolist() == sym_power_table(t, M, 12).tolist()
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(11)
@@ -211,14 +217,27 @@ class TestSymPowerB:
         for a_p, M in cases:
             lifted = sym_power_spectrum(spectrum_from_trace(3, a_p), M)
             oracle = lifted.power_sums(12)
-            got = sym_power_b_array(a_p, M, 12)
+            got = sym_power_table(a_p, M, 12)
             assert np.max(np.abs(got - np.asarray(oracle).real)) < 1e-9, (a_p, M)
 
     def test_array_form_matches(self):
         a = np.array([-1.9, -0.3, 0.0, 1.1, 2.0])
         for M in (1, 2, 3, 5):
-            table = sym_power_b_array(a, M, 6)
+            table = sym_power_table(a, M, 6)
             for j, av in enumerate(a):
                 lifted = sym_power_spectrum(spectrum_from_trace(3, float(av)), M)
                 oracle = np.asarray(lifted.power_sums(6)).real
                 assert table[:, j] == pytest.approx(oracle, abs=1e-9)
+
+    def test_bad_members_give_zero_columns(self):
+        # a member matrix: the bad columns of b are 0 and zero is the good
+        # flags, so they stay 0, and the good columns keep their bits
+        a = np.array([-1.9, 0.0, 0.7, 2.0, -0.4])
+        good = np.array([True, False, True, False, True])
+        for M in (1, 2, 3, 4):
+            b = np.where(good, hecke_b_array(a, M * 5), 0.0)
+            table = sym_power_sums(b, good, M)
+            assert table.shape == (5, 5)
+            assert not table[:, ~good].any(), M
+            want = sym_power_table(a[good], M, 5)
+            assert table[:, good].tobytes() == want.tobytes(), M
