@@ -9,10 +9,15 @@ by counting points over F_p: the Nagao rank sum and the second-moment sum
 over a complete residue system.
 
 Both statistics, ``ec-scan`` and the elliptic families read the Frobenius
-traces a_t(p) of every residue t mod p from one table, ``ap_residue_table``;
-the statistics and ``ec-scan`` read them through one pass,
+traces a_t(p) of every residue t mod p from one table path,
+``ap_residue_tables``, which builds the tables of several specs at p from
+one ``PrimeContext``: the powers of the primitive root, the Legendre signs
+chi, the residues and the transform of chi at the smallest 5-smooth length
+n >= 2p, made once per prime.  ``ap_residue_table`` is that path for one
+spec.  The elliptic families of a pass build their tables together, prime
+by prime; the statistics and ``ec-scan`` read them through one pass,
 ``residue_moments``, which keeps the exact sums sum_t a_t(p) and
-sum_t a_t(p)^2 of one table per prime.  The table takes one of two paths,
+sum_t a_t(p)^2 of one table per prime.  A table takes one of two paths,
 each O(p log p):
 
 * A = a0 + a1 T with a1 != 0 mod p and B = b0 + b1 T: with
@@ -21,7 +26,9 @@ each O(p log p):
   h[u] = sum_{F1(x)!=0, F0(x)/F1(x)=u} chi(F1(x)).  F1 walks the units as
   g^k for the primitive root g, so 1/F1 = g^-k and chi(F1) = (-1)^k are
   read by position in one table of the powers g^k.  The second sum is a
-  cyclic correlation by real FFT, rounded to int64 and rejected (ValueError)
+  cyclic correlation by real FFT: the h rows of every distinct correlation
+  at p are one stack, transformed by one numpy call against the one
+  transform of chi.  Each is rounded to int64 and rejected (ValueError)
   when an entry lies more than 0.25 from an integer or breaks a^2 <= 4p;
 * every other family reads that correlation at A = B = T,
   U[s] = a_p(x^3 + s x + s): where A B != 0 mod p, E(A, B) is the
@@ -58,12 +65,13 @@ and their counts are those of full factorizations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -93,7 +101,9 @@ __all__ = [
     "residue_moments",
     "nagao_sum",
     "michel_moment",
+    "PrimeContext",
     "ap_residue_table",
+    "ap_residue_tables",
     "trace_of_frobenius",
     "affine_point_count",
 ]
@@ -224,6 +234,15 @@ class EllipticFamilySpec:
     def discriminant(self, t: int) -> int:
         return -16 * (4 * self.A(t) ** 3 + 27 * self.B(t) ** 2)
 
+    def delta_coeffs(self) -> tuple[int, ...]:
+        """The coefficients of 4 A(T)^3 + 27 B(T)^2 = -Delta(T) / 16,
+        lowest degree first."""
+        a, b = self.a_coeffs, self.b_coeffs
+        cube, square = _poly_mul(a, _poly_mul(a, a)), _poly_mul(b, b)
+        return tuple(
+            4 * x + 27 * y for x, y in itertools.zip_longest(cube, square, fillvalue=0)
+        )
+
     @property
     def t_range(self) -> range:
         return range(self.t_min, self.t_max)
@@ -260,9 +279,21 @@ def _eval_poly(coeffs: Sequence[int], t: int) -> int:
     return acc
 
 
+def _poly_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The coefficients of f g, lowest degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
 def _eval_poly_mod(coeffs: Sequence[int], r: np.ndarray, p: int) -> np.ndarray:
-    acc = np.zeros_like(r)
-    for c in reversed(coeffs):
+    """The polynomial at the residues r mod p by Horner's rule, each step
+    below p^2."""
+    *rest, lead = coeffs or (0,)
+    acc = np.full_like(r, lead % p)
+    for c in reversed(rest):
         acc = _reduce_mod(acc * r + c % p, p)
     return acc
 
@@ -304,34 +335,124 @@ def affine_point_count(A: int, B: int, p: int) -> int:
     return count
 
 
+class PrimeContext:
+    """What every residue table at a prime p >= 5 reads, made once per prime.
+
+    Attributes:
+        p: The prime (a numpy integer is read as the int it holds).
+        pw: pw[k] = g^k mod p for the smallest primitive root g (intp).
+        chi: The Legendre signs, chi[g^k] = (-1)^k and chi[0] = 0 (int64).
+        r: The residues 0..p-1 in ``residue_dtype(p)``.
+        n: The FFT length, the smallest 5-smooth n >= 2p.
+        chi_hat: ``np.fft.rfft(chi, n)``.
+
+    Raises:
+        ValueError: If p is not a prime >= 5.
+    """
+
+    def __init__(self, p: int):
+        self.p = p = operator.index(p)
+        _require_prime(p)
+        self.pw = pw = primitive_root_powers(p)
+        self.chi = np.zeros(p, dtype=np.int64)
+        self.chi[pw[0::2]] = 1
+        self.chi[pw[1::2]] = -1
+        self.r = np.arange(p, dtype=residue_dtype(p))
+        self.n = _fft_length(p)
+        self.chi_hat = np.fft.rfft(self.chi, self.n)
+
+
+def _fft_length(p: int) -> int:
+    """The smallest 5-smooth n >= 2p, at which numpy's FFT is fast.
+
+    At n >= 2p the lags 0..p-1 and -p..-1 of a linear correlation of two
+    length-p rows occupy distinct slots; at n = 2p - 1 lag p - 1 would wrap
+    onto slot n - p of lag -p.
+    """
+    best = 1 << (2 * p - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # odd 2^k >= 2p at the least k with 2^k >= ceil(2p / odd)
+            best = min(best, odd << (-(-2 * p // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def ap_residue_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
-    """a_t(p) for t = 0..p-1 (t read mod p), as an exact int64 array.
+    """a_t(p) for t = 0..p-1 (t read mod p), as an exact int64 array: the
+    table of ``ap_residue_tables`` for the one spec.
 
     The table drives family sums, Nagao sums and second moments, since a_t(p)
-    only depends on t mod p.  A = a0 + a1 T with a1 != 0 mod p and B of
-    degree <= 1 take their own FFT correlation, rounded to integers and
-    checked; every other family reads it at A = B = T through the quadratic
-    twist.  Both paths are O(p log p) (see the module docstring).
+    only depends on t mod p.
 
     Raises:
         ValueError: If p is not a prime >= 5, or if the correlation yields
             an entry more than 0.25 from an integer or beyond the Hasse bound.
     """
-    p = operator.index(p)  # numpy integers too
-    _require_prime(p)
+    return next(ap_residue_tables([spec], PrimeContext(p)))
+
+
+def ap_residue_tables(
+    specs: Sequence[EllipticFamilySpec], context: PrimeContext
+) -> Iterator[np.ndarray]:
+    """The ``ap_residue_table`` of each spec at the context's prime, in order.
+
+    A = a0 + a1 T with a1 != 0 mod p and B of degree <= 1 read the
+    correlation of their own coefficients; every other spec reads it at
+    A = B = T, through the quadratic twist.  The distinct correlations are
+    one stack of rows, transformed by one numpy call against the context's
+    ``chi_hat`` and rounded to integers together; each is checked as a
+    table reads it (see the module docstring).
+
+    Raises:
+        ValueError: If a correlation yields an entry more than 0.25 from an
+            integer or beyond the Hasse bound.
+    """
+    p, n = context.p, context.n
+    own = [_linear_coefficients(spec, p) for spec in specs]
+    keys = list(dict.fromkeys(key or _TWIST_KEY for key in own))
+    fixed, h = zip(*(_correlation_row(key, context) for key in keys))
+    # sum_u h[u] chi(t + u) as a linear correlation at lags t and t - p
+    lags = np.fft.irfft(np.conj(np.fft.rfft(np.array(h), n)) * context.chi_hat, n)
+    corr = lags[:, :p] + lags[:, n - p :]
+    rounded = np.rint(corr)
+    drift = np.abs(corr - rounded).max(axis=1)
+    tables = -np.array(fixed)[:, None] - rounded.astype(np.int64)
+    beyond = (tables * tables > 4 * p).any(axis=1)
+    for spec, key in zip(specs, own):
+        i = keys.index(key or _TWIST_KEY)
+        if drift[i] > 0.25:
+            raise ValueError(
+                f"correlation table at p = {p} is {drift[i]:.3g} off integers"
+            )
+        if beyond[i]:
+            raise ValueError(f"correlation table at p = {p} breaks the Hasse bound")
+        yield tables[i] if key else _ap_twist_table(spec, context, tables[i])
+
+
+def _linear_coefficients(spec: EllipticFamilySpec, p: int) -> Optional[tuple]:
+    """(a0, a1, b0, b1) for A = a0 + a1 T with a1 != 0 mod p and B of
+    degree <= 1, else None."""
     a, b = spec.a_coeffs, spec.b_coeffs
     if len(a) == 2 and len(b) <= 2 and a[1] % p:
-        return _ap_correlation_table(a[0], a[1], *(tuple(b) + (0, 0))[:2], p)
-    return _ap_twist_table(spec, p)
+        return (a[0], a[1], *(tuple(b) + (0, 0))[:2])
+    return None
 
 
-def _ap_correlation_table(a0: int, a1: int, b0: int, b1: int, p: int) -> np.ndarray:
-    """a_t(p) of x^3 + (a0 + a1 t) x + b0 + b1 t = F0(x) + t F1(x), a1 != 0
-    mod p, as -chi(F0(root)) - sum_u h[u] chi(t + u) by real FFT."""
-    pw = primitive_root_powers(p)
-    chi = np.zeros(p, dtype=np.int64)
-    chi[pw[0::2]] = 1
-    chi[pw[1::2]] = -1
+# the correlation that every table off the linear path reads, A = B = T
+_TWIST_KEY = (0, 1, 0, 1)
+
+
+def _correlation_row(key: tuple, context: PrimeContext) -> tuple[int, np.ndarray]:
+    """(chi(F0(root)), h) of x^3 + (a0 + a1 t) x + b0 + b1 t = F0(x) + t F1(x)
+    for key = (a0, a1, b0, b1), a1 != 0 mod p: a_t(p) = -chi(F0(root)) -
+    sum_u h[u] chi(t + u)."""
+    a0, a1, b0, b1 = key
+    p, chi = context.p, context.chi
+    pw = context.pw.astype(context.r.dtype)  # residues, not indices
     # F1 vanishes at x = root alone and equals g^k at x = root + g^k / a1;
     # k runs over 1..p - 1, so that g^-k = pw[p - 1 - k] is pw reversed,
     # and chi(F1(x)) = (-1)^k
@@ -340,34 +461,22 @@ def _ap_correlation_table(a0: int, a1: int, b0: int, b1: int, p: int) -> np.ndar
     fixed = int(chi[(root**3 + a0 * root + b0) % p])
     x = _reduce_mod(pw * (int(pw[1]) * inv_a1 % p) + root, p)
     u = _reduce_mod(_cubic_mod(x, a0, b0, p) * pw[::-1], p)
-    h = np.bincount(u[1::2], minlength=p) - np.bincount(u[0::2], minlength=p)
-    # sum_u h[u] chi(t + u) as a linear correlation at lags t and t - p,
-    # zero-padded to a power of two: numpy's FFT is slow at prime lengths
-    n = 1 << (2 * p - 1).bit_length()
-    lags = np.fft.irfft(np.conj(np.fft.rfft(h, n)) * np.fft.rfft(chi, n), n)
-    corr = lags[:p] + lags[n - p :]
-    rounded = np.rint(corr)
-    drift = float(np.max(np.abs(corr - rounded)))
-    if drift > 0.25:
-        raise ValueError(f"correlation table at p = {p} is {drift:.3g} off integers")
-    a = -fixed - rounded.astype(np.int64)
-    if np.any(a * a > 4 * p):
-        raise ValueError(f"correlation table at p = {p} breaks the Hasse bound")
-    return a
+    return fixed, np.bincount(u[1::2], minlength=p) - np.bincount(u[0::2], minlength=p)
 
 
-def _ap_twist_table(spec: EllipticFamilySpec, p: int) -> np.ndarray:
-    """a_t(p) for every t mod p from U[s] = a_p(x^3 + s x + s) by the twist
-    and class rules of the module docstring."""
-    pw = primitive_root_powers(p)
+def _ap_twist_table(
+    spec: EllipticFamilySpec, context: PrimeContext, u: np.ndarray
+) -> np.ndarray:
+    """a_t(p) for every t mod p from U[s] = a_p(x^3 + s x + s) = u[s] by the
+    twist and class rules of the module docstring."""
+    p, pw = context.p, context.pw
     dlog = np.zeros(p, dtype=np.intp)
     dlog[pw] = np.arange(p - 1)
-    r = np.arange(p, dtype=residue_dtype(p))
-    A = _eval_poly_mod(spec.a_coeffs, r, p).astype(np.intp)
-    B = _eval_poly_mod(spec.b_coeffs, r, p).astype(np.intp)
+    A = _eval_poly_mod(spec.a_coeffs, context.r, p).astype(np.intp)
+    B = _eval_poly_mod(spec.b_coeffs, context.r, p).astype(np.intp)
     kA, kB = dlog[A], dlog[B]
     # U at g^k, k < 5 (p - 1): s = g^(3 kA - 2 kB) needs no reduction mod p - 1
-    u = _ap_correlation_table(0, 1, 0, 1, p)[np.tile(pw, 5)]
+    u = u[np.tile(pw, 5)]
     a = u[3 * kA - 2 * kB + 2 * (p - 1)] * (1 - 2 * ((kA + kB) % 2))
     a[(A | B) == 0] = 0
     # (g^k, 0) and (0, g^k) from the classes k mod 2 and k mod 3 that occur

@@ -19,20 +19,25 @@ reference every faster row is tested against.  Statistics modules consume
 families through ``moment_tables``, which gives each family the rows of
 every prime up to a cutoff; ``prime_moments`` is the row of one prime.  The
 degree-2 families, elliptic curves and the cusp form, share the base
-``HeckeFamily``, whose one row builder weighs the Hecke power sums of each
-prime's distinct normalized traces by their member counts
-(``_trace_distributions``: an elliptic family's residue histogram, or the
-cusp form's tau(p)/p^(11/2) with weight 1).  Their members' normalized
-traces (``_member_traces``) give their matrices.
+``HeckeFamily``, whose one row builder, ``_hecke_row``, weighs the Hecke
+power sums of a prime's distinct normalized traces by their member counts:
+an elliptic family's residue histogram (``_trace_histograms``), or the cusp
+form's tau(p)/p^(11/2) with weight 1 (``_trace_distributions``).  Their
+members' normalized traces (``_member_traces``) give their matrices.
 
 A derived family's row at p depends only on its factors' rows at p
 (``_factors``), so one pass, ``moment_tables``, builds the rows of every
 family a command reads, each prime's row once per family, factors first:
 a convolution's (or twist's) rows are the products of its factors' rows,
 less the pairs (f, g) with g the dual of f, whose product is not cuspidal
-(one member matrix of those pairs per prime), and a symmetric-power lift
-regroups its base's Hecke power sums (``satake.sym_power_sums``, on rows and
-on member matrices alike).  Nothing is kept between passes.
+(one member matrix of those pairs per prime, and one call of the factor
+for both sides of a self-convolution), and a symmetric-power lift regroups
+its base's Hecke power sums (``satake.sym_power_sums``, on rows and on
+member matrices alike).  The families of one class that the pass can build
+together go through one ``_rows_together`` call, by default each family's
+``_rows``: the elliptic families build theirs prime by prime from one
+``ecgeom.PrimeContext`` and one stacked transform per prime, dropped before
+the next prime.  Nothing is kept between passes.
 
 Character sums are exact narrow integers: the quadratic family gathers the
 int8 ``legendre_table(p)`` at its discriminants mod p, reduced by
@@ -40,7 +45,8 @@ int8 ``legendre_table(p)`` at its discriminants mod p, reduced by
 otherwise, and a Kronecker twist builds its rows from chi(p) at every prime
 at once, equal bit for bit to the quadratic family's rows of d alone.
 An elliptic family weighs each residue t mod p by its members, counted from
-the box rather than member by member.
+the box rather than member by member, and 0 where Delta(t) = 0 mod p, from
+one Horner pass of Delta's integer coefficients.
 
 Constructors: nontrivial Dirichlet characters of prime modulus, quadratic
 characters of fundamental discriminants (the Dirichlet family holds no
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Iterator
 
@@ -72,14 +79,14 @@ from .arith import (
     kronecker_symbol,
     kronecker_table_two,
     legendre_table,
-    residue_dtype,
     sieve_primes,
 )
 from .ecgeom import (
     EllipticFamilySpec,
     FamilyConductors,
+    PrimeContext,
     _eval_poly_mod,
-    ap_residue_table,
+    ap_residue_tables,
     avg_pair_log_conductor,
     family_conductors,
     minimal_model,
@@ -150,12 +157,28 @@ class MomentTable:
 _Rows = tuple[np.ndarray, np.ndarray]
 
 
+def _empty_rows(n: int, nu_max: int) -> _Rows:
+    return np.empty(n), np.empty((n, nu_max), dtype=np.complex128)
+
+
 class FamilyError(ValueError):
     """A ValueError raised by the rows or the estimate of ``family``."""
 
     def __init__(self, family: Family, message: str):
         super().__init__(message)
         self.family = family
+
+
+@contextmanager
+def _blamed(family: Family):
+    """Raise a ValueError of the block, unless it already names a family,
+    as a FamilyError of ``family``."""
+    try:
+        yield
+    except FamilyError:
+        raise
+    except ValueError as exc:
+        raise FamilyError(family, str(exc)) from exc
 
 
 class Family:
@@ -219,6 +242,22 @@ class Family:
             good[i] = np.count_nonzero(ok)
             sums[i] = b.sum(axis=1)
         return good, sums
+
+    @classmethod
+    def _rows_together(cls, jobs: list) -> list:
+        """The rows of each (family, primes, nu_max, factor_rows) job, in
+        order, for families of this class whose primes are prefixes of one
+        ascending array.  Here each family's own ``_rows``; a class whose
+        families share per-prime work builds them at once.
+
+        Raises:
+            FamilyError: If a family's rows fail; it names that family.
+        """
+        rows = []
+        for f, primes, nu_max, factor_rows in jobs:
+            with _blamed(f):
+                rows.append(f._rows(primes, nu_max, factor_rows))
+        return rows
 
     def prime_moments(self, p: int, nu_max: int) -> PrimeMoments:
         """The row of the prime p, from the row of p alone of each family it
@@ -285,18 +324,30 @@ def _plan(requests: dict, nu_max: int) -> dict:
 
 def _pass_rows(plan: dict, primes: np.ndarray) -> dict:
     """The checked rows of every family of the plan at its primes among the
-    ascending ``primes``, factors first; a family reads its factors' rows
-    at its own primes."""
+    ascending ``primes``.  A family is built once its factors are, and reads
+    their rows at its own primes; the families of one class built in one
+    round share one ``_rows_together`` call."""
     rows: dict = {}
-    for f, (reach, cols) in plan.items():
+
+    def job(f: Family) -> tuple:
+        reach, cols = plan[f]
         n = int(np.searchsorted(primes, reach, side="right"))
         factor_rows = [
             (rows[g][0][:n], rows[g][1][:n, :need]) for g, need in f._factors(cols)
         ]
-        try:
-            rows[f] = f._checked(primes[:n], f._rows(primes[:n], cols, factor_rows))
-        except ValueError as exc:
-            raise FamilyError(f, str(exc)) from exc
+        return f, primes[:n], cols, factor_rows
+
+    while len(rows) < len(plan):
+        ready = [
+            f
+            for f, (_, cols) in plan.items()
+            if f not in rows and all(g in rows for g, _ in f._factors(cols))
+        ]
+        for kind in dict.fromkeys(map(type, ready)):
+            jobs = [job(f) for f in ready if type(f) is kind]
+            for (f, own, _, _), built in zip(jobs, kind._rows_together(jobs)):
+                with _blamed(f):
+                    rows[f] = f._checked(own, built)
     return rows
 
 
@@ -529,11 +580,20 @@ def quadratic_family(d_range: tuple[int, int], stride: int = 1) -> QuadraticFami
 # Degree-2 families with Hecke eigenvalues
 
 
+def _hecke_row(values: np.ndarray, weights: np.ndarray, nu_max: int) -> tuple:
+    """(good, sums) of one prime's trace distribution: the weights' total
+    and the power sums of the traces weighed by them."""
+    # row by row, unlike BLAS b @ weights, whose summation order depends on
+    # the row count: a table's first rows keep their bits for any nu_max
+    return weights.sum(), np.einsum("ik,k->i", hecke_b_array(values, nu_max), weights)
+
+
 class HeckeFamily(Family):
     """A degree-2 self-dual family whose members have Hecke eigenvalues.
 
-    Subclasses serve ``_trace_distributions``, from which ``_rows`` builds
-    every row, and ``_member_traces``, the members' normalized traces.
+    Subclasses serve ``_member_traces``, the members' normalized traces,
+    and either ``_trace_distributions``, from which ``_rows`` builds every
+    row, or rows of their own from the same ``_hecke_row``.
     """
 
     degree = 2
@@ -554,14 +614,9 @@ class HeckeFamily(Family):
 
     def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
         """Each prime's trace distribution weighs its traces' power sums."""
-        good = np.empty(len(primes))
-        sums = np.empty((len(primes), nu_max), dtype=np.complex128)
-        for i, (values, weights) in enumerate(self._trace_distributions(primes)):
-            # row by row, unlike BLAS b @ weights, whose summation order
-            # depends on the row count: a table's first rows keep their bits
-            # for any nu_max
-            sums[i] = np.einsum("ik,k->i", hecke_b_array(values, nu_max), weights)
-            good[i] = weights.sum()
+        good, sums = _empty_rows(len(primes), nu_max)
+        for i, distribution in enumerate(self._trace_distributions(primes)):
+            good[i], sums[i] = _hecke_row(*distribution, nu_max)
         return good, sums
 
     def sym_power_log_conductor(self, member, power: int) -> float:
@@ -586,7 +641,9 @@ class EllipticFamily(HeckeFamily):
 
     Conductors come from one ``family_conductors`` pass, run on first use and
     kept with the family: the per-fiber proxies serve ``log_conductor`` and
-    convolutions, the prime-power counts the convolution's average.
+    convolutions, the prime-power counts the convolution's average.  The
+    elliptic families of a pass build their rows together
+    (``_rows_together``), so that a prime's context serves all of them.
     """
 
     def __init__(self, spec: EllipticFamilySpec):
@@ -609,6 +666,8 @@ class EllipticFamily(HeckeFamily):
             f"t=[{spec.t_min},{spec.t_max}))"
         )
         self._conductors: FamilyConductors | None = None
+        # its zeros mod p are the residues of the bad fibers
+        self._delta = spec.delta_coeffs()
 
     def iter_members(self) -> Iterator[int]:
         return iter(self.members_list)
@@ -651,39 +710,75 @@ class EllipticFamily(HeckeFamily):
         more.  A singular fiber needs no subtraction: Delta(t) = 0 puts it
         on a residue with Delta = 0 mod p, whose weight is 0.
         """
-        spec = self.spec
-        a = ap_residue_table(spec, p)
-        r = np.arange(p, dtype=residue_dtype(p))
-        A = _eval_poly_mod(spec.a_coeffs, r, p)
-        B = _eval_poly_mod(spec.b_coeffs, r, p)
-        cube = _reduce_mod(_reduce_mod(A * A, p) * A, p)
-        delta_mod = _reduce_mod(4 * cube + 27 * _reduce_mod(B * B, p), p)
+        [data] = _residue_data([self], p)
+        return data
+
+    def _weights(self, context: PrimeContext) -> np.ndarray:
+        """The members on each residue r mod p, 0 where Delta(r) = 0 mod p:
+        one Horner pass of Delta's coefficients, each step below p^2."""
+        spec, p = self.spec, context.p
         n = spec.t_max - spec.t_min
         counts = np.full(p, n // p, dtype=np.int64)
         start = spec.t_min % p
         end = start + n % p
         counts[start:end] += 1
         counts[: max(0, end - p)] += 1
-        return a, counts * (delta_mod != 0)
+        return counts * (_eval_poly_mod(self._delta, context.r, p) != 0)
 
-    def _trace_distributions(self, primes):
-        """The histogram of the traces at each p, weighed by
-        ``residue_data``; empty at p = 2, 3, where every fiber is bad.
+    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
+        """The rows of this family alone, by ``_rows_together``."""
+        [rows] = self._rows_together([(self, primes, nu_max, factor_rows)])
+        return rows
 
-        Raises:
-            ValueError: If a trace violates the Hasse bound a^2 <= 4p.
-        """
-        for p in primes.tolist():
-            if p < 5:
-                yield np.empty(0), np.empty(0)
-                continue
-            a, weights = self.residue_data(p)
-            if np.any(a * a > 4 * p):
-                raise ValueError(f"{self.family_id}: trace beyond 2 sqrt({p})")
-            off = math.isqrt(4 * p)
-            hist = np.bincount(a + off, weights=weights, minlength=2 * off + 1)
-            held = np.flatnonzero(hist)
-            yield (held - off) / math.sqrt(p), hist[held]
+    @classmethod
+    def _rows_together(cls, jobs: list) -> list:
+        """The rows of several elliptic families, prime by prime: at each
+        prime one context and one ``ap_residue_tables`` call serve every
+        family whose primes reach it (``_trace_histograms``), and are
+        dropped before the next prime."""
+        rows = [_empty_rows(len(primes), nu_max) for _, primes, nu_max, _ in jobs]
+        longest = max((primes for _, primes, _, _ in jobs), key=len)
+        for i, p in enumerate(longest.tolist()):
+            live = [k for k, (_, primes, _, _) in enumerate(jobs) if i < len(primes)]
+            histograms = _trace_histograms([jobs[k][0] for k in live], p)
+            for k, distribution in zip(live, histograms):
+                good, sums = rows[k]
+                good[i], sums[i] = _hecke_row(*distribution, jobs[k][2])
+        return rows
+
+
+def _residue_data(fams: list, p: int) -> Iterator[tuple]:
+    """``residue_data(p)`` of each elliptic family, in order, from one prime
+    context and one ``ap_residue_tables`` call.
+
+    Raises:
+        FamilyError: If a family's table fails its checks.
+    """
+    context = PrimeContext(p)
+    tables = ap_residue_tables([f.spec for f in fams], context)
+    for f in fams:
+        with _blamed(f):
+            a = next(tables)
+        yield a, f._weights(context)
+
+
+def _trace_histograms(fams: list, p: int) -> Iterator[tuple]:
+    """(distinct a/sqrt p, members at each) of each elliptic family at p,
+    in order, weighed by ``_residue_data``; empty at p = 2, 3.
+
+    Raises:
+        FamilyError: If a family's trace violates the Hasse bound a^2 <= 4p.
+    """
+    if p < 5:
+        yield from ((np.empty(0), np.empty(0)) for _ in fams)
+        return
+    off = math.isqrt(4 * p)
+    for f, (a, weights) in zip(fams, _residue_data(fams, p)):
+        if np.any(a * a > 4 * p):
+            raise FamilyError(f, f"{f.family_id}: trace beyond 2 sqrt({p})")
+        hist = np.bincount(a + off, weights=weights, minlength=2 * off + 1)
+        held = np.flatnonzero(hist)
+        yield (held - off) / math.sqrt(p), hist[held]
 
 
 def elliptic_family(spec: EllipticFamilySpec) -> EllipticFamily:
@@ -880,10 +975,18 @@ class ConvolutionFamily(Family):
 
     def _member_bs(self, members, primes, nu_max):
         """The products of the factors' matrices; a pair is good where both
-        of its members are."""
-        lefts = self.left._member_bs([f for f, _ in members], primes, nu_max)
-        rights = self.right._member_bs([g for _, g in members], primes, nu_max)
-        for (left_good, left_b), (right_good, right_b) in zip(lefts, rights):
+        of its members are.  A self-convolution reads both member lists from
+        one call of its factor, so that a block builds its per-prime data
+        (residue tables, tau) once."""
+        fs, gs = [f for f, _ in members], [g for _, g in members]
+        if self.left is self.right:
+            k = len(fs)
+            both = self.left._member_bs(fs + gs, primes, nu_max)
+            pairs = (((ok[:k], b[:, :k]), (ok[k:], b[:, k:])) for ok, b in both)
+        else:
+            lefts = self.left._member_bs(fs, primes, nu_max)
+            pairs = zip(lefts, self.right._member_bs(gs, primes, nu_max))
+        for (left_good, left_b), (right_good, right_b) in pairs:
             yield left_good & right_good, left_b * right_b
 
     def log_conductor(self, member) -> float:

@@ -732,9 +732,9 @@ def test_excluded_delta_pairs_read_one_tau_table_per_block(
     threads, tmp_path, monkeypatch, capsys
 ):
     # qd x qd excludes every (X, X), whose member matrices hold tau(p):
-    # each block of primes builds Delta's rows from one tau table and each
-    # factor's matrices of the excluded pairs from one more, never one table
-    # per prime
+    # each block of primes builds Delta's rows from one tau table and the
+    # excluded pairs' matrices from one more, read for both factors at once
+    # since they are one family, never one table per prime
     calls = []
 
     def counted(n_max):
@@ -750,7 +750,7 @@ def test_excluded_delta_pairs_read_one_tau_table_per_block(
     )
     assert main(["constants", "--config", str(path), "--threads", threads]) == 0
     assert capsys.readouterr().out.count("\ncc,") == 1
-    assert len(calls) == 3 * int(threads)
+    assert len(calls) == 2 * int(threads)
 
 
 @pytest.mark.parametrize(
@@ -808,33 +808,60 @@ def test_one_moment_table_per_family(config, args, capsys, monkeypatch):
     # every (family, prime) row is computed once per command: one pass
     # builds every family's rows, derived families read their factors' rows
     # from it, and c, r and D1 of a family come from one table, so the
-    # commands agree.  Rows are counted where each _rows makes them, each
-    # kind apart, since an override may call the base's rows.
-    rows, passes = [], []
+    # commands agree.  Rows are counted where each _rows and each
+    # _rows_together makes them, each kind apart, since an override may call
+    # the base's rows; the pass asks _rows_together for every row it keeps,
+    # the elliptic families' too.
+    rows, passes, kept = [], [], set()
     pass_rows = families._pass_rows
 
     def counted(cls, make_rows):
         def wrapper(self, primes, nu_max, factor_rows=()):
-            rows.extend((cls, id(self), p) for p in primes.tolist())
+            rows.extend((cls, "_rows", id(self), p) for p in primes.tolist())
             return make_rows(self, primes, nu_max, factor_rows)
 
         return wrapper
 
+    def counted_together(cls, make_rows):
+        def wrapper(kind, jobs):
+            rows.extend(
+                (cls, "_rows_together", id(f), p)
+                for f, primes, _, _ in jobs
+                for p in primes.tolist()
+            )
+            return make_rows(kind, jobs)
+
+        return classmethod(wrapper)
+
     def counted_pass(plan, primes):
         passes.append(len(primes))
-        return pass_rows(plan, primes)
+        built = pass_rows(plan, primes)
+        kept.update(
+            (type(f), id(f), p)
+            for f, (good, _) in built.items()
+            for p in primes[: len(good)].tolist()
+        )
+        return built
 
     for cls in _family_classes(Family):
         if "_rows" in vars(cls):
             monkeypatch.setattr(cls, "_rows", counted(cls, vars(cls)["_rows"]))
+        if "_rows_together" in vars(cls):
+            make_rows = vars(cls)["_rows_together"].__func__
+            monkeypatch.setattr(cls, "_rows_together", counted_together(cls, make_rows))
     monkeypatch.setattr(families, "_pass_rows", counted_pass)
     outputs = {}
     for command in ("constants", "density"):
         rows.clear()
         passes.clear()
+        kept.clear()
         assert main([command, "--config", str(config)] + args) == 0
         assert len(rows) == len(set(rows)) > 0
         assert len(passes) == 1
+        together = {(i, p) for _, hook, i, p in rows if hook == "_rows_together"}
+        assert together == {(i, p) for _, i, p in kept}
+        if config.name.startswith("ec_"):
+            assert any(kind is families.EllipticFamily for kind, _, _ in kept)
         lines = csv.DictReader(io.StringIO(capsys.readouterr().out))
         outputs[command] = [[row[c] for c in SHARED_COLUMNS] for row in lines]
     assert outputs["constants"] == outputs["density"]
@@ -935,18 +962,18 @@ class TestOtherSubcommands:
 
     def test_ec_scan_reads_one_table_per_prime(self, monkeypatch, capsys):
         tables, j_checks = [], []
-        residue_table = ecgeom.ap_residue_table
+        residue_tables = ecgeom.ap_residue_tables
         j_is_constant_of = ecgeom.EllipticFamilySpec.j_is_constant
 
-        def table(spec, p):
-            tables.append(p)
-            return residue_table(spec, p)
+        def table(specs, context):
+            tables.extend([context.p] * len(specs))
+            return residue_tables(specs, context)
 
         def j_is_constant(spec):
             j_checks.append(spec)
             return j_is_constant_of(spec)
 
-        monkeypatch.setattr(ecgeom, "ap_residue_table", table)
+        monkeypatch.setattr(ecgeom, "ap_residue_tables", table)
         monkeypatch.setattr(ecgeom.EllipticFamilySpec, "j_is_constant", j_is_constant)
         assert main(["ec-scan", "--a-poly", "0 1", "--b-poly", "1 0 1"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]

@@ -12,8 +12,10 @@ from lfsym import arith, ecgeom
 from lfsym.arith import factorize, sieve_primes
 from lfsym.ecgeom import (
     EllipticFamilySpec,
+    PrimeContext,
     affine_point_count,
     ap_residue_table,
+    ap_residue_tables,
     avg_log_conductor,
     conductor_proxy,
     invariants,
@@ -266,36 +268,43 @@ class TestCorrelationTable:
             assert np.array_equal(ap_residue_table(spec, np.int64(p)), want)
 
     def test_off_integer_result_rejected(self, monkeypatch):
-        monkeypatch.setattr(np.fft, "irfft", lambda x, n: np.full(n, 0.2))
+        monkeypatch.setattr(np.fft, "irfft", lambda x, n: np.full((len(x), n), 0.2))
         with pytest.raises(ValueError, match="off integers"):
             ap_residue_table(SPEC_T1(0, 1), 7)
 
     def test_hasse_violation_rejected(self, monkeypatch):
-        monkeypatch.setattr(np.fft, "irfft", lambda x, n: np.full(n, 50.0))
+        monkeypatch.setattr(np.fft, "irfft", lambda x, n: np.full((len(x), n), 50.0))
         with pytest.raises(ValueError, match="Hasse"):
             ap_residue_table(SPEC_T1(0, 1), 7)
 
     def test_one_correlation_per_table(self, monkeypatch):
         # a linear spec with a1 != 0 mod p correlates its own coefficients;
-        # every other spec reads the correlation at A = B = T
+        # every other spec reads the correlation at A = B = T; the tables of
+        # several specs at p build each distinct correlation once
         calls = []
-        correlation = ecgeom._ap_correlation_table
+        correlation = ecgeom._correlation_row
 
-        def counted(*args):
-            calls.append(args)
-            return correlation(*args)
+        def counted(key, context):
+            calls.append((*key, context.p))
+            return correlation(key, context)
 
-        monkeypatch.setattr(ecgeom, "_ap_correlation_table", counted)
-        for spec in LINEAR_SPECS + TWIST_SPECS:
-            a0, a1 = (spec.a_coeffs + (0, 0))[:2]
-            b0, b1 = (spec.b_coeffs + (0, 0))[:2]
-            linear = len(spec.a_coeffs) == 2 and len(spec.b_coeffs) <= 2
-            for p in (5, 7, 11, 101):
-                calls.clear()
-                ap_residue_table(spec, p)
+        monkeypatch.setattr(ecgeom, "_correlation_row", counted)
+        specs = LINEAR_SPECS + TWIST_SPECS
+        for p in (5, 7, 11, 101):
+            wanted = []
+            for spec in specs:
+                a0, a1 = (spec.a_coeffs + (0, 0))[:2]
+                b0, b1 = (spec.b_coeffs + (0, 0))[:2]
+                linear = len(spec.a_coeffs) == 2 and len(spec.b_coeffs) <= 2
                 own = linear and a1 % p != 0
                 expected = (a0, a1, b0, b1, p) if own else (0, 1, 0, 1, p)
+                calls.clear()
+                ap_residue_table(spec, p)
                 assert calls == [expected], (spec, p)
+                wanted.append(expected)
+            calls.clear()
+            list(ap_residue_tables(specs, PrimeContext(p)))
+            assert calls == list(dict.fromkeys(wanted)), p
 
     @pytest.mark.parametrize(
         "call",
@@ -311,6 +320,59 @@ class TestCorrelationTable:
     def test_composite_p_rejected(self, call):
         with pytest.raises(ValueError, match=r"p = \d+ is not a prime >= 5"):
             call()
+
+
+# one of each table path: linear with a1 != 0 mod p, a1 = 0 mod p at a few
+# primes (2310 = 2 3 5 7 11, 96577 = 13 17 19 23), the twist path, A = B = T
+# (whose correlation every twist-path table reads), the rank-2 family and a
+# spec given twice
+JOINT_SPECS = [
+    SPEC_T1(0, 1),
+    SPEC_T2(0, 1),
+    EllipticFamilySpec((1155, 2310), (-3465, 1155), 0, 1),
+    EllipticFamilySpec((3, 96577), (1, 2), 0, 1),
+    SPEC_QUAD(0, 1),
+    EllipticFamilySpec((0, 1), (0, 1), 0, 1),
+    SPEC_R2,
+    SPEC_T1(5, 9),
+]
+
+
+class TestJointTables:
+    def test_joint_tables_equal_single_tables(self):
+        for p in sieve_primes(5000).primes[2:].tolist():
+            joint = list(ap_residue_tables(JOINT_SPECS, PrimeContext(p)))
+            assert len(joint) == len(JOINT_SPECS)
+            for spec, table in zip(JOINT_SPECS, joint):
+                assert table.dtype == np.int64
+                assert np.array_equal(table, ap_residue_table(spec, p)), (spec, p)
+                if p < 200:
+                    assert np.array_equal(table, grid_table(spec, p)), (spec, p)
+
+    def test_fft_length_is_the_least_5_smooth_length_of_2p(self):
+        # a scan of every n: n is 5-smooth when dividing out 2, 3 and 5
+        # leaves 1
+        n = np.arange(2 * 10**5 + 2**12)
+        rest = n.copy()
+        for q in (2, 3, 5):
+            for _ in range(int(n[-1]).bit_length()):
+                rest = np.where(rest % q == 0, rest // q, rest)
+        smooth = np.flatnonzero(rest == 1)
+        primes = sieve_primes(10**5).primes
+        want = smooth[np.searchsorted(smooth, 2 * primes)]
+        assert [ecgeom._fft_length(p) for p in primes.tolist()] == want.tolist()
+        assert ecgeom._fft_length(5) == 10
+        assert PrimeContext(5).n == 10
+
+    def test_PrimeContext(self):
+        ctx = PrimeContext(np.int64(11))
+        assert ctx.p == 11 and type(ctx.p) is int
+        assert ctx.chi.tolist() == legendre(11)
+        assert ctx.r.tolist() == list(range(11))
+        assert sorted(ctx.pw.tolist()) == list(range(1, 11))
+        assert np.allclose(ctx.chi_hat, np.fft.rfft(ctx.chi, ctx.n))
+        with pytest.raises(ValueError, match=r"p = 9 is not a prime >= 5"):
+            PrimeContext(9)
 
 
 def linear_identity_sum(spec, p):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfsym import families
+from lfsym import ecgeom, families
 from lfsym.arith import (
     characters_mod,
     dirichlet_character,
@@ -282,7 +282,8 @@ class TestEllipticFamily:
     def test_trace_distribution_is_a_short_histogram(self):
         fam = elliptic_family(EllipticFamilySpec((0, 1), (1,), 50, 150))
         primes = np.array([3, 5, 7, 31, 97])
-        for p, (values, weights) in zip(primes, fam._trace_distributions(primes)):
+        for p in primes.tolist():
+            [(values, weights)] = families._trace_histograms([fam], p)
             assert len(values) <= 2 * math.isqrt(4 * p) + 1
             assert len(set(values.tolist())) == len(values)
             assert weights.sum() == fam.prime_moments(p, 2).good_weight
@@ -290,7 +291,9 @@ class TestEllipticFamily:
 
     def test_hasse_violation_rejected(self, monkeypatch):
         monkeypatch.setattr(
-            families, "ap_residue_table", lambda spec, p: np.full(p, 5, np.int64)
+            families,
+            "ap_residue_tables",
+            lambda specs, context: (np.full(context.p, 5, np.int64) for _ in specs),
         )
         fam = elliptic_family(EC1)
         with pytest.raises(ValueError, match="sqrt"):
@@ -557,16 +560,18 @@ class TestConvolution:
         self, monkeypatch
     ):
         # the excluded pairs at a prime are one member matrix, whatever
-        # their number, so a prime builds as many residue tables for 30
+        # their number, and a self-convolution reads both of its pairs'
+        # members from one call of its factor: a prime builds two residue
+        # tables, one for f's rows and one for the excluded pairs, for 30
         # pairs as for 60
         calls = []
-        table = families.ap_residue_table
+        tables = families.ap_residue_tables
 
-        def counted(spec, p):
-            calls.append(p)
-            return table(spec, p)
+        def counted(specs, context):
+            calls.extend([context.p] * len(specs))
+            return tables(specs, context)
 
-        monkeypatch.setattr(families, "ap_residue_table", counted)
+        monkeypatch.setattr(families, "ap_residue_tables", counted)
         per_prime = []
         for n in (30, 60):
             f = elliptic_family(EllipticFamilySpec((0, 1), (1,), 10, 10 + n))
@@ -576,8 +581,7 @@ class TestConvolution:
             for p in (5, 7, 11):
                 conv.prime_moments(p, 2)
             per_prime.append(collections.Counter(calls))
-        assert per_prime[0] == per_prime[1]
-        assert sorted(per_prime[0]) == [5, 7, 11]
+        assert per_prime[0] == per_prime[1] == {5: 2, 7: 2, 11: 2}
 
     @pytest.mark.parametrize("m", [7, 11, 13])
     def test_self_convolution_rows_subtract_excluded_pairs_in_order(self, m):
@@ -1260,6 +1264,85 @@ class TestPass:
             table = sym_lift(base(), power).moment_table(199, nu_max)
             assert table.sums.tobytes() == widest.sums[:, :nu_max].copy().tobytes()
             assert table.good.tobytes() == widest.good.tobytes()
+
+
+def elliptic_trio():
+    """Two linear families and the rank-2 family, which takes the twist path,
+    with the cutoffs of a pass over them."""
+    fams = [
+        elliptic_family(EC1),
+        elliptic_family(EC2),
+        elliptic_family(EllipticFamilySpec((0, 0, -1), (0, 0, 1), 10, 50)),
+    ]
+    return {f: 199 - 40 * i for i, f in enumerate(fams)}
+
+
+class TestJointEllipticRows:
+    """The elliptic families of a pass build their rows together, prime by
+    prime, from one context per prime."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_context_per_prime(self, k, monkeypatch):
+        # one primitive-root table, one transform of chi and one stacked
+        # transform of the families' rows per prime, for any k
+        powers, forward, inverse = [], [], []
+
+        def counted(calls, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0])
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            ecgeom, "primitive_root_powers", counted(powers, ecgeom.primitive_root_powers)
+        )
+        monkeypatch.setattr(np.fft, "rfft", counted(forward, np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted(inverse, np.fft.irfft))
+        requests = dict(list(elliptic_trio().items())[:k])
+        families.moment_tables(requests, 4)
+        primes = sieve_primes(199).primes[2:].tolist()
+        assert powers == primes
+        assert len(inverse) == len(primes)
+        assert [x.ndim for x in forward] == [1, 2] * len(primes)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_joint_rows_equal_each_family_alone(self, threads):
+        requests = elliptic_trio()
+        tables = families.moment_tables(requests, 4, threads)
+        for f, P in requests.items():
+            alone = families.moment_tables({f: P}, 4)[f]
+            assert_tables_equal(tables[f], alone)
+            good, sums = f._rows(alone.primes, 4)
+            assert good.tobytes() == alone.good.tobytes()
+            assert sums.tobytes() == alone.sums.tobytes()
+            # and the member loop, the reference of every faster row
+            good, sums = families.Family._rows(f, alone.primes, 4)
+            assert np.array_equal(good, alone.good)
+            assert np.allclose(sums, alone.sums, rtol=1e-12, atol=1e-9)
+
+    def test_a_pass_leaves_every_family_unchanged(self):
+        fams = [build() for build in PASS_FAMILIES.values()] + list(elliptic_trio())
+        before = [dict(vars(f)) for f in fams]
+        families.moment_tables({f: 150 for f in fams}, 4, 2)
+        for f, attrs in zip(fams, before):
+            assert vars(f).keys() == attrs.keys(), f
+            assert all(vars(f)[name] is value for name, value in attrs.items()), f
+
+    def test_a_failing_table_names_its_family(self, monkeypatch):
+        # EC2's correlation (b0 = 2) lands 0.3 off the integers wherever
+        # chi(t) != 0; EC1's stays exact in the same stack
+        correlation = ecgeom._correlation_row
+
+        def off(key, context):
+            fixed, h = correlation(key, context)
+            return fixed, h + 0.3 * (np.arange(context.p) == 0) * (key[2] == 2)
+
+        monkeypatch.setattr(ecgeom, "_correlation_row", off)
+        ec1, ec2 = elliptic_family(EC1), elliptic_family(EC2)
+        with pytest.raises(families.FamilyError, match="off integers") as info:
+            families.moment_tables({ec1: 50, ec2: 50}, 2)
+        assert info.value.family is ec2
 
 
 class TestDirichletOnDemand:
