@@ -41,7 +41,9 @@ each O(p log p):
 Every array residue is taken with ``arith._reduce_mod``, and every array that
 indexes a table is intp.
 
-Conductors of a family come from one pass, ``family_conductors``; an
+Conductors of a family come from one pass, ``family_conductors``, over the
+minimal models of its nonsingular fibers (``fiber_models``, which an
+elliptic family computes once and reads as its members' form keys); an
 elliptic family runs it once, on first use, so once per family per command.
 It splits the fibers' minimal discriminants in one batch,
 ``arith._factor_batch``: each into its primes and at most one unsplit
@@ -95,6 +97,7 @@ __all__ = [
     "conductor_proxy",
     "rs_conductor_bounds",
     "FamilyConductors",
+    "fiber_models",
     "family_conductors",
     "avg_pair_log_conductor",
     "avg_log_conductor",
@@ -569,30 +572,36 @@ class FamilyConductors:
     blocks: dict[int, int]
 
 
-def family_conductors(spec: EllipticFamilySpec) -> FamilyConductors:
-    """Conductor proxies, prime-power counts and unsplit blocks of a
-    family's nonsingular fibers, from one pass over the box.
-
-    The minimal discriminants of the box are split by one
-    ``arith._factor_batch``, and ``_proxy_exponents`` turns each fiber's
-    primes into the exponents of its proxy; a block enters as itself.
-    """
-    fibers = []
-    deltas = []
+def fiber_models(spec: EllipticFamilySpec) -> dict[int, tuple[int, int]]:
+    """t -> the minimal model (A, B) of E_t, for the nonsingular fibers of
+    the box in ascending t; A(t) and B(t) are evaluated once each, and a
+    fiber with 4 A^3 + 27 B^2 = 0 is singular and absent."""
+    models = {}
     for t in spec.t_range:
         A, B = spec.A(t), spec.B(t)
-        if 4 * A**3 + 27 * B**2 == 0:
-            continue
-        A, B = minimal_model(A, B)
-        fibers.append((t, A))
-        deltas.append(16 * abs(4 * A**3 + 27 * B**2))
+        if 4 * A**3 + 27 * B**2:
+            models[t] = minimal_model(A, B)
+    return models
+
+
+def family_conductors(models: dict[int, tuple[int, int]]) -> FamilyConductors:
+    """Conductor proxies, prime-power counts and unsplit blocks of a
+    family's nonsingular fibers, from one pass over their minimal models
+    (``fiber_models``).
+
+    The minimal discriminants are split by one ``arith._factor_batch``, and
+    ``_proxy_exponents`` turns each fiber's primes into the exponents of its
+    proxy; a block enters as itself.
+    """
+    fibers = list(models.items())
+    deltas = [16 * abs(4 * A**3 + 27 * B**2) for _, (A, B) in fibers]
     # in ascending t, whatever order the pass finishes the fibers in
-    proxies = dict.fromkeys(t for t, _ in fibers)
+    proxies = dict.fromkeys(models)
     blocks: dict[int, int] = {}
     # (p, e) -> number of fibers whose proxy p divides exactly e times
     exact_powers: Counter[tuple[int, int]] = Counter()
     for i, primes, block in _factor_batch(deltas):
-        t, A = fibers[i]
+        t, (A, _) = fibers[i]
         exponents = _proxy_exponents(A, primes)
         proxies[t] = math.prod(p**e for p, e in exponents.items()) * block
         if block > 1:
@@ -682,4 +691,6 @@ def avg_log_conductor(F: EllipticFamilySpec, G: EllipticFamilySpec) -> float:
     Raises:
         ValueError: If either family consists entirely of singular fibers.
     """
-    return avg_pair_log_conductor(family_conductors(F), family_conductors(G))
+    return avg_pair_log_conductor(
+        family_conductors(fiber_models(F)), family_conductors(fiber_models(G))
+    )

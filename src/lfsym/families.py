@@ -19,11 +19,11 @@ reference every faster row is tested against.  Statistics modules consume
 families through ``moment_tables``, which gives each family the rows of
 every prime up to a cutoff; ``prime_moments`` is the row of one prime.  The
 degree-2 families, elliptic curves and the cusp form, share the base
-``HeckeFamily``, whose one row builder, ``_hecke_row``, weighs the Hecke
-power sums of a prime's distinct normalized traces by their member counts:
-an elliptic family's residue histogram (``_trace_histograms``), or the cusp
-form's tau(p)/p^(11/2) with weight 1 (``_trace_distributions``).  Their
-members' normalized traces (``_member_traces``) give their matrices.
+``HeckeFamily``: their members' normalized traces (``_member_traces``) give
+their matrices by the Hecke power sums, and the cusp form's one member's
+matrix is its row.  An elliptic family weighs the power sums of a prime's
+distinct traces by its residue histogram (``_trace_histograms``) and reads
+each fiber's minimal model, computed once (``ecgeom.fiber_models``).
 
 A derived family's row at p depends only on its factors' rows at p
 (``_factors``), so one pass, ``moment_tables``, builds the rows of every
@@ -89,7 +89,7 @@ from .ecgeom import (
     ap_residue_tables,
     avg_pair_log_conductor,
     family_conductors,
-    minimal_model,
+    fiber_models,
     rs_conductor_bounds,
 )
 from .satake import hecke_b_array, sym_power_sums
@@ -357,10 +357,11 @@ def moment_tables(requests: dict, nu_max: int, threads: int = 1) -> dict:
 
     The pass closes the requests over ``_factors``, taking families by
     identity, and builds and checks each family's rows once, factors
-    first.  At threads > 1 each of ``threads`` threads builds the block
-    primes[b::threads]; threads = 1 builds all in the calling thread.  A
-    row depends only on its prime, and its first columns not on the column
-    count, so the tables are bit-identical for any threads and requests.
+    first.  The primes are dealt into k = min(threads, number of primes)
+    blocks primes[b::k], one per thread, so that no thread starts without
+    a prime; k = 1 builds all in the calling thread.  A row depends only on
+    its prime, and its first columns not on the column count, so the tables
+    are bit-identical for any threads and requests.
 
     Raises:
         ValueError: If nu_max < 1.
@@ -370,6 +371,7 @@ def moment_tables(requests: dict, nu_max: int, threads: int = 1) -> dict:
     """
     plan = _plan(requests, nu_max)
     table = sieve_primes(max([reach for reach, _ in plan.values()] + [2]))
+    threads = min(threads, len(table.primes))
     args = [plan] * threads, [table.primes[b::threads] for b in range(threads)]
     try:
         if threads == 1:
@@ -580,28 +582,14 @@ def quadratic_family(d_range: tuple[int, int], stride: int = 1) -> QuadraticFami
 # Degree-2 families with Hecke eigenvalues
 
 
-def _hecke_row(values: np.ndarray, weights: np.ndarray, nu_max: int) -> tuple:
-    """(good, sums) of one prime's trace distribution: the weights' total
-    and the power sums of the traces weighed by them."""
-    # row by row, unlike BLAS b @ weights, whose summation order depends on
-    # the row count: a table's first rows keep their bits for any nu_max
-    return weights.sum(), np.einsum("ik,k->i", hecke_b_array(values, nu_max), weights)
-
-
 class HeckeFamily(Family):
     """A degree-2 self-dual family whose members have Hecke eigenvalues.
 
     Subclasses serve ``_member_traces``, the members' normalized traces,
-    and either ``_trace_distributions``, from which ``_rows`` builds every
-    row, or rows of their own from the same ``_hecke_row``.
+    whose Hecke power sums are the members' matrices.
     """
 
     degree = 2
-
-    def _trace_distributions(self, primes: np.ndarray) -> Iterator[tuple]:
-        """(distinct a/sqrt p, number of good members at each) at each of
-        the primes, in order."""
-        raise NotImplementedError
 
     def _member_traces(self, members: list, primes) -> Iterator[tuple]:
         """(good, a/sqrt p, 0 where bad) of the members at each prime."""
@@ -611,13 +599,6 @@ class HeckeFamily(Family):
         """The power sums of the Satake pairs with the members' traces."""
         for good, traces in self._member_traces(members, primes):
             yield good, np.where(good, hecke_b_array(traces, nu_max), 0.0)
-
-    def _rows(self, primes: np.ndarray, nu_max: int, factor_rows=()) -> _Rows:
-        """Each prime's trace distribution weighs its traces' power sums."""
-        good, sums = _empty_rows(len(primes), nu_max)
-        for i, distribution in enumerate(self._trace_distributions(primes)):
-            good[i], sums[i] = _hecke_row(*distribution, nu_max)
-        return good, sums
 
     def sym_power_log_conductor(self, member, power: int) -> float:
         # a degree-2 archimedean factor of weight k has log Q ~ 2 log(k/2);
@@ -639,10 +620,12 @@ class EllipticFamily(HeckeFamily):
     p | Delta(t) are bad; singular fibers (Delta(t) = 0) are skipped and
     recorded.
 
-    Conductors come from one ``family_conductors`` pass, run on first use and
-    kept with the family: the per-fiber proxies serve ``log_conductor`` and
-    convolutions, the prime-power counts the convolution's average.  The
-    elliptic families of a pass build their rows together
+    Each fiber's minimal model is computed once and kept (``models``, from
+    ``fiber_models``): its keys are the members, its values their form keys
+    and the input of the one ``family_conductors`` pass, run on first use
+    and kept with the family: the per-fiber proxies serve ``log_conductor``
+    and convolutions, the prime-power counts the convolution's average.
+    The elliptic families of a pass build their rows together
     (``_rows_together``), so that a prime's context serves all of them.
     """
 
@@ -652,13 +635,9 @@ class EllipticFamily(HeckeFamily):
                 f"the box [t_min, t_max) = [{spec.t_min}, {spec.t_max}) is empty"
             )
         self.spec = spec
-        delta = [spec.discriminant(t) for t in spec.t_range]
-        self.members_list = [
-            t for t, dlt in zip(spec.t_range, delta) if dlt != 0
-        ]
-        self.singular_fibers = [
-            t for t, dlt in zip(spec.t_range, delta) if dlt == 0
-        ]
+        self.models = fiber_models(spec)
+        self.members_list = list(self.models)
+        self.singular_fibers = [t for t in spec.t_range if t not in self.models]
         if not self.members_list:
             raise ValueError("all fibers in range are singular")
         self.family_id = (
@@ -691,7 +670,7 @@ class EllipticFamily(HeckeFamily):
     def conductors(self) -> FamilyConductors:
         """Conductor proxies and prime-power counts of every member."""
         if self._conductors is None:
-            self._conductors = family_conductors(self.spec)
+            self._conductors = family_conductors(self.models)
         return self._conductors
 
     def log_conductor(self, member) -> float:
@@ -700,7 +679,7 @@ class EllipticFamily(HeckeFamily):
     def form_key(self, member) -> tuple[int, int]:
         """The minimal model of E_t: equal exactly for curves isomorphic
         over Q."""
-        return minimal_model(self.spec.A(member), self.spec.B(member))
+        return self.models[member]
 
     def residue_data(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """(a_r table, member weights on good residues r mod p) for p >= 5.
@@ -741,9 +720,13 @@ class EllipticFamily(HeckeFamily):
         for i, p in enumerate(longest.tolist()):
             live = [k for k, (_, primes, _, _) in enumerate(jobs) if i < len(primes)]
             histograms = _trace_histograms([jobs[k][0] for k in live], p)
-            for k, distribution in zip(live, histograms):
+            for k, (values, weights) in zip(live, histograms):
                 good, sums = rows[k]
-                good[i], sums[i] = _hecke_row(*distribution, jobs[k][2])
+                # row by row, unlike BLAS b @ weights, whose summation order
+                # depends on the row count: a table's first rows keep their
+                # bits for any nu_max
+                b = hecke_b_array(values, jobs[k][2])
+                good[i], sums[i] = weights.sum(), np.einsum("ik,k->i", b, weights)
         return rows
 
 
@@ -828,9 +811,9 @@ class DeltaFamily(HeckeFamily):
     def iter_members(self) -> Iterator[str]:
         return iter(("delta",))
 
-    def _trace_distributions(self, primes):
-        """tau(p) / p^(11/2) with weight 1 at each p, from one tau table
-        through the last prime.
+    def _member_traces(self, members, primes):
+        """tau(p) / p^(11/2), good at every p, from one tau table through
+        the last prime; the family's rows are its one member's matrices.
 
         Raises:
             ValueError: If tau(p)^2 > 4 p^11, beyond the Deligne bound.
@@ -840,12 +823,8 @@ class DeltaFamily(HeckeFamily):
         for p in ps:
             if tau[p - 1] ** 2 > 4 * p**11:
                 raise ValueError(f"tau({p}) beyond 2 p^(11/2)")
-            yield np.array([tau[p - 1] / p**5.5]), np.ones(1)
-
-    def _member_traces(self, members, primes):
-        """tau(p) / p^(11/2), good at every p: one tau table per call."""
-        for value, _ in self._trace_distributions(primes):
-            yield np.ones(len(members), dtype=bool), np.full(len(members), value[0])
+            value = tau[p - 1] / p**5.5
+            yield np.ones(len(members), dtype=bool), np.full(len(members), value)
 
     def log_conductor(self, member) -> float:
         return weil.log_analytic_conductor(weil.disc(12))

@@ -63,16 +63,21 @@ def spectrum_from_trace(p: int, a_p: float) -> SatakeSpectrum:
 def hecke_b_array(a_p: np.ndarray, nu_max: int) -> np.ndarray:
     """Power sums b(p^nu) of the pairs {alpha, 1/alpha} with alpha + 1/alpha = a_p.
 
-    Rows nu = 1..nu_max, columns follow a_p.
+    Rows nu = 1..nu_max, columns follow a_p; each row is written in place,
+    b(p^(n+1)) = a_p b(p^n) - b(p^(n-1)) from b(p) = a_p, b(p^2) = a_p^2 - 2.
     """
     a_p = np.asarray(a_p, dtype=float)
-    out = np.empty((nu_max,) + a_p.shape)
-    prev = np.full(a_p.shape, 2.0)
-    cur = a_p.copy()
-    for nu in range(nu_max):
-        out[nu] = cur
-        prev, cur = cur, a_p * cur - prev
-    return out
+    out = np.empty((max(nu_max, 2),) + a_p.shape)
+    # a view of each row, also when a_p is a scalar, taken once: making a
+    # view per operation costs more than the temporaries it saves
+    b = [out[n, ...] for n in range(len(out))]
+    b[0][...] = a_p
+    np.multiply(a_p, a_p, out=b[1])
+    b[1] -= 2.0
+    for n in range(2, nu_max):
+        np.multiply(a_p, b[n - 1], out=b[n])
+        b[n] -= b[n - 2]
+    return out[:nu_max]
 
 
 def sym_power_spectrum(spec: SatakeSpectrum, M: int) -> SatakeSpectrum:

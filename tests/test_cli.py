@@ -193,15 +193,32 @@ class TestRunners:
 
     def test_one_conductor_pass_per_curve(self, tmp_path, monkeypatch):
         # the conductor pass splits each member curve's discriminant once,
-        # however many derived families read its conductor
+        # however many derived families read its conductor, and each fiber's
+        # A(t), B(t) and minimal model are computed once, however many
+        # families read its key or its conductor
         calls = []
         batch = ecgeom._factor_batch
+        evals = []
+        eval_poly = ecgeom._eval_poly
+        models = []
+        minimal_model = ecgeom.minimal_model
 
         def counted(values):
             calls.extend(values)
             return batch(values)
 
+        def counted_eval(coeffs, t):
+            evals.append(t)
+            return eval_poly(coeffs, t)
+
+        def counted_model(A, B):
+            models.append((A, B))
+            return minimal_model(A, B)
+
         monkeypatch.setattr(ecgeom, "_factor_batch", counted)
+        monkeypatch.setattr(ecgeom, "_eval_poly", counted_eval)
+        for module in (ecgeom, families):
+            monkeypatch.setattr(module, "minimal_model", counted_model, raising=False)
         ec = {"kind": "elliptic", "a_poly": "0 1", "t_min": 300, "t_max": 360}
         data = {
             "run": {"primes": 100},
@@ -217,6 +234,8 @@ class TestRunners:
         path.write_text(json.dumps(data))
         assert main(["constants", "--config", str(path)]) == 0
         assert len(calls) == len(set(calls)) == 120
+        assert len(evals) == 240
+        assert len(models) == 120
 
 
 class TestMainExitCodes:

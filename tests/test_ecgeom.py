@@ -525,7 +525,7 @@ class TestConductorBlocks:
 
         monkeypatch.setattr(arith, "is_prime", counted(arith.is_prime))
         monkeypatch.setattr(arith, "_split", counted(arith._split))
-        fc = ecgeom.family_conductors(SPEC_T1(2000, 2100))
+        fc = ecgeom.family_conductors(ecgeom.fiber_models(SPEC_T1(2000, 2100)))
         assert fc.blocks
         assert [n for n in seen if n < 10**12] == []
 
@@ -552,7 +552,7 @@ class TestConductorBlocks:
                 while m % p == 0:
                     m //= p
             cofactors.append(m)
-        fc = ecgeom.family_conductors(spec)
+        fc = ecgeom.family_conductors(ecgeom.fiber_models(spec))
         assert fc.blocks == Counter(
             m for m in cofactors if 10**8 <= m < 10**12 and math.isqrt(m) ** 2 != m
         )
@@ -591,7 +591,7 @@ class TestConductorBlocks:
 
         monkeypatch.setattr(arith, "_split", counted)
         spec = SPEC_QUAD(20000, 20100)
-        fc = ecgeom.family_conductors(spec)
+        fc = ecgeom.family_conductors(ecgeom.fiber_models(spec))
         monkeypatch.undo()
         small = [n for n in seen if n < 2**63]
         assert small
@@ -615,12 +615,12 @@ class TestConductorBlocks:
         # no cofactor of this box reaches 10^12, so the second stage's
         # chunk products are never built
         arith._sieve_chunks.cache_clear()
-        assert ecgeom.family_conductors(SPEC_T1(2000, 2100)).blocks
+        assert ecgeom.family_conductors(ecgeom.fiber_models(SPEC_T1(2000, 2100))).blocks
         assert arith._sieve_chunks.cache_info().currsize == 0
 
     def test_block_meets_prime_key(self):
-        F = ecgeom.family_conductors(SPEC_T1(2000, 2060))
-        G = ecgeom.family_conductors(SPEC_T1(14400, 14410))
+        F = ecgeom.family_conductors(ecgeom.fiber_models(SPEC_T1(2000, 2060)))
+        G = ecgeom.family_conductors(ecgeom.fiber_models(SPEC_T1(14400, 14410)))
         assert F.blocks[12391 * 2637133] == 1 and 12391 in G.prime_powers
         assert 12391 not in F.prime_powers
         splits = {}
@@ -718,12 +718,12 @@ class TestAvgLogConductor:
         )
 
     def test_big_conductors_present(self):
-        big = ecgeom.family_conductors(SPEC_QUAD(20010, 20050))
+        big = ecgeom.family_conductors(ecgeom.fiber_models(SPEC_QUAD(20010, 20050)))
         assert max(big.proxies.values()) >= 2**62
 
     def test_family_conductors_match_proxy(self):
         spec = EllipticFamilySpec((0, 1), (5**6,), 600, 650)
-        fc = ecgeom.family_conductors(spec)
+        fc = ecgeom.family_conductors(ecgeom.fiber_models(spec))
         assert list(fc.proxies) == list(spec.t_range)
         assert fc.proxies[625] == conductor_proxy(1, 1)
         counts: dict = {}
@@ -747,7 +747,7 @@ class TestAvgLogConductor:
     def test_singular_fibers_skipped(self):
         # A = -3, B = 1 + T is singular where B = 2: at t = 1 only
         spec = EllipticFamilySpec((-3,), (1, 1), 0, 4)
-        assert list(ecgeom.family_conductors(spec).proxies) == [0, 2, 3]
+        assert list(ecgeom.family_conductors(ecgeom.fiber_models(spec)).proxies) == [0, 2, 3]
         with pytest.raises(ValueError):
             avg_log_conductor(EllipticFamilySpec((-3,), (2,), 0, 3), SPEC_T1(1, 5))
 

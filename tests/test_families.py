@@ -1219,6 +1219,31 @@ class TestPass:
         for a, b in zip(one.values(), many.values()):
             assert_tables_equal(a, b)
 
+    def test_no_more_threads_than_primes(self, monkeypatch):
+        # threads = 50 over the 4 primes up to 10: four blocks in a pool of
+        # four threads, recorded by a stub pool that runs them in turn
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                seen.append(len(args[0]))
+                return map(fn, *args)
+
+        monkeypatch.setattr(families, "ThreadPoolExecutor", Pool)
+        fam = quadratic_family((100, 300))
+        table = families.moment_tables({fam: 10}, 4, 50)[fam]
+        assert seen == [4, 4]
+        assert_tables_equal(table, families.moment_tables({fam: 10}, 4, 1)[fam])
+
     def test_one_pass_builds_each_quadratic_row_once(self, monkeypatch):
         # q, chi(-4) x q and q x q at three cutoffs: q's rows reach the
         # largest, once per prime however many blocks
