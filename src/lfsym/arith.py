@@ -237,28 +237,33 @@ def _product_tree(values: list[int]) -> list[list[int]]:
     return tree
 
 
-# The second gcd stage covers the primes in (10^4, 2^21), about 3.0 Mbit of
-# product, in this many chunks of about 40 kbit each.
+# The sieve stages cover the primes in (10^4, 2^21), about 3.0 Mbit of
+# product, in 76 equal ranges (chunks) of about 40 kbit each, taken in bands
+# of 1, 1, 2, 4, 8, 16 and 44 chunks: band k is the chunks from
+# _BAND_ENDS[k] up to _BAND_ENDS[k + 1], and its bound is the upper edge of
+# its last chunk, about 3.7e4, 6.5e4, 1.2e5, 2.3e5, 4.5e5, 8.9e5 and 2^21.
 _SIEVE_BOUND = 2**21
-_SIEVE_CHUNKS = 76
+_CHUNK_EDGES = np.linspace(_TRIAL_BOUND, _SIEVE_BOUND, 77).astype(int).tolist()
+_BAND_ENDS = (0, 1, 2, 4, 8, 16, 32, 76)
 
 
-@functools.lru_cache(maxsize=1)
-def _sieve_chunks() -> tuple[int, ...]:
-    """The product of the primes in (10^4, 2^21), as the products of the
-    primes in ``_SIEVE_CHUNKS`` equal ranges, built on first use.
+@functools.lru_cache(maxsize=None)
+def _sieve_chunks(band: int) -> tuple[int, ...]:
+    """The product of the primes of sieve band ``band``, as the products of
+    the primes in each of its chunk ranges, built on the band's first use.
 
     Equal ranges hold about equal bits of product, since the sum of log p
     over p < x is about x.  Each range is sieved by the trial primes up to
     sqrt(2^21), so no table of all the primes is ever held; numpy multiplies
     its primes three at a time in int64 (p < 2^21, so p^3 < 2^63), and the
     chunk is the root of a product tree of those triples.  No caller needs
-    the whole product, which would cost several times the chunks to build.
+    a band's whole product, which would cost several times its chunks to
+    build, and a band that no cofactor reaches is never built.
     """
     small = [p for p in _trial_primes()[0] if p * p < _SIEVE_BOUND]
-    edges = np.linspace(_TRIAL_BOUND, _SIEVE_BOUND, _SIEVE_CHUNKS + 1).astype(int)
+    edges = _CHUNK_EDGES[_BAND_ENDS[band] : _BAND_ENDS[band + 1] + 1]
     chunks = []
-    for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+    for lo, hi in zip(edges[:-1], edges[1:]):
         mask = np.ones(hi - lo, dtype=bool)
         for p in small:
             mask[-lo % p :: p] = False
@@ -325,11 +330,19 @@ def factorize(n: int) -> dict[int, int]:
 
 # The stages of ``_factor_batch``: a bound b, the chunks of the product of
 # the primes below b that earlier stages leave, and how a value is divided by
-# its gcd with that product.  Below 10^8 a second-stage gcd is one prime,
-# and above it ``factorize`` splits it by a short rho.
+# its gcd with that product.  The trial stage is followed by one stage per
+# sieve band.  Below 10^8 a band's gcd is one prime, and above it
+# ``factorize`` splits it by a short rho.
 _STAGES = (
     (_TRIAL_BOUND, lambda: (_trial_primes()[1],), _trial_divide),
-    (_SIEVE_BOUND, _sieve_chunks, lambda m, g: _divide_out(m, factorize(g))),
+    *(
+        (
+            _CHUNK_EDGES[end],
+            functools.partial(_sieve_chunks, band),
+            lambda m, g: _divide_out(m, factorize(g)),
+        )
+        for band, end in enumerate(_BAND_ENDS[1:])
+    ),
 )
 
 
@@ -349,24 +362,32 @@ def _factor_batch(values: list[int]) -> Iterator[tuple[int, dict[int, int], int]
     * from b^3 on it is a prime when ``is_prime`` passes it, and otherwise it
       waits for the next stage.
 
-    The first stage keeps the trial division by the primes of its gcd; the
-    second covers the primes in (10^4, 2^21), so its blocks lie in
-    [2^42, 2^63).  Whatever still waits after the last stage, composite and
-    of 2^63 or more, goes to ``factorize``, Brent's rho included.  A value is
-    yielded as soon as it is done, so only the waiting ones are held, and
-    they come last; a stage that no value reaches builds no chunk products.
+    The first stage keeps the trial division by the primes of its gcd; each
+    later one covers one band of the primes in (10^4, 2^21), whose bounds
+    about double (``_sieve_chunks``), so a value leaves the remainder trees
+    at the first band that settles it, and the trees shrink as the bands
+    rise.  A block lies in [b^2, b^3) and has no prime below b, for the
+    bound b of the stage that left it: [10^8, 10^12) for the first stage,
+    [2^42, 2^63) for the last.  A value whose gcd is 1 is not divided, and
+    a waiting cofactor that a band does not divide is still composite, so
+    it is not tested again.  Whatever still waits after the last stage,
+    composite and of 2^63 or more, goes to ``factorize``, Brent's rho
+    included.  A value is yielded as soon as it is done, so only the
+    waiting ones are held, and they come last; a band that no value reaches
+    builds no chunk products.
     """
     pending = [(i, None, n) for i, n in enumerate(values)]
-    for bound, chunks, divide in _STAGES:
+    for stage, (bound, chunks, divide) in enumerate(_STAGES):
         square, cube = bound**2, bound**3
         gcds = _stage_gcds([m for *_, m in pending], chunks)
         waiting = []
         for (i, primes, m), g in zip(pending, gcds):
-            found, m = divide(m, g)
+            found, m = divide(m, g) if g > 1 else ({}, m)
             primes = found if primes is None else {**primes, **found}
             block = 1
             if m >= cube:
-                if not is_prime(m):
+                # after the first stage every pending m failed is_prime
+                if (stage and g == 1) or not is_prime(m):
                     waiting.append((i, primes, m))
                     continue
                 primes[m] = 1

@@ -561,9 +561,10 @@ class FamilyConductors:
             out; the primes of the blocks are not among them.
         blocks: unsplit block -> number of fibers whose proxy holds it.  A
             block is a squarefree discriminant cofactor that
-            ``arith._factor_batch`` leaves unsplit, in [10^8, 10^12) with
-            no prime factor below 10^4 or in [2^42, 2^63) with none below
-            2^21, so one or two primes that each divide its fibers' proxies
+            ``arith._factor_batch`` leaves unsplit, in [b^2, b^3) with no
+            prime factor below b for the bound b of the stage that left it,
+            from [10^8, 10^12) for b = 10^4 to [2^42, 2^63) for b = 2^21,
+            so one or two primes that each divide its fibers' proxies
             exactly once.
     """
 
@@ -623,8 +624,9 @@ def _split_met_blocks(
     shares a prime with G added at k = 1.
 
     A block shares a prime with G exactly when it has a gcd above 1 with
-    the product of all of G's keys, its primes and its blocks; the primes
-    below 10^4 among them divide no block.  That product is first reduced
+    the product of all of G's keys, its primes and its blocks; a block has
+    no prime below the bound of the stage that left it, so the primes below
+    10^4 among them divide no block.  That product is first reduced
     to its gcd with the product of F's blocks, one large gcd in place of
     one per block.  Only the blocks that meet it, rare outside overlapping boxes,
     are split: a block with two primes of which G holds one is split by its

@@ -269,25 +269,43 @@ class TestFactorize:
         assert arith._stage_gcds([], chunks) == []
 
     def test_sieve_gcds_match_one_gcd_each(self):
-        primes = [int(p) for p in sieve_primes(2**21).primes if p > 10**4]
-        # the product of the primes in (10^4, 2^21), multiplied in pairs
-        while len(primes) > 1:
-            primes = [math.prod(primes[i : i + 2]) for i in range(0, len(primes), 2)]
-        product = primes[0]
-        rng = random.Random(5)
-        edges = [9973, 10007, 2097143, 2097169]
-        values = [1, 9973 * 2097169, 10007**3 * 2097143**2, 2**64 + 1]
-        for _ in range(40):
-            picks = rng.sample(edges, 2)
-            picks += [rng.randrange(10**4, 2**22) for _ in range(3)]
-            values.append(math.prod(picks) * rng.randrange(1, 10**6))
-        chunks = arith._STAGES[1][1]
-        assert arith._stage_gcds(values, chunks) == [
-            math.gcd(n, product) for n in values
-        ]
-        assert arith._stage_gcds([10007 * 2097169], chunks) == [10007]
-        assert arith._stage_gcds([], chunks) == []
+        # each band's chunks give the gcd with the product of its own primes,
+        # those in [previous bound, bound); the bands' products multiply to
+        # the product of the primes in (10^4, 2^21), each prime once
+        def product_of(values):
+            # multiplied in pairs, since a running product of 3 Mbit is slow
+            while len(values) > 1:
+                pairs = range(0, len(values), 2)
+                values = [math.prod(values[i : i + 2]) for i in pairs]
+            return values[0]
 
+        primes = [int(p) for p in sieve_primes(2**21).primes if p > 10**4]
+        bounds = [stage[0] for stage in arith._STAGES]
+        assert bounds[0] == 10**4 and bounds[-1] == 2**21
+        assert bounds == sorted(bounds)
+        rng = random.Random(5)
+        total, seen = 1, []
+        for lo, (bound, chunks, _) in zip(bounds, arith._STAGES[1:]):
+            band = [p for p in primes if lo <= p < bound]
+            seen += band
+            product = product_of(band)
+            assert product_of(list(chunks())) == product
+            total *= product
+            # the primes next to both ends of the band, and to 10^4 and 2^21
+            edges = [band[0], band[-1], 9973, 2097169]
+            edges += [p for p in primes if p >= bound][:1]
+            edges += [p for p in primes if p < lo][-1:]
+            values = [1, band[0] * 2097169, band[-1] ** 3 * band[0] ** 2, 2**64 + 1]
+            for _ in range(20):
+                picks = rng.sample(edges, 2)
+                picks += [rng.randrange(10**4, 2**22) for _ in range(3)]
+                values.append(math.prod(picks) * rng.randrange(1, 10**6))
+            assert arith._stage_gcds(values, chunks) == [
+                math.gcd(n, product) for n in values
+            ]
+            assert arith._stage_gcds([band[0] * 2097169], chunks) == [band[0]]
+            assert arith._stage_gcds([], chunks) == []
+        assert seen == primes and total == product_of(primes)
 
 
 class TestFactorBatch:
@@ -331,9 +349,24 @@ class TestFactorBatch:
         def cofactor(i, bound):
             return math.prod(p**e for p, e in factored[i].items() if p > bound)
 
+        # the stage that leaves a value: the first whose cofactor, the part
+        # with no prime below its bound b, is below b^3 or prime; one past
+        # the last stage for the values left to factorize
+        bounds = [stage[0] for stage in arith._STAGES]
+
+        def leaving_stage(i):
+            for k, b in enumerate(bounds):
+                if (m := cofactor(i, b)) < b**3 or is_prime(m):
+                    return k
+            return len(bounds)
+
+        stages = [leaving_stage(i) for i in range(len(values))]
         order = []
+        blocks = []
         for i, primes, block in arith._factor_batch(values):
             order.append(i)
+            if block > 1:
+                blocks.append((i, block))
             f = factored[i]
             assert values[i] == block * math.prod(p**e for p, e in primes.items())
             assert all(is_prime(p) for p in primes)
@@ -343,11 +376,15 @@ class TestFactorBatch:
             if block > 1:
                 # one or two primes, each dividing the value once
                 assert len(rest) <= 2 and all(f[p] == 1 for p in rest)
-                assert min(rest) > (2**21 if block >= 2**42 else 10**4)
-                assert 10**8 <= block < 10**12 or 2**42 <= block < 2**63
+                # in [b^2, b^3) with no prime below b, for the bound b of
+                # the stage that left it
+                b = bounds[stages[i]]
+                assert b**2 <= block < b**3 and min(rest) > b
         assert sorted(order) == list(range(len(values)))
+        # a value is yielded by the stage that leaves it, stage by stage
+        assert order == sorted(range(len(values)), key=lambda i: (stages[i], i))
         # the values whose first-stage cofactor is a composite of 10^12 or
-        # more reach the second stage, and come last
+        # more reach the sieve bands, and come last
         second = [
             i
             for i in range(len(values))
@@ -362,6 +399,10 @@ class TestFactorBatch:
         assert any(
             (m := cofactor(i, 2**21)) >= 2**63 and not is_prime(m) for i in second
         )
+        # and blocks of the first stage, of the last and of a band between
+        left = {stages[i] for i, block in blocks}
+        assert {0, len(bounds) - 1} <= left
+        assert left & set(range(1, len(bounds) - 1))
 
 
 class TestCharacters:

@@ -606,7 +606,7 @@ GOLDEN = ROOT / "tests" / "golden"
 GOLDEN_WORKLOADS = ("ec_pair", "characters", "ec_wide_box")
 GOLDEN_INIS = (
     "hecke_p300", "forms_p300", "twists_p300", "ec_blocks_p200", "ec_big_p200",
-    "ec_twist_p300", "sym_lifts_p1000",
+    "ec_big_self_p200", "ec_twist_p300", "sym_lifts_p1000",
 )
 # the columns that constants and density both print
 SHARED_COLUMNS = ("family_id", "sigma", "P", "c_est", "c_class", "r_est", "eps")
@@ -661,11 +661,24 @@ def test_ec_blocks_output_matches_golden_csv(command, capsys):
 @pytest.mark.parametrize("command", ["constants", "density"])
 def test_ec_big_output_matches_golden_csv(command, capsys):
     # degree-2 discriminants near 1.6e20: cofactors above 10^12 take the
-    # second gcd stage, and some of its blocks lie in [2^42, 2^63)
+    # sieve bands, and some of their blocks lie at or above 2^42
     config = str(GOLDEN / "ec_big_p200.ini")
     built = load_config(config).resolve()
     assert max(built["quad"].conductors.blocks) >= 2**42
     expected = (GOLDEN / f"ec_big_p200_{command}.csv").read_text()
+    for threads in ("1", "2"):
+        assert main([command, "--config", config, "--threads", threads]) == 0
+        assert capsys.readouterr().out == expected, threads
+
+
+@pytest.mark.parametrize("command", ["constants", "density"])
+def test_ec_big_self_output_matches_golden_csv(command, capsys):
+    # a degree-2 box convolved with itself: every unsplit block meets its
+    # own copy, so the average pair log-conductor splits each of them
+    config = str(GOLDEN / "ec_big_self_p200.ini")
+    built = load_config(config).resolve()
+    assert built["quad"].conductors.blocks
+    expected = (GOLDEN / f"ec_big_self_p200_{command}.csv").read_text()
     for threads in ("1", "2"):
         assert main([command, "--config", config, "--threads", threads]) == 0
         assert capsys.readouterr().out == expected, threads

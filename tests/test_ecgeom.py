@@ -611,12 +611,48 @@ class TestConductorBlocks:
         assert avg_log_conductor(F, G) == reference_pair_log_conductor(F, G)
         assert avg_log_conductor(G, F) == reference_pair_log_conductor(G, F)
 
+    @pytest.fixture
+    def stage_counts(self, monkeypatch):
+        # the number of values of each _stage_gcds call, stage by stage
+        counts = []
+        stage_gcds = arith._stage_gcds
+
+        def counted(values, chunks):
+            counts.append(len(values))
+            return stage_gcds(values, chunks)
+
+        monkeypatch.setattr(arith, "_stage_gcds", counted)
+        return counts
+
     def test_stage_two_left_unbuilt_below_1e12(self):
-        # no cofactor of this box reaches 10^12, so the second stage's
-        # chunk products are never built
+        # no cofactor of this box reaches 10^12, so no sieve band's chunk
+        # products are built
         arith._sieve_chunks.cache_clear()
         assert ecgeom.family_conductors(ecgeom.fiber_models(SPEC_T1(2000, 2100))).blocks
         assert arith._sieve_chunks.cache_info().currsize == 0
+
+    def test_linear_box_builds_the_first_band_alone(self, stage_counts):
+        # some cofactors of x^3 + Tx + 1 near t = 2e4 reach 10^12, and the
+        # first sieve band settles every one of them
+        arith._sieve_chunks.cache_clear()
+        spec = SPEC_T1(20000, 20100)
+        fc = ecgeom.family_conductors(ecgeom.fiber_models(spec))
+        assert stage_counts[1] > 0 and not any(stage_counts[2:])
+        assert arith._sieve_chunks.cache_info().currsize == 1
+        arith._sieve_chunks(0)
+        assert arith._sieve_chunks.cache_info().currsize == 1
+        assert list(fc.proxies.values()) == reference_conductors(spec)[0]
+
+    def test_remainder_trees_shrink_band_by_band(self, stage_counts):
+        # the cofactors of a degree-2 box leave the remainder trees at the
+        # first band that settles them, so the last band holds fewer than
+        # the first
+        spec = SPEC_QUAD(20000, 20100)
+        fc = ecgeom.family_conductors(ecgeom.fiber_models(spec))
+        bands = stage_counts[1:]
+        assert bands == sorted(bands, reverse=True)
+        assert 0 < bands[-1] < bands[0]
+        assert list(fc.proxies.values()) == reference_conductors(spec)[0]
 
     def test_block_meets_prime_key(self):
         F = ecgeom.family_conductors(ecgeom.fiber_models(SPEC_T1(2000, 2060)))
@@ -655,8 +691,8 @@ class TestSecondStage:
         monkeypatch.setattr(arith, "_split", refuse)
 
     def test_square_of_sieved_prime_is_not_a_block(self, no_rho):
-        # m = P^2 * 100000007 is a non-square in [2^42, 2^63); only the
-        # second stage tells it from a squarefree block of two primes
+        # m = P^2 * 100000007 is a non-square in [2^42, 2^63); only a
+        # sieve band tells it from a squarefree block of two primes
         m = self.P**2 * 100000007
         assert 2**42 <= m < 2**63 and math.isqrt(m) ** 2 != m
         factors = {2: 4, self.P: 2, 100000007: 1}
